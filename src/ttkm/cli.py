@@ -35,8 +35,8 @@ from .pipeline import (
     Dataset,
     OvoModel,
     decision_function,
+    draw_dataset,
     evaluate,
-    make_pair_dataset,
     rank_sweep,
     train_binary,
     train_multiclass_ovo,
@@ -198,30 +198,6 @@ def _load_pool(cfg: RunConfig, which: str):
     return samples, y
 
 
-def _draw_multiclass_dataset(train_s, train_y, test_s, test_y, classes,
-                             train_per_class, val_per_class, seed) -> Dataset:
-    """Seeded per-class train/validation draws plus the full test split."""
-    rng = np.random.default_rng(seed)
-    samples, labels, split = [], [], []
-    for cls in classes:
-        pool = np.nonzero(np.asarray(train_y) == cls)[0]
-        need = train_per_class + val_per_class
-        if len(pool) < need:
-            raise ValueError(f"class {cls} has {len(pool)} training samples, need {need}")
-        picked = rng.permutation(pool)[:need]
-        for j, idx in enumerate(picked):
-            samples.append(train_s[idx])
-            labels.append(cls)
-            split.append("train" if j < train_per_class else "validation")
-    if test_s is not None:
-        for idx in np.nonzero(np.isin(np.asarray(test_y), list(classes)))[0]:
-            samples.append(test_s[idx])
-            labels.append(int(test_y[idx]))
-            split.append("test")
-    return Dataset(samples=samples, labels=np.array(labels),
-                   split=np.array(split, dtype=object))
-
-
 def _build_dataset(args, cfg: RunConfig):
     """Dataset plus the class tuple for train/grid/rank-sweep commands."""
     train_s, train_y = _load_pool(cfg, "train")
@@ -232,17 +208,13 @@ def _build_dataset(args, cfg: RunConfig):
         classes = _parse_ints(args.pair)
         if len(classes) != 2:
             raise ValueError(f"--pair needs exactly two class ids, got {args.pair!r}")
-        ds = make_pair_dataset(
-            train_s, train_y, test_s or [], test_y if test_y is not None else [],
-            classes, cfg.train_per_class, cfg.val_per_class, cfg.seed,
-        )
-        return ds, tuple(sorted(classes))
-    classes = _parse_ints(args.classes) if args.classes else tuple(
-        int(c) for c in np.unique(train_y)
-    )
+    elif args.classes:
+        classes = _parse_ints(args.classes)
+    else:
+        classes = tuple(int(c) for c in np.unique(train_y))
     if len(classes) < 2:
         raise ValueError(f"need at least two classes, got {classes}")
-    ds = _draw_multiclass_dataset(
+    ds = draw_dataset(
         train_s, train_y, test_s, test_y, classes,
         cfg.train_per_class, cfg.val_per_class, cfg.seed,
     )

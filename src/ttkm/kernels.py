@@ -11,15 +11,18 @@ every combination of rank indices on both sides:
     sum:   K(A, B) = sum over (r, s) tuples of  sum_i  k_i(a_fiber, b_fiber)
 
 ``tt_kernel_naive`` evaluates these definitions literally and exists as a
-reference; the fast evaluators reorganize the same sums so the cost is
-polynomial in the ranks.  Gram matrices built from samples that share one
-rank chain are positive semidefinite for both combine rules.
+reference.  Everything else goes through one engine, ``_kernel_matrix``,
+which reorganizes the same sums so the cost is polynomial in the ranks: the
+single-pair evaluators are 1x1 calls into it, and ``build_gram`` and
+``cross_gram`` call it directly.  Cores shared by every row and every
+column (the tails of a stacked decomposition) are reduced once, and only
+the leading modes are evaluated per pair.  Gram matrices built from samples
+that share one rank chain are positive semidefinite for both combine rules.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -27,8 +30,6 @@ import numpy as np
 
 from .errors import CapacityError
 from .tensor import TensorTrain
-
-logger = logging.getLogger(__name__)
 
 NAIVE_TERM_CAP = 10_000_000
 
@@ -237,23 +238,10 @@ def _fiber_block(k: BaseKernel, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     raise TypeError(f"not a base kernel: {k!r}")
 
 
-def _prod_from_blocks(blocks) -> float:
-    v = np.ones((1, 1))
-    for blk in blocks:
-        v = np.einsum("ru,rsut->st", v, blk, optimize=True)
-    return float(v[0, 0])
-
-
-def _sum_from_blocks(blocks, ranks_a, ranks_b) -> float:
-    pair = [ra * rb for ra, rb in zip(ranks_a, ranks_b)]
-    total = 0.0
-    for i, blk in enumerate(blocks):
-        mult = 1
-        for j in range(len(pair)):
-            if j != i and j != i + 1:
-                mult *= pair[j]
-        total += mult * float(blk.sum())
-    return total
+def tt_kernel(a: TensorTrain, b: TensorTrain, spec: KernelSpec) -> float:
+    """Fast evaluator for the spec's combine rule: a 1x1 kernel matrix."""
+    _check_pair(a, b, spec)
+    return float(_kernel_matrix([a], [b], spec)[0, 0])
 
 
 def tt_kernel_prod_fast(a: TensorTrain, b: TensorTrain, spec: KernelSpec) -> float:
@@ -262,14 +250,10 @@ def tt_kernel_prod_fast(a: TensorTrain, b: TensorTrain, spec: KernelSpec) -> flo
     Grouping the fiber kernel values of mode i into a block indexed by
     (r_i, r_{i+1}, s_i, s_{i+1}) turns the sum over rank tuples into a
     product of matrices of size (R_i S_i) x (R_{i+1} S_{i+1}); the chain is
-    contracted left to right.  Equal to ``tt_kernel_naive`` with combine
-    "prod" up to floating-point roundoff.
+    contracted from both ends and closed at the first rank bond.  Equal to
+    ``tt_kernel_naive`` with combine "prod" up to floating-point roundoff.
     """
-    _check_pair(a, b, spec)
-    blocks = [
-        _fiber_block(spec.per_mode[i], a.cores[i], b.cores[i]) for i in range(a.order)
-    ]
-    return _prod_from_blocks(blocks)
+    return tt_kernel(a, b, replace(spec, combine="prod"))
 
 
 def tt_kernel_sum_fast(a: TensorTrain, b: TensorTrain, spec: KernelSpec) -> float:
@@ -281,18 +265,7 @@ def tt_kernel_sum_fast(a: TensorTrain, b: TensorTrain, spec: KernelSpec) -> floa
     R_j S_j.  Equal to ``tt_kernel_naive`` with combine "sum" up to
     floating-point roundoff.
     """
-    _check_pair(a, b, spec)
-    blocks = [
-        _fiber_block(spec.per_mode[i], a.cores[i], b.cores[i]) for i in range(a.order)
-    ]
-    return _sum_from_blocks(blocks, a.ranks, b.ranks)
-
-
-def tt_kernel(a: TensorTrain, b: TensorTrain, spec: KernelSpec) -> float:
-    """Fast evaluator dispatched on the combine rule."""
-    if spec.combine == "prod":
-        return tt_kernel_prod_fast(a, b, spec)
-    return tt_kernel_sum_fast(a, b, spec)
+    return tt_kernel(a, b, replace(spec, combine="sum"))
 
 
 @dataclass(frozen=True)
@@ -350,55 +323,55 @@ def _shared_mode_start(rows, cols) -> int:
     return s
 
 
-def _pair_values(rows, cols, per_mode, combines, symmetric: bool) -> dict:
-    """Pairwise kernel values for one or several combine rules.
+def _kernel_matrix(rows, cols, spec: KernelSpec, symmetric: bool = False) -> np.ndarray:
+    """Kernel values between every row and every column train.
 
-    Per-mode fiber blocks are computed once per pair and reused by every
-    requested rule.  Cores constant across a whole side (the shared tails of
-    a stacked decomposition) have their blocks hoisted out of the pair loop.
+    This is the only place the TT-kernel arithmetic lives.  Cores constant
+    across a whole side (the shared tails of a stacked decomposition, or
+    modes 2..d of a single pair) have their blocks reduced once: to one
+    matrix for "prod", to block sums for "sum".  Only the leading modes
+    are evaluated per pair.  With ``symmetric`` (rows are cols) only pairs
+    i <= j are evaluated and the upper triangle is copied into the lower.
     """
+    per_mode = spec.per_mode
+    prod = spec.combine == "prod"
     d = rows[0].order
     s = _shared_mode_start(rows, cols)
     shared_blocks = [
         _fiber_block(per_mode[k], rows[0].cores[k], cols[0].cores[k])
         for k in range(s, d)
     ]
-
-    want_prod = "prod" in combines
-    want_sum = "sum" in combines
-    if want_prod:
+    if prod:
         # collapse the shared suffix right-to-left into one matrix
         tail = np.ones((1, 1))
         for blk in reversed(shared_blocks):
             tail = np.einsum("rsut,st->ru", blk, tail, optimize=True)
-    if want_sum:
+    else:
         shared_sums = [float(blk.sum()) for blk in shared_blocks]
 
-    out = {c: np.empty((len(rows), len(cols))) for c in combines}
+    out = np.empty((len(rows), len(cols)))
     for i, a in enumerate(rows):
-        j0 = i if symmetric else 0
-        for j in range(j0, len(cols)):
+        for j in range(i if symmetric else 0, len(cols)):
             b = cols[j]
             blocks = [_fiber_block(per_mode[k], a.cores[k], b.cores[k]) for k in range(s)]
-            if want_prod:
+            if prod:
                 v = np.ones((1, 1))
                 for blk in blocks:
                     v = np.einsum("ru,rsut->st", v, blk, optimize=True)
-                out["prod"][i, j] = float(np.sum(v * tail))
-            if want_sum:
+                out[i, j] = float(np.sum(v * tail))
+            else:
+                sums = [float(blk.sum()) for blk in blocks] + shared_sums
                 pair = [ra * rb for ra, rb in zip(a.ranks, b.ranks)]
                 total = 0.0
                 for k in range(d):
-                    blk_sum = float(blocks[k].sum()) if k < s else shared_sums[k - s]
                     mult = 1
                     for m in range(d + 1):
                         if m != k and m != k + 1:
                             mult *= pair[m]
-                    total += mult * blk_sum
-                out["sum"][i, j] = total
+                    total += mult * sums[k]
+                out[i, j] = total
         if symmetric:
-            for c in combines:
-                out[c][i:, i] = out[c][i, i:]
+            out[i:, i] = out[i, i:]
     return out
 
 
@@ -413,42 +386,22 @@ def _checked_samples(samples, what: str):
     return samples
 
 
-def _build_grams(samples, per_mode, combines, sample_ids) -> dict:
-    _require_shared_chain(samples, "Gram samples")
-    if sample_ids is None:
-        sample_ids = tuple(range(len(samples)))
-    raw = _pair_values(samples, samples, per_mode, combines, symmetric=True)
-    out = {}
-    for combine, vals in raw.items():
-        asym = float(np.max(np.abs(vals - vals.T)))
-        if asym > 1e-8:
-            logger.warning("Gram asymmetry %.3e before symmetrization", asym)
-        out[combine] = GramMatrix(
-            values=0.5 * (vals + vals.T),
-            spec=KernelSpec(per_mode=tuple(per_mode), combine=combine),
-            sample_ids=sample_ids,
-        )
-    return out
-
-
 def build_gram(samples, spec: KernelSpec, sample_ids=None) -> GramMatrix:
     """Kernel matrix over samples sharing one rank chain.
 
-    Each pair is evaluated once (i <= j) with the fast evaluator for the
-    requested combine rule, then the matrix is symmetrized as (G + G^T)/2.
+    Each pair i <= j is evaluated once by the kernel engine and mirrored
+    into the lower triangle, so the matrix is exactly symmetric.
     """
     samples = _checked_samples(samples, "Gram")
     _check_pair(samples[0], samples[0], spec)
-    return _build_grams(samples, spec.per_mode, (spec.combine,), sample_ids)[spec.combine]
-
-
-def build_gram_pair(samples, per_mode, sample_ids=None) -> tuple[GramMatrix, GramMatrix]:
-    """Prod- and sum-combined Gram matrices sharing one block computation."""
-    samples = _checked_samples(samples, "Gram")
-    per_mode = tuple(per_mode)
-    _check_pair(samples[0], samples[0], KernelSpec(per_mode=per_mode))
-    grams = _build_grams(samples, per_mode, ("prod", "sum"), sample_ids)
-    return grams["prod"], grams["sum"]
+    _require_shared_chain(samples, "Gram samples")
+    if sample_ids is None:
+        sample_ids = tuple(range(len(samples)))
+    return GramMatrix(
+        values=_kernel_matrix(samples, samples, spec, symmetric=True),
+        spec=spec,
+        sample_ids=sample_ids,
+    )
 
 
 def cross_gram(train, test, spec: KernelSpec) -> np.ndarray:
@@ -469,6 +422,4 @@ def cross_gram(train, test, spec: KernelSpec) -> np.ndarray:
             raise ValueError(
                 f"test sample {i} has rank chain {t.ranks}, training chain is {chain}"
             )
-    return _pair_values(test, train, spec.per_mode, (spec.combine,), symmetric=False)[
-        spec.combine
-    ]
+    return _kernel_matrix(test, train, spec)

@@ -15,11 +15,15 @@ keeping structure out of the blob keeps diffs reviewable.
 A file holds either one binary model (``kind: "binary"``) or a
 one-vs-one ensemble (``kind: "ovo"``) whose per-pair blobs are
 concatenated and indexed by offsets in the header.
+
+The checksum covers only the blob, so every header field is validated on
+load: a missing or ill-typed key is a DataFormatError, never a crash.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 
@@ -84,13 +88,35 @@ def _model_blob(model: SvmModel) -> bytes:
     return b"".join(parts)
 
 
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _is_dict(v) -> bool:
+    return isinstance(v, dict)
+
+
+def _int_list(v, minimum=-math.inf) -> bool:
+    return isinstance(v, list) and all(_is_int(x) and x >= minimum for x in v)
+
+
+def _get(header, key: str, ok, path):
+    """``header[key]``; DataFormatError when it is missing or ``ok`` rejects it."""
+    value = header.get(key) if isinstance(header, dict) else None
+    if value is None or not ok(value):
+        raise DataFormatError(f"{path}: header key {key!r} is missing or invalid: {value!r}")
+    return value
+
+
 def _model_from_parts(header: dict, blob: bytes, path) -> SvmModel:
-    dims = tuple(header["dims"])
-    ranks = tuple(header["interior_ranks"])
+    dims = tuple(_get(header, "dims", lambda v: _int_list(v, 1) and len(v) > 0, path))
+    ranks = tuple(_get(
+        header, "interior_ranks", lambda v: _int_list(v, 1) and len(v) == len(dims) - 1, path
+    ))
     shapes = _core_shapes(dims, ranks)
-    count = int(header["support_count"])
-    need = 8 * (sum(int(np.prod(s)) for s in shapes[1:]) if count else 0)
-    need += 8 * count * int(np.prod(shapes[0]))
+    count = _get(header, "support_count", lambda v: _is_int(v) and v >= 0, path)
+    need = 8 * (sum(math.prod(s) for s in shapes[1:]) if count else 0)
+    need += 8 * count * math.prod(shapes[0])
     need += 8 * count + 8
     if len(blob) != need:
         raise DataFormatError(
@@ -116,7 +142,7 @@ def _model_from_parts(header: dict, blob: bytes, path) -> SvmModel:
     bias = struct.unpack_from("<d", blob, pos)[0]
     try:
         spec = KernelSpec.from_dict(header["spec"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad kernel spec in header ({exc})") from exc
     return SvmModel(
         support=tuple(support),
@@ -125,11 +151,13 @@ def _model_from_parts(header: dict, blob: bytes, path) -> SvmModel:
         spec=spec,
         dims=dims,
         interior_ranks=ranks,
-        neg_class=int(header["neg_class"]),
-        pos_class=int(header["pos_class"]),
-        normalize=bool(header["normalize"]),
-        grid_point=header["grid_point"],
-        validation_accuracy=header["validation_accuracy"],
+        neg_class=_get(header, "neg_class", _is_int, path),
+        pos_class=_get(header, "pos_class", _is_int, path),
+        normalize=_get(header, "normalize", lambda v: isinstance(v, bool), path),
+        grid_point=_get(header, "grid_point", _is_dict, path),
+        validation_accuracy=_get(
+            header, "validation_accuracy", lambda v: isinstance(v, (int, float)), path
+        ),
         info={"meta": header.get("meta", {})},
     )
 
@@ -197,25 +225,32 @@ def load_model(path):
         header = json.loads(data[12:12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: header is not a JSON object")
     blob = data[12 + header_len:]
-    if len(blob) != header.get("blob_len", -1):
-        raise DataFormatError(
-            f"{path}: blob of {len(blob)} bytes, header says {header.get('blob_len')}"
-        )
+    blob_len = _get(header, "blob_len", _is_int, path)
+    if len(blob) != blob_len:
+        raise DataFormatError(f"{path}: blob of {len(blob)} bytes, header says {blob_len}")
     checksum = zlib.crc32(blob) & 0xFFFFFFFF
-    if checksum != header.get("checksum"):
+    expected = _get(header, "checksum", _is_int, path)
+    if checksum != expected:
         raise DataFormatError(
             f"{path}: checksum mismatch (blob is corrupt: {checksum:#010x} != "
-            f"{header.get('checksum'):#010x})"
+            f"{expected:#010x})"
         )
     kind = header.get("kind")
     if kind == "binary":
-        return _model_from_parts(header["model"], blob, path)
+        return _model_from_parts(_get(header, "model", _is_dict, path), blob, path)
     if kind == "ovo":
+        classes = _get(header, "classes", _int_list, path)
         models = {}
-        for entry in header["models"]:
-            a, b = entry["pair"]
-            sub_blob = blob[entry["blob_offset"]:entry["blob_offset"] + entry["blob_len"]]
-            models[(int(a), int(b))] = _model_from_parts(entry["model"], sub_blob, path)
-        return OvoModel(classes=tuple(int(c) for c in header["classes"]), models=models)
+        for entry in _get(header, "models", lambda v: isinstance(v, list), path):
+            a, b = _get(entry, "pair", lambda v: _int_list(v) and len(v) == 2
+                        and set(v) <= set(classes), path)
+            start = _get(entry, "blob_offset", lambda v: _is_int(v) and v >= 0, path)
+            length = _get(entry, "blob_len", lambda v: _is_int(v) and v >= 0, path)
+            models[(a, b)] = _model_from_parts(
+                _get(entry, "model", _is_dict, path), blob[start:start + length], path
+            )
+        return OvoModel(classes=tuple(classes), models=models)
     raise DataFormatError(f"{path}: unknown model kind {kind!r}")

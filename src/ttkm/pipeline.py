@@ -117,7 +117,7 @@ class Dataset:
         )
 
 
-def make_pair_dataset(
+def draw_dataset(
     train_samples,
     train_labels,
     test_samples,
@@ -127,20 +127,22 @@ def make_pair_dataset(
     val_per_class: int,
     seed: int,
 ) -> Dataset:
-    """Seeded two-class subset: per-class train/validation draws, full test.
+    """Seeded per-class train/validation draws plus the full test split.
 
-    From the pool of training samples, each of the two classes contributes
-    ``train_per_class`` training and ``val_per_class`` validation samples
-    drawn by a seeded shuffle; every test sample of the two classes is kept.
+    Classes are drawn in ascending id order, whatever order ``classes``
+    lists them in, so one seed gives one dataset per class set.  From the
+    pool of training samples, each class contributes ``train_per_class``
+    training and ``val_per_class`` validation samples taken from one
+    seeded shuffle of its pool; every test sample of the classes is kept.
+    ``test_samples`` may be None when there is no test pool.
     """
-    a, b = sorted(int(c) for c in classes)
-    if a == b:
-        raise ValueError("need two distinct classes")
+    classes = sorted(int(c) for c in classes)
+    if len(set(classes)) != len(classes):
+        raise ValueError(f"class ids must be distinct, got {classes}")
     train_labels = np.asarray(train_labels, dtype=np.int64)
-    test_labels = np.asarray(test_labels, dtype=np.int64)
     rng = np.random.default_rng(seed)
     samples, labels, split = [], [], []
-    for cls in (a, b):
+    for cls in classes:
         pool = np.nonzero(train_labels == cls)[0]
         need = train_per_class + val_per_class
         if len(pool) < need:
@@ -152,11 +154,22 @@ def make_pair_dataset(
             samples.append(train_samples[idx])
             labels.append(cls)
             split.append("train" if j < train_per_class else "validation")
-    for idx in np.nonzero(np.isin(test_labels, [a, b]))[0]:
-        samples.append(test_samples[idx])
-        labels.append(int(test_labels[idx]))
-        split.append("test")
+    if test_samples is not None:
+        test_labels = np.asarray(test_labels, dtype=np.int64)
+        for idx in np.nonzero(np.isin(test_labels, classes))[0]:
+            samples.append(test_samples[idx])
+            labels.append(int(test_labels[idx]))
+            split.append("test")
     return Dataset(samples=samples, labels=np.array(labels), split=np.array(split, dtype=object))
+
+
+def make_pair_dataset(train_samples, train_labels, test_samples, test_labels, classes,
+                      train_per_class: int, val_per_class: int, seed: int) -> Dataset:
+    """Seeded two-class subset: ``draw_dataset`` for exactly two classes."""
+    if len(set(int(c) for c in classes)) != 2:
+        raise ValueError(f"need two distinct classes, got {tuple(classes)}")
+    return draw_dataset(train_samples, train_labels, test_samples, test_labels,
+                        classes, train_per_class, val_per_class, seed)
 
 
 @dataclass(frozen=True)
@@ -297,17 +310,12 @@ def _prepare_samples(model: SvmModel, samples) -> list[TensorTrain]:
     is free to pick different core scales and bases, which the kernel
     registers as a systematic shift.
     """
-    prepared = []
     for sample in samples:
         if sample.dims != tuple(model.dims):
             raise ValueError(
                 f"sample dims {sample.dims} do not match model dims {model.dims}"
             )
-        if model.normalize:
-            nrm = sample.norm()
-            if nrm > 0:
-                sample = DenseTensor(sample.values / nrm)
-        prepared.append(sample)
+    prepared = _normalized(samples) if model.normalize else samples
     if len(model.dims) == 1:
         # order-1 data has no interior ranks; the single core is the sample
         return [TensorTrain(cores=(s.values[None, :, None],)) for s in prepared]
@@ -398,30 +406,15 @@ def train_binary(
     y_val = _signed_labels(val_y, neg_class, pos_class)
     n_train = len(train_s)
 
-    def fit_point(ranks, sigma, c_value):
+    def scan(ranks, sigmas, c_values):
+        """Decompose at ``ranks``, then solve and score each (sigma, C)."""
         tts = stack_and_decompose(train_s + val_s, TtSvdConfig(max_ranks=ranks))
         tr_tts, va_tts = tts[:n_train], tts[n_train:]
-        spec = grid.make_spec(sigma)
-        gram = build_gram(tr_tts, spec)
-        rows = cross_gram(tr_tts, va_tts, spec)
-        sol = solve_dual(
-            DualProblem(gram=gram, labels=y_train, C=c_value),
-            tol=solver_tol,
-            max_iter=solver_max_iter,
-        )
-        vals = decision_values(sol.alphas * y_train, sol.bias, rows)
-        acc = float(np.mean(predict_labels(vals) == y_val))
-        return tr_tts, spec, sol, acc
-
-    report = []
-    for ranks in grid.rank_settings(d):
-        tts = stack_and_decompose(train_s + val_s, TtSvdConfig(max_ranks=ranks))
-        tr_tts, va_tts = tts[:n_train], tts[n_train:]
-        for sigma in grid.sigmas():
+        for sigma in sigmas:
             spec = grid.make_spec(sigma)
             gram = build_gram(tr_tts, spec)
             rows = cross_gram(tr_tts, va_tts, spec)
-            for c_value in grid.c_values:
+            for c_value in c_values:
                 sol = solve_dual(
                     DualProblem(gram=gram, labels=y_train, C=c_value),
                     tol=solver_tol,
@@ -429,21 +422,26 @@ def train_binary(
                 )
                 vals = decision_values(sol.alphas * y_train, sol.bias, rows)
                 acc = float(np.mean(predict_labels(vals) == y_val))
-                report.append(
-                    {
-                        "ranks": list(ranks),
-                        "sigma": sigma,
-                        "C": c_value,
-                        "validation_accuracy": acc,
-                        "converged": sol.converged,
-                        "iterations": sol.iterations,
-                        "support_count": int(len(sol.support_indices)),
-                    }
-                )
+                yield tr_tts, spec, sigma, c_value, sol, acc
+
+    report = []
+    for ranks in grid.rank_settings(d):
+        for _, _, sigma, c_value, sol, acc in scan(ranks, grid.sigmas(), grid.c_values):
+            report.append(
+                {
+                    "ranks": list(ranks),
+                    "sigma": sigma,
+                    "C": c_value,
+                    "validation_accuracy": acc,
+                    "converged": sol.converged,
+                    "iterations": sol.iterations,
+                    "support_count": int(len(sol.support_indices)),
+                }
+            )
 
     best = min(report, key=_grid_key)
     ranks = tuple(best["ranks"])
-    tr_tts, spec, sol, acc = fit_point(ranks, best["sigma"], best["C"])
+    tr_tts, spec, _, _, sol, acc = next(scan(ranks, (best["sigma"],), (best["C"],)))
     if not sol.converged:
         raise ConvergenceError(
             f"solver did not converge at the selected grid point "

@@ -24,7 +24,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class DenseTensor:
-    """A dense real tensor of order >= 1, stored as a float64 ndarray."""
+    """A dense real tensor of order >= 1, stored as a float64 ndarray.
+
+    Every value must be finite; NaN or inf raises ValueError here, so no
+    decomposition or kernel ever sees one.
+    """
 
     values: np.ndarray
 
@@ -34,6 +38,8 @@ class DenseTensor:
             arr = arr.reshape(1)
         if any(n <= 0 for n in arr.shape):
             raise ValueError(f"tensor dims must all be positive, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("tensor values must be finite, found NaN or inf")
         object.__setattr__(self, "values", arr)
 
     @property
@@ -177,10 +183,6 @@ def fold(mat: np.ndarray, dims, k: int) -> DenseTensor:
     if mat.shape != (rows, cols):
         raise ValueError(f"matrix shape {mat.shape} does not match dims {dims} at k={k}")
     return DenseTensor(mat.reshape(dims, order="F"))
-
-
-def frobenius_norm(t: DenseTensor) -> float:
-    return t.norm()
 
 
 def _pick_rank(s: np.ndarray, delta: float | None, cap: int | None) -> int:

@@ -10,6 +10,7 @@ Multi-sample layout (all samples share dims)::
 
 All integers and floats are little-endian; values are stored in
 first-index-fastest order, the package-wide linearization convention.
+A NaN or inf value is a format error.
 The two layouts are distinguished by the operation used to read them —
 ``read_tensor`` and ``read_dataset`` each validate the exact payload
 length and reject files of the other layout.
@@ -71,11 +72,14 @@ def _read_dims(r: _Reader) -> tuple[int, ...]:
     return dims
 
 
-def _read_values(r: _Reader, dims: tuple[int, ...]) -> np.ndarray:
+def _read_tensor(r: _Reader, dims: tuple[int, ...]) -> DenseTensor:
     size = int(np.prod(dims))
     raw = r.take(8 * size)
     flat = np.frombuffer(raw, dtype="<f8", count=size)
-    return flat.reshape(dims, order="F")
+    try:
+        return DenseTensor(flat.reshape(dims, order="F"))
+    except ValueError as exc:  # non-finite values
+        raise DataFormatError(f"{r.path}: {exc}") from exc
 
 
 def _header_bytes(dims: tuple[int, ...]) -> bytes:
@@ -100,9 +104,9 @@ def read_tensor(path) -> DenseTensor:
         r = _Reader(fh.read(), path)
     _check_magic(r)
     dims = _read_dims(r)
-    values = _read_values(r, dims)
+    tensor = _read_tensor(r, dims)
     r.expect_end()
-    return DenseTensor(values)
+    return tensor
 
 
 def write_dataset(path, samples) -> None:
@@ -131,6 +135,6 @@ def read_dataset(path) -> list[DenseTensor]:
     if m == 0:
         raise DataFormatError(f"{path}: multi-sample file with sample count 0")
     dims = _read_dims(r)
-    samples = [DenseTensor(_read_values(r, dims)) for _ in range(m)]
+    samples = [_read_tensor(r, dims) for _ in range(m)]
     r.expect_end()
     return samples

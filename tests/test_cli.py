@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -102,6 +103,18 @@ class TestTtSvdCommand:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["dims"] == [5, 4, 3]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("flag", [("--ranks", "2"), ("--eps", "1e-6")])
+    def test_non_finite_input_is_data_format_error(self, tmp_path, capsys, bad, flag):
+        # used to hang (inf with --eps) or exit 2 on an SVD failure
+        raw = tmp_path / "bad.ttn"
+        write_tensor(raw, DenseTensor(np.ones((4, 4, 4))))
+        data = bytearray(raw.read_bytes())
+        data[-8:] = struct.pack("<d", bad)
+        raw.write_bytes(bytes(data))
+        code, _, err = run(capsys, "tt-svd", "--input", raw, *flag)
+        assert code == 5 and err.startswith("error:data-format:")
+
     def test_eps_and_ranks_together_is_usage_error(self, data_dir, capsys):
         code, _, err = run(capsys, "tt-svd", "--input", data_dir / "one.ttn",
                            "--eps", "1e-6", "--ranks", "2")
@@ -189,6 +202,19 @@ class TestTrainCommand:
         assert metrics_1 == metrics_2
         assert model.read_bytes() == first_model
 
+    def test_class_order_does_not_change_the_draw(self, data_dir, capsys):
+        # classes are drawn in sorted order, so listing them differently
+        # yields the same dataset and so the same model and metrics
+        model, metrics = data_dir / "ovo.ttkm", data_dir / "ovo.json"
+        outputs = []
+        for classes in ("2,0,1", "0,1,2"):
+            code, _, _ = run(capsys, "train", "--config", data_dir / "run.ini",
+                             "--classes", classes, "--metrics", metrics,
+                             "--output", model)
+            assert code == 0
+            outputs.append((model.read_bytes(), metrics.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_unknown_class_id(self, data_dir, capsys):
         code, _, err = run(capsys, "train", "--config", data_dir / "run.ini",
                            "--pair", "0,9")
@@ -248,6 +274,20 @@ class TestPredictEvaluateCommands:
         bad.write_bytes(b"JUNKJUNKJUNK")
         code, _, err = run(capsys, "predict", "--model", model_path,
                            "--input", bad)
+        assert code == 5 and err.startswith("error:data-format:")
+
+
+    def test_predict_on_model_without_dims(self, data_dir, model_path, capsys):
+        # the CRC covers only the blob, so a header edit must be caught on its own
+        data = model_path.read_bytes()
+        version, n = struct.unpack("<II", data[4:12])
+        header = json.loads(data[12:12 + n])
+        del header["model"]["dims"]
+        raw = json.dumps(header).encode("utf-8")
+        model_path.write_bytes(data[:4] + struct.pack("<II", version, len(raw))
+                               + raw + data[12 + n:])
+        code, _, err = run(capsys, "predict", "--model", model_path,
+                           "--input", data_dir / "test.ttn")
         assert code == 5 and err.startswith("error:data-format:")
 
 

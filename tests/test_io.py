@@ -111,6 +111,16 @@ class TestTtnTensor:
         with pytest.raises(DataFormatError):
             read_tensor(path)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_value_is_format_error(self, tmp_path, bad):
+        path = tmp_path / "t.ttn"
+        write_tensor(path, DenseTensor(np.ones((2, 3))))
+        data = bytearray(path.read_bytes())
+        data[-8:] = struct.pack("<d", bad)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="finite"):
+            read_tensor(path)
+
     def test_zero_order_rejected(self, tmp_path):
         path = tmp_path / "z.ttn"
         path.write_bytes(b"TTN1" + struct.pack("<I", 0))
@@ -158,6 +168,16 @@ class TestTtnDataset:
             read_dataset(single)
         with pytest.raises(DataFormatError):
             read_tensor(multi)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_value_is_format_error(self, tmp_path, bad):
+        path = tmp_path / "d.ttn"
+        write_dataset(path, [DenseTensor(np.ones((2, 2))) for _ in range(3)])
+        data = bytearray(path.read_bytes())
+        data[-8:] = struct.pack("<d", bad)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="finite"):
+            read_dataset(path)
 
     def test_zero_count_rejected(self, tmp_path):
         path = tmp_path / "d.ttn"
@@ -323,6 +343,70 @@ class TestModelStore:
         save_model(path, model)
         path.write_bytes(path.read_bytes()[:16])
         with pytest.raises(DataFormatError):
+            load_model(path)
+
+
+def edit_header(path, edit):
+    """Rewrite a .ttkm header in place; the blob, and so its CRC, stay intact."""
+    data = path.read_bytes()
+    version, n = struct.unpack("<II", data[4:12])
+    header = json.loads(data[12:12 + n])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:4] + struct.pack("<II", version, len(raw)) + raw + data[12 + n:])
+
+
+class TestModelHeaderValidation:
+    """Missing or ill-typed header keys are format errors, not crashes."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        rng = np.random.default_rng(7)
+        root = tmp_path_factory.mktemp("models")
+        save_model(root / "binary.ttkm", train_binary(blob_dataset(rng), tiny_grid()))
+        ds = blob_dataset(rng, classes=(0, 1, 2))
+        save_model(root / "ovo.ttkm", train_multiclass_ovo(ds, tiny_grid()))
+        return root
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["model"].pop("dims"),
+        lambda h: h["model"].update(dims="4x3x3"),
+        lambda h: h["model"].update(interior_ranks=[2]),
+        lambda h: h["model"].update(support_count="3"),
+        lambda h: h["model"].pop("neg_class"),
+        lambda h: h["model"].update(normalize=1),
+        lambda h: h["model"].update(spec={"per_mode": [3], "combine": "prod"}),
+        lambda h: h.update(model=[]),
+        lambda h: h.pop("checksum"),
+    ], ids=["no-dims", "str-dims", "short-ranks", "str-count", "no-neg-class",
+            "int-normalize", "bad-spec", "list-model", "no-checksum"])
+    def test_binary(self, saved, tmp_path, edit):
+        path = tmp_path / "m.ttkm"
+        path.write_bytes((saved / "binary.ttkm").read_bytes())
+        edit_header(path, edit)
+        with pytest.raises(DataFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("classes"),
+        lambda h: h.update(models={}),
+        lambda h: h["models"][0].update(pair=[0, 7]),
+        lambda h: h["models"][0].update(blob_offset="0"),
+        lambda h: h["models"][1]["model"].pop("dims"),
+    ], ids=["no-classes", "dict-models", "pair-outside-classes", "str-offset",
+            "no-dims"])
+    def test_ovo(self, saved, tmp_path, edit):
+        path = tmp_path / "m.ttkm"
+        path.write_bytes((saved / "ovo.ttkm").read_bytes())
+        edit_header(path, edit)
+        with pytest.raises(DataFormatError):
+            load_model(path)
+
+    def test_unedited_header_loads(self, saved, tmp_path):
+        for name in ("binary.ttkm", "ovo.ttkm"):
+            path = tmp_path / name
+            path.write_bytes((saved / name).read_bytes())
+            edit_header(path, lambda h: None)
             load_model(path)
 
 

@@ -15,7 +15,6 @@ from ttkm.kernels import (
     RbfKernel,
     base_kernel_eval,
     build_gram,
-    build_gram_pair,
     cross_gram,
     kernel_from_dict,
     kernel_to_dict,
@@ -346,16 +345,6 @@ class TestGram:
             GramMatrix(values=np.array([[0.0, 1.0], [0.5, 0.0]]), spec=spec, sample_ids=(0, 1))
         with pytest.raises(ValueError):
             GramMatrix(values=np.full((1, 1), np.nan), spec=spec, sample_ids=(0,))
-
-    def test_build_gram_pair_matches_separate_builds(self):
-        rng = np.random.default_rng(26)
-        tts = self.make_samples(rng, m=6)
-        per_mode = mixed_spec(3, sigma=1.2).per_mode
-        gp, gs = build_gram_pair(tts, per_mode)
-        sp = build_gram(tts, KernelSpec(per_mode=per_mode, combine="prod"))
-        ss = build_gram(tts, KernelSpec(per_mode=per_mode, combine="sum"))
-        np.testing.assert_allclose(gp.values, sp.values, rtol=1e-12)
-        np.testing.assert_allclose(gs.values, ss.values, rtol=1e-12)
 
 
 class TestCrossGram:

@@ -11,7 +11,6 @@ from ttkm.tensor import (
     TtSvdConfig,
     conform_interior_ranks,
     fold,
-    frobenius_norm,
     random_tensor_train,
     reconstruct,
     stack_and_decompose,
@@ -49,6 +48,15 @@ class TestDenseTensor:
     def test_scalar_input_becomes_order_one(self):
         t = DenseTensor(np.float64(3.0))
         assert t.dims == (1,)
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4), (4, 7, 4, 7)])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_values_rejected(self, dims, bad):
+        # one inf used to make tt_svd with a tolerance loop forever
+        values = np.random.default_rng(12).standard_normal(dims)
+        values[(1,) * len(dims)] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tt_svd(DenseTensor(values), TtSvdConfig(rel_tol=1e-6))
 
 
 class TestUnfold:
@@ -255,7 +263,7 @@ class TestInnerProduct:
     def test_self_inner_product_is_squared_norm(self):
         rng = np.random.default_rng(52)
         a = random_tensor_train((3, 5, 2), (2, 2), rng)
-        n2 = frobenius_norm(reconstruct(a)) ** 2
+        n2 = reconstruct(a).norm() ** 2
         assert tt_inner_product(a, a) == pytest.approx(n2, rel=1e-12)
         assert tt_inner_product(a, a) >= 0.0
 
@@ -279,9 +287,11 @@ class TestInnerProduct:
 
 
 class TestFrobeniusNorm:
+    """DenseTensor.norm is the Frobenius norm."""
+
     def test_known_values(self):
-        assert frobenius_norm(DenseTensor(np.zeros((2, 2)))) == 0.0
-        assert frobenius_norm(DenseTensor(np.ones((2, 3, 4)))) == pytest.approx(
+        assert DenseTensor(np.zeros((2, 2))).norm() == 0.0
+        assert DenseTensor(np.ones((2, 3, 4))).norm() == pytest.approx(
             math.sqrt(24.0)
         )
 
@@ -289,7 +299,7 @@ class TestFrobeniusNorm:
         rng = np.random.default_rng(61)
         t = DenseTensor(rng.standard_normal((4, 4, 4)))
         tt = tt_svd(t, TtSvdConfig.tolerance(1e-12))
-        assert frobenius_norm(t) == pytest.approx(
+        assert t.norm() == pytest.approx(
             math.sqrt(tt_inner_product(tt, tt)), rel=1e-10
         )
 
