@@ -15,9 +15,16 @@ reference.  Everything else goes through one engine, ``_kernel_matrix``,
 which reorganizes the same sums so the cost is polynomial in the ranks: the
 single-pair evaluators are 1x1 calls into it, and ``build_gram`` and
 ``cross_gram`` call it directly.  Cores shared by every row and every
-column (the tails of a stacked decomposition) are reduced once, and only
-the leading modes are evaluated per pair.  Gram matrices built from samples
-that share one rank chain are positive semidefinite for both combine rules.
+column (the tails of a stacked decomposition) are reduced once.  The
+leading modes, which differ per sample, are evaluated for all pairs at
+once: the fibers of every row and column are stacked, one matrix product
+compares them all, the base kernel is applied elementwise, and the result
+is contracted with the shared tail ("prod") or summed with closed-form
+multipliers ("sum").  Rows are processed in chunks of a fixed size
+(``CHUNK_VALUES``), so temporaries stay around 0.5 MB whatever the sample
+count.  Gram matrices built from samples that share one rank chain are
+positive semidefinite for both combine rules, and ``build_gram`` returns
+them exactly symmetric.
 """
 
 from __future__ import annotations
@@ -32,6 +39,11 @@ from .errors import CapacityError
 from .tensor import TensorTrain
 
 NAIVE_TERM_CAP = 10_000_000
+
+# The kernel engine evaluates rows in chunks sized so that one mode's block
+# of fiber kernel values holds about this many float64 values (0.5 MB):
+# every temporary is O(chunk * M * S) for M columns of rank S.
+CHUNK_VALUES = 1 << 16
 
 COMBINE_RULES = ("prod", "sum")
 
@@ -219,23 +231,44 @@ def tt_kernel_naive(
     return total
 
 
+def _fibers(cores) -> np.ndarray:
+    """Fibers of same-shape cores as rows: n cores (R, I, S) -> (n*R*S, I).
+
+    Rows are ordered by (core, r, s), so a kernel matrix between two fiber
+    stacks reshapes to (n, R, S, m, U, T) without copying.
+    """
+    c = np.stack(cores)
+    return c.transpose(0, 1, 3, 2).reshape(-1, c.shape[2])
+
+
+def _base_kernel_matrix(k: BaseKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Base-kernel values between every row of x (P, I) and of y (Q, I)."""
+    g = x @ y.T
+    if isinstance(k, LinearKernel):
+        return g
+    if isinstance(k, PolynomialKernel):
+        g += k.c
+        g **= k.degree
+        return g
+    if isinstance(k, RbfKernel):
+        nx = np.einsum("pi,pi->p", x, x)
+        ny = np.einsum("qi,qi->q", y, y)
+        g *= -2.0
+        g += nx[:, None]
+        g += ny
+        np.maximum(g, 0.0, out=g)
+        g /= -2.0 * k.sigma**2
+        return np.exp(g, out=g)
+    raise TypeError(f"not a base kernel: {k!r}")
+
+
 def _fiber_block(k: BaseKernel, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """All-pairs base-kernel values between the fibers of two cores.
 
     Returns G with G[r, s, u, t] = k(ca[r, :, s], cb[u, :, t]).
     """
-    g = np.einsum("rms,umt->rsut", ca, cb, optimize=True)
-    if isinstance(k, LinearKernel):
-        return g
-    if isinstance(k, PolynomialKernel):
-        return (g + k.c) ** k.degree
-    if isinstance(k, RbfKernel):
-        na = np.einsum("rms,rms->rs", ca, ca)
-        nb = np.einsum("umt,umt->ut", cb, cb)
-        d2 = na[:, :, None, None] + nb[None, None, :, :] - 2.0 * g
-        np.maximum(d2, 0.0, out=d2)
-        return np.exp(-d2 / (2.0 * k.sigma**2))
-    raise TypeError(f"not a base kernel: {k!r}")
+    g = _base_kernel_matrix(k, _fibers([ca]), _fibers([cb]))
+    return g.reshape(ca.shape[0], ca.shape[2], cb.shape[0], cb.shape[2])
 
 
 def tt_kernel(a: TensorTrain, b: TensorTrain, spec: KernelSpec) -> float:
@@ -329,14 +362,19 @@ def _kernel_matrix(rows, cols, spec: KernelSpec, symmetric: bool = False) -> np.
     This is the only place the TT-kernel arithmetic lives.  Cores constant
     across a whole side (the shared tails of a stacked decomposition, or
     modes 2..d of a single pair) have their blocks reduced once: to one
-    matrix for "prod", to block sums for "sum".  Only the leading modes
-    are evaluated per pair.  With ``symmetric`` (rows are cols) only pairs
-    i <= j are evaluated and the upper triangle is copied into the lower.
+    matrix for "prod", to block sums for "sum".  The leading modes are
+    evaluated for all pairs at once: the fibers of a chunk of rows and of
+    all columns are stacked and compared in one matrix product, the base
+    kernel is applied elementwise, and the per-pair blocks are chained
+    (prod) or summed (sum).  Rows share one rank chain, and so do columns.
+    With ``symmetric`` (rows are cols) each chunk skips the columns left of
+    its first row, and the upper triangle is copied into the lower.
     """
     per_mode = spec.per_mode
     prod = spec.combine == "prod"
     d = rows[0].order
     s = _shared_mode_start(rows, cols)
+    ra, rb = rows[0].ranks, cols[0].ranks
     shared_blocks = [
         _fiber_block(per_mode[k], rows[0].cores[k], cols[0].cores[k])
         for k in range(s, d)
@@ -347,31 +385,45 @@ def _kernel_matrix(rows, cols, spec: KernelSpec, symmetric: bool = False) -> np.
         for blk in reversed(shared_blocks):
             tail = np.einsum("rsut,st->ru", blk, tail, optimize=True)
     else:
-        shared_sums = [float(blk.sum()) for blk in shared_blocks]
+        # mode k's block sum counts once per free rank choice at every
+        # bond other than k and k+1
+        pair = [x * y for x, y in zip(ra, rb)]
+        mult = [math.prod(pair[:k]) * math.prod(pair[k + 2:]) for k in range(d)]
+        shared_total = sum(
+            mult[k] * float(blk.sum()) for k, blk in zip(range(s, d), shared_blocks)
+        )
 
-    out = np.empty((len(rows), len(cols)))
-    for i, a in enumerate(rows):
-        for j in range(i if symmetric else 0, len(cols)):
-            b = cols[j]
-            blocks = [_fiber_block(per_mode[k], a.cores[k], b.cores[k]) for k in range(s)]
-            if prod:
-                v = np.ones((1, 1))
-                for blk in blocks:
-                    v = np.einsum("ru,rsut->st", v, blk, optimize=True)
-                out[i, j] = float(np.sum(v * tail))
+    n, m = len(rows), len(cols)
+    col_fibers = [
+        _fibers([t.cores[k] for t in cols]).reshape(m, -1, cols[0].dims[k])
+        for k in range(s)
+    ]
+    width = max(ra[k] * ra[k + 1] * m * rb[k] * rb[k + 1] for k in range(s))
+    step = max(1, CHUNK_VALUES // width)
+    out = np.empty((n, m))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        first = lo if symmetric else 0  # pairs below the diagonal are mirrored
+        shape = (hi - lo, m - first)
+        acc = None if prod else shared_total
+        for k in range(s):
+            x = _fibers([t.cores[k] for t in rows[lo:hi]])
+            y = col_fibers[k][first:].reshape(-1, x.shape[1])
+            blk = _base_kernel_matrix(per_mode[k], x, y).reshape(
+                shape[0], ra[k], ra[k + 1], shape[1], rb[k], rb[k + 1]
+            )
+            if not prod:
+                acc = acc + mult[k] * blk.sum(axis=(1, 2, 4, 5))
+            elif k == 0:
+                # boundary ranks are 1: the first block is the chain so far
+                acc = blk.reshape(shape[0], ra[1], shape[1], rb[1])
             else:
-                sums = [float(blk.sum()) for blk in blocks] + shared_sums
-                pair = [ra * rb for ra, rb in zip(a.ranks, b.ranks)]
-                total = 0.0
-                for k in range(d):
-                    mult = 1
-                    for m in range(d + 1):
-                        if m != k and m != k + 1:
-                            mult *= pair[m]
-                    total += mult * sums[k]
-                out[i, j] = total
-        if symmetric:
-            out[i:, i] = out[i, i:]
+                acc = np.einsum("nrms,nrRmsS->nRmS", acc, blk)
+        out[lo:hi, first:] = np.einsum("nrms,rs->nm", acc, tail) if prod else acc
+        del acc, blk  # free this chunk's temporaries before the next
+    if symmetric:
+        for i in range(n):
+            out[i + 1:, i] = out[i, i + 1:]
     return out
 
 

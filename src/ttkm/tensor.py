@@ -22,7 +22,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DenseTensor:
     """A dense real tensor of order >= 1, stored as a float64 ndarray.
 
@@ -73,7 +73,7 @@ class DenseTensor:
         return cls(flat.reshape(dims, order="F"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorTrain:
     """A tensor in TT format: order-3 cores with matching rank chain."""
 
@@ -235,8 +235,12 @@ def tt_svd(t: DenseTensor, cfg: TtSvdConfig) -> TensorTrain:
     c = t.values
     r_prev = 1
     for k in range(d - 1):
+        # a view, not a copy, when c is Fortran-ordered, as stack_and_decompose
+        # lays out its input
         mat = c.reshape(r_prev * dims[k], -1, order="F")
+        del c
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        del mat
         cap = cfg.max_ranks[k] if cfg.max_ranks is not None else None
         r = _pick_rank(s, delta, cap)
         if cap is not None and cap > len(s):
@@ -245,7 +249,9 @@ def tt_svd(t: DenseTensor, cfg: TtSvdConfig) -> TensorTrain:
                 cap, k + 1, len(s),
             )
         cores.append(u[:, :r].reshape(r_prev, dims[k], r, order="F"))
-        c = s[:r, None] * vt[:r, :]
+        c = vt[:r]
+        c *= s[:r, None]
+        del u, vt
         r_prev = r
     cores.append(c.reshape(r_prev, dims[-1], 1, order="F"))
     return TensorTrain(tuple(cores))
@@ -295,13 +301,17 @@ def stack_and_decompose(samples, cfg: TtSvdConfig) -> list[TensorTrain]:
         if s.dims != dims:
             raise ValueError(f"sample {i} has dims {s.dims}, expected {dims}")
     m = len(samples)
-    stacked = DenseTensor(np.stack([s.values for s in samples], axis=0))
+    # Fortran order makes tt_svd's first unfolding a view of this array
+    stacked = np.empty((m,) + dims, order="F")
+    for i, s in enumerate(samples):
+        stacked[i] = s.values
     if cfg.max_ranks is not None:
         inner = TtSvdConfig(max_ranks=(stacked.size,) + cfg.max_ranks,
                             rel_tol=cfg.rel_tol)
     else:
         inner = cfg
-    joint = tt_svd(stacked, inner)
+    joint = tt_svd(DenseTensor(stacked), inner)
+    del stacked
     lead = joint.cores[0]  # (1, M, R)
     head = joint.cores[1]
     tail = joint.cores[2:]

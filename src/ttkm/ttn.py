@@ -18,6 +18,7 @@ length and reject files of the other layout.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -36,14 +37,24 @@ class _Reader:
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def _need(self, n: int) -> None:
         if self.pos + n > len(self.data):
             raise DataFormatError(
                 f"{self.path}: truncated file (needed {n} bytes at offset {self.pos}, "
                 f"have {len(self.data) - self.pos})"
             )
+
+    def take(self, n: int) -> bytes:
+        self._need(n)
         out = self.data[self.pos:self.pos + n]
         self.pos += n
+        return out
+
+    def f64(self, count: int) -> np.ndarray:
+        """The next ``count`` float64 values, as a view into the buffer."""
+        self._need(8 * count)
+        out = np.frombuffer(self.data, dtype="<f8", count=count, offset=self.pos)
+        self.pos += 8 * count
         return out
 
     def u32(self) -> int:
@@ -72,12 +83,15 @@ def _read_dims(r: _Reader) -> tuple[int, ...]:
     return dims
 
 
-def _read_tensor(r: _Reader, dims: tuple[int, ...]) -> DenseTensor:
-    size = int(np.prod(dims))
-    raw = r.take(8 * size)
-    flat = np.frombuffer(raw, dtype="<f8", count=size)
+def _read_tensors(r: _Reader, dims: tuple[int, ...], count: int) -> list[DenseTensor]:
+    """``count`` tensors, each a view into one array over the payload."""
+    size = math.prod(dims)
+    flat = r.f64(count * size)
     try:
-        return DenseTensor(flat.reshape(dims, order="F"))
+        return [
+            DenseTensor(flat[i * size:(i + 1) * size].reshape(dims, order="F"))
+            for i in range(count)
+        ]
     except ValueError as exc:  # non-finite values
         raise DataFormatError(f"{r.path}: {exc}") from exc
 
@@ -104,7 +118,7 @@ def read_tensor(path) -> DenseTensor:
         r = _Reader(fh.read(), path)
     _check_magic(r)
     dims = _read_dims(r)
-    tensor = _read_tensor(r, dims)
+    (tensor,) = _read_tensors(r, dims, 1)
     r.expect_end()
     return tensor
 
@@ -127,7 +141,11 @@ def write_dataset(path, samples) -> None:
 
 
 def read_dataset(path) -> list[DenseTensor]:
-    """Read a multi-sample file; rejects single-tensor files."""
+    """Read a multi-sample file; rejects single-tensor files.
+
+    The file is read once; every sample's values are a read-only view into
+    that one buffer, so no sample is copied.
+    """
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), path)
     _check_magic(r)
@@ -135,6 +153,6 @@ def read_dataset(path) -> list[DenseTensor]:
     if m == 0:
         raise DataFormatError(f"{path}: multi-sample file with sample count 0")
     dims = _read_dims(r)
-    samples = [_read_tensor(r, dims) for _ in range(m)]
+    samples = _read_tensors(r, dims, m)
     r.expect_end()
     return samples

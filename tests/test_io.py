@@ -131,14 +131,15 @@ class TestTtnTensor:
 class TestTtnDataset:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        samples = [DenseTensor(rng.standard_normal((2, 3, 2))) for _ in range(5)]
         path = tmp_path / "d.ttn"
-        write_dataset(path, samples)
-        back = read_dataset(path)
-        assert len(back) == 5
-        for a, b in zip(samples, back):
-            assert b.dims == (2, 3, 2)
-            assert np.array_equal(a.values, b.values)
+        for dims in [(2, 3, 2), (7,), (3, 1, 4)]:
+            samples = [DenseTensor(rng.standard_normal(dims)) for _ in range(5)]
+            write_dataset(path, samples)
+            back = read_dataset(path)
+            assert len(back) == 5
+            for a, b in zip(samples, back):
+                assert b.dims == dims
+                assert np.array_equal(a.values, b.values)
 
     def test_single_sample_dataset(self, tmp_path):
         path = tmp_path / "d.ttn"
@@ -177,6 +178,30 @@ class TestTtnDataset:
         data[-8:] = struct.pack("<d", bad)
         path.write_bytes(bytes(data))
         with pytest.raises(DataFormatError, match="finite"):
+            read_dataset(path)
+
+    def test_samples_are_views_of_one_buffer(self, tmp_path):
+        def owner(a):
+            while isinstance(a, np.ndarray):
+                a = a.base
+            return a
+
+        rng = np.random.default_rng(6)
+        path = tmp_path / "d.ttn"
+        write_dataset(path, [DenseTensor(rng.standard_normal((2, 3))) for _ in range(3)])
+        back = read_dataset(path)
+        assert owner(back[0].values) is not None
+        assert all(owner(b.values) is owner(back[0].values) for b in back)
+
+    def test_truncated_and_trailing_payload_rejected(self, tmp_path):
+        path = tmp_path / "d.ttn"
+        write_dataset(path, [DenseTensor(np.ones((2, 2))) for _ in range(3)])
+        data = path.read_bytes()
+        path.write_bytes(data[:-8])
+        with pytest.raises(DataFormatError, match="truncated"):
+            read_dataset(path)
+        path.write_bytes(data + b"\x00")
+        with pytest.raises(DataFormatError, match="trailing"):
             read_dataset(path)
 
     def test_zero_count_rejected(self, tmp_path):

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ttkm import kernels
 from ttkm.errors import CapacityError
 from ttkm.kernels import (
     GramMatrix,
@@ -398,3 +400,110 @@ class TestCrossGram:
         c = random_tensor_train((3, 4), (2,), rng)
         with pytest.raises(ValueError):
             cross_gram([a], [c], KernelSpec.uniform(LinearKernel(), 2))
+
+
+def rotated_spec(d, shift, combine):
+    """mixed_spec with the kernel list rotated, so each kind leads once."""
+    kinds = [RbfKernel(1.3), PolynomialKernel(c=1.0, degree=2), LinearKernel()]
+    return KernelSpec(
+        per_mode=tuple(kinds[(i + shift) % 3] for i in range(d)), combine=combine
+    )
+
+
+def shared_suffix_trains(rng, m, dims, ranks, prefix):
+    """Hand-built trains whose first ``prefix`` cores vary per sample and
+    whose remaining cores are the same arrays for every sample."""
+    shared = random_tensor_train(dims, ranks, rng).cores[prefix:]
+    return [
+        TensorTrain(random_tensor_train(dims, ranks, rng).cores[:prefix] + shared)
+        for _ in range(m)
+    ]
+
+
+class TestBatchedEngine:
+    """The all-pairs engine against the naive oracle, on every path it takes."""
+
+    @pytest.fixture(scope="class")
+    def stacked(self):
+        # rank 8 at the first bond and 60 samples: a symmetric Gram needs
+        # more than two row chunks
+        rng = np.random.default_rng(40)
+        tensors = [DenseTensor(rng.standard_normal((4, 6, 4))) for _ in range(60)]
+        return stack_and_decompose(tensors, TtSvdConfig.fixed((8, 4)))
+
+    @staticmethod
+    def rows_per_chunk(rows, cols):
+        r1, s1 = rows[0].ranks[1], cols[0].ranks[1]
+        return max(1, kernels.CHUNK_VALUES // (r1 * len(cols) * s1))
+
+    @pytest.mark.parametrize("combine", ["prod", "sum"])
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    def test_gram_over_several_chunks_matches_naive(self, stacked, combine, shift):
+        step = self.rows_per_chunk(stacked, stacked)
+        assert len(stacked) > 2 * step
+        spec = rotated_spec(3, shift, combine)
+        g = build_gram(stacked, spec).values
+        last = len(stacked) - 1
+        picks = [(0, 0), (0, last), (step - 1, step), (step, step - 1),
+                 (2 * step, 1), (last, 2 * step + 1), (last, last)]
+        for i, j in picks:
+            want = tt_kernel_naive(stacked[i], stacked[j], spec)
+            assert g[i, j] == pytest.approx(want, rel=1e-10, abs=1e-12)
+        # every entry against the 1x1 engine call, which never chunks
+        for i in range(0, len(stacked), 7):
+            for j in range(len(stacked)):
+                assert g[i, j] == pytest.approx(
+                    tt_kernel(stacked[i], stacked[j], spec), rel=1e-10, abs=1e-12)
+
+    def test_gram_is_exactly_symmetric(self, stacked):
+        for combine in ("prod", "sum"):
+            g = build_gram(stacked, rotated_spec(3, 0, combine)).values
+            assert np.array_equal(g, g.T)
+
+    @pytest.mark.parametrize("combine", ["prod", "sum"])
+    def test_rectangular_cross_gram_matches_naive(self, stacked, combine):
+        train, test = stacked[:45], stacked[45:]
+        spec = rotated_spec(3, 1, combine)
+        rows = cross_gram(train, test, spec)
+        assert rows.shape == (15, 45)
+        for i, j in [(0, 0), (0, 44), (7, 20), (14, 0), (14, 44)]:
+            want = tt_kernel_naive(test[i], train[j], spec)
+            assert rows[i, j] == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("combine", ["prod", "sum"])
+    @pytest.mark.parametrize("prefix", [2, 4])
+    def test_varying_prefix_longer_than_one_core(self, combine, prefix):
+        rng = np.random.default_rng(41 + prefix)
+        dims, ranks = (3, 4, 2, 3), (2, 3, 2)
+        tts = shared_suffix_trains(rng, 6, dims, ranks, prefix)
+        probes = shared_suffix_trains(rng, 3, dims, ranks, prefix)
+        assert kernels._shared_mode_start(tts, tts) == prefix
+        for shift in range(3):
+            spec = rotated_spec(4, shift, combine)
+            g = build_gram(tts, spec).values
+            assert np.array_equal(g, g.T)
+            rows = cross_gram(tts, probes, spec)
+            for i in range(6):
+                for j in range(i, 6):
+                    want = tt_kernel_naive(tts[i], tts[j], spec)
+                    assert g[i, j] == pytest.approx(want, rel=1e-10, abs=1e-12)
+            for i in range(3):
+                for j in range(6):
+                    want = tt_kernel_naive(probes[i], tts[j], spec)
+                    assert rows[i, j] == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    def test_gram_memory_stays_chunked(self):
+        # 400 samples of rank 4: one unchunked block of first-mode fiber
+        # kernel values is 400*4 x 400*4 float64 values, about 20 MB
+        rng = np.random.default_rng(42)
+        tensors = [DenseTensor(rng.random((4, 7, 4, 7))) for _ in range(400)]
+        tts = stack_and_decompose(tensors, TtSvdConfig.fixed((4, 4, 4)))
+        spec = KernelSpec.uniform(RbfKernel(1.0), 4)
+        tracemalloc.start()
+        try:
+            build_gram(tts, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 400 x 400 result and its symmetry check take about 4 MB
+        assert peak < 8e6

@@ -58,6 +58,16 @@ class TestDenseTensor:
         with pytest.raises(ValueError, match="finite"):
             tt_svd(DenseTensor(values), TtSvdConfig(rel_tol=1e-6))
 
+    def test_tensors_and_trains_carry_no_instance_dict(self):
+        # datasets hold thousands of these; slots keep each one small
+        t = DenseTensor(np.ones((2, 2)))
+        tt = TensorTrain((np.ones((1, 2, 1)),))
+        assert not hasattr(t, "__dict__") and not hasattr(tt, "__dict__")
+        with pytest.raises(AttributeError):
+            t.values = np.zeros((2, 2))
+        with pytest.raises(AttributeError):
+            tt.cores = ()
+
 
 class TestUnfold:
     def test_identity_on_matrix_first_split(self):
@@ -339,6 +349,29 @@ class TestStackAndDecompose:
         samples = [DenseTensor(rng.standard_normal((4, 4))) for _ in range(6)]
         tts = stack_and_decompose(samples, TtSvdConfig.fixed((3,)))
         assert all(tt.interior_ranks == (3,) for tt in tts)
+
+    @pytest.mark.parametrize("cfg", [
+        TtSvdConfig.fixed((3, 2)),
+        TtSvdConfig.tolerance(0.2),
+        TtSvdConfig(max_ranks=(2, 3), rel_tol=0.05),
+    ])
+    def test_cores_equal_stacked_reference_bit_for_bit(self, cfg):
+        rng = np.random.default_rng(76)
+        samples = [DenseTensor(rng.standard_normal((3, 4, 5))) for _ in range(9)]
+        got = stack_and_decompose(samples, cfg)
+        # reference: a C-ordered stack, one tt_svd, and the per-sample split
+        stacked = DenseTensor(np.stack([s.values for s in samples], axis=0))
+        inner = cfg
+        if cfg.max_ranks is not None:
+            inner = TtSvdConfig(max_ranks=(stacked.size,) + cfg.max_ranks,
+                                rel_tol=cfg.rel_tol)
+        joint = tt_svd(stacked, inner)
+        for i, tt in enumerate(got):
+            first = np.einsum("r,ris->is", joint.cores[0][0, i, :], joint.cores[1])
+            want = (first[None, :, :],) + joint.cores[2:]
+            assert len(tt.cores) == len(want)
+            for a, b in zip(tt.cores, want):
+                assert np.array_equal(a, b)
 
     def test_dims_mismatch_rejected(self):
         a = DenseTensor(np.zeros((2, 2)))
