@@ -29,7 +29,7 @@ from .errors import (
     ConvergenceError,
     DataFormatError,
 )
-from .kernels import KernelSpec, RbfKernel, build_gram, parse_kernel
+from .kernels import COMBINE_RULES, KernelSpec, build_gram, kernel_from_dict, parse_kernel
 from .model_store import load_model, save_model
 from .pipeline import (
     Dataset,
@@ -41,7 +41,14 @@ from .pipeline import (
     train_binary,
     train_multiclass_ovo,
 )
-from .tensor import DenseTensor, TtSvdConfig, reconstruct, stack_and_decompose, tt_svd
+from .tensor import (
+    DenseTensor,
+    TtSvdConfig,
+    interior_rank_chain,
+    reconstruct,
+    stack_and_decompose,
+    tt_svd,
+)
 from .ttn import read_tensor
 
 logger = logging.getLogger(__name__)
@@ -73,19 +80,9 @@ def dump_json(obj) -> str:
     if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         return "[" + ", ".join(dump_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        parts = []
-        for key in sorted(str(k) for k in obj):
-            value = obj[key] if key in obj else obj[_dict_key(obj, key)]
-            parts.append(f"{json.dumps(key)}: {dump_json(value)}")
-        return "{" + ", ".join(parts) + "}"
+        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {dump_json(v)}" for k, v in items) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _dict_key(d: dict, text: str):
-    for k in d:
-        if str(k) == text:
-            return k
-    raise KeyError(text)
 
 
 def format_cell(value) -> str:
@@ -130,28 +127,29 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _parse_rank_chain(text: str, order: int) -> tuple[int, ...]:
-    ranks = _parse_ints(text)
-    if len(ranks) == 1:
-        ranks = ranks * (order - 1)
-    if len(ranks) != order - 1:
-        raise ValueError(
-            f"rank chain {text!r} has {len(ranks)} entries; order-{order} data "
-            f"needs {order - 1}"
-        )
-    return ranks
+def _svd_config(args, order: int) -> TtSvdConfig:
+    """The truncation of ``--eps`` or ``--ranks``; exactly one must be given."""
+    if (args.eps is None) == (args.ranks is None):
+        raise ValueError("give exactly one of --eps or --ranks")
+    if args.eps is not None:
+        return TtSvdConfig(rel_tol=float(args.eps))
+    ranks = _parse_ints(args.ranks)
+    entry = ranks[0] if len(ranks) == 1 else ranks
+    return TtSvdConfig(
+        max_ranks=interior_rank_chain(entry, order, f"rank chain {args.ranks!r}")
+    )
 
 
 def _parse_kinds(text: str, sigma) -> tuple:
-    """Build per-mode kernels from 'rbf,linear,poly:c=2' style text."""
-    kernels = []
-    for part in text.split(","):
-        part = part.strip()
-        if part == "rbf" and sigma is not None:
-            kernels.append(RbfKernel(float(sigma)))
-        else:
-            kernels.append(parse_kernel(part))
-    return tuple(kernels)
+    """Build per-mode kernels from 'rbf,linear,poly:c=2' style text;
+    ``sigma`` sets the bandwidth of bare 'rbf' modes."""
+    parts = [part.strip() for part in text.split(",")]
+    return tuple(
+        kernel_from_dict({"kind": "rbf", "sigma": sigma})
+        if part == "rbf" and sigma is not None
+        else parse_kernel(part)
+        for part in parts
+    )
 
 
 def _load_run_config(args) -> RunConfig:
@@ -248,12 +246,7 @@ def _test_metrics(model, ds: Dataset):
 
 def cmd_tt_svd(args) -> int:
     tensor = read_tensor(args.input)
-    if (args.eps is None) == (args.ranks is None):
-        raise ValueError("give exactly one of --eps or --ranks")
-    if args.eps is not None:
-        cfg = TtSvdConfig(rel_tol=float(args.eps))
-    else:
-        cfg = TtSvdConfig(max_ranks=_parse_rank_chain(args.ranks, tensor.order))
+    cfg = _svd_config(args, tensor.order)
     tt = tt_svd(tensor, cfg)
     nrm = tensor.norm()
     err = float(np.linalg.norm(tensor.values - reconstruct(tt).values))
@@ -262,9 +255,7 @@ def cmd_tt_svd(args) -> int:
         "interior_ranks": list(tt.interior_ranks),
         "rel_error": err / nrm if nrm > 0 else 0.0,
         "eps": args.eps,
-        "requested_ranks": list(_parse_rank_chain(args.ranks, tensor.order))
-        if args.ranks is not None
-        else None,
+        "requested_ranks": list(cfg.max_ranks) if args.ranks is not None else None,
         "seed": args.seed,
     }
     emit_json(out, args.output)
@@ -278,13 +269,7 @@ def cmd_gram(args) -> int:
     if len(per_mode) != order:
         raise ValueError(f"--kinds names {len(per_mode)} modes, data has order {order}")
     spec = KernelSpec(per_mode=per_mode, combine=args.combine)
-    if (args.eps is None) == (args.ranks is None):
-        raise ValueError("give exactly one of --eps or --ranks")
-    if args.eps is not None:
-        cfg = TtSvdConfig(rel_tol=float(args.eps))
-    else:
-        cfg = TtSvdConfig(max_ranks=_parse_rank_chain(args.ranks, order))
-    tts = stack_and_decompose(samples, cfg)
+    tts = stack_and_decompose(samples, _svd_config(args, order))
     gram = build_gram(tts, spec)
     n = gram.values.shape[0]
     csv_text = dump_csv(
@@ -400,7 +385,7 @@ def cmd_rank_sweep(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    reshape = _parse_ints(args.reshape) if args.reshape else _model_dims(model)
+    reshape = _parse_ints(args.reshape) if args.reshape else model.dims
     samples = load_samples(args.input, reshape=reshape)
     labels = model.predict(samples)
     out = {"labels": [int(v) for v in labels], "seed": args.seed}
@@ -412,7 +397,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    reshape = _parse_ints(args.reshape) if args.reshape else _model_dims(model)
+    reshape = _parse_ints(args.reshape) if args.reshape else model.dims
     if args.input:
         samples = load_samples(args.input, reshape=reshape)
         labels = load_labels(_require(args.labels, "--labels"))
@@ -439,12 +424,6 @@ def cmd_evaluate(args) -> int:
     out["skipped_other_classes"] = int(np.sum(~keep))
     emit_json(out, args.output)
     return 0
-
-
-def _model_dims(model) -> tuple[int, ...]:
-    if isinstance(model, OvoModel):
-        return tuple(next(iter(model.models.values())).dims)
-    return tuple(model.dims)
 
 
 def cmd_bench(args) -> int:
@@ -507,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="multi-sample .ttn or IDX images")
     p.add_argument("--kinds", required=True, help="per-mode kernels, e.g. rbf,rbf,linear")
     p.add_argument("--sigma", type=float, default=None, help="bandwidth for bare rbf modes")
-    p.add_argument("--combine", choices=("prod", "sum"), default="prod")
+    p.add_argument("--combine", choices=COMBINE_RULES, default="prod")
     p.add_argument("--eps", type=float, default=None, help="relative tolerance")
     p.add_argument("--ranks", default=None, help="interior ranks, e.g. 4 or 3,4")
     p.add_argument("--reshape", default=None, help="per-sample dims, e.g. 4,7,4,7")
@@ -519,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--classes", default=None, help="class ids for one-vs-one")
         p.add_argument("--train-per-class", type=int, default=None, dest="train_per_class")
         p.add_argument("--val-per-class", type=int, default=None, dest="val_per_class")
-        p.add_argument("--combine", choices=("prod", "sum"), default=None)
+        p.add_argument("--combine", choices=COMBINE_RULES, default=None)
         p.add_argument("--ranks", default=None, help="rank settings, e.g. 2,3,4")
         p.add_argument("--kinds", default=None, help="per-mode kernel kinds")
         p.add_argument("--reshape", default=None, help="per-sample dims")
@@ -552,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, default=8, help="size of every mode")
     p.add_argument("--ranks", default=None, help="TT rank(s)")
     p.add_argument("--pairs", type=int, default=100, help="random pairs per timing")
-    p.add_argument("--combine", choices=("prod", "sum"), default="prod")
+    p.add_argument("--combine", choices=COMBINE_RULES, default="prod")
     p.add_argument("--sweep", choices=("compare", "ranks", "orders"), default="compare")
 
     return parser

@@ -11,6 +11,10 @@ Sections and keys (all optional unless a command needs them)::
     [kernel]  mode_kinds (comma of linear|poly|rbf), poly_c, poly_degree
     [solver]  tol, max_iter
 
+The scalar keys (train_per_class, val_per_class, seed, poly_c,
+poly_degree, tol, max_iter) take exactly one value; ``seed = 1, 2`` is a
+ConfigError, not seed 1.  An empty value leaves the default in place.
+
 Sample/label files are dispatched on extension: ``.ttn`` for the binary
 tensor container, ``.json`` for a plain list of labels, anything else is
 parsed as IDX (with transparent ``.gz``).
@@ -26,6 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .idx import load_idx_images, load_idx_labels
+from .kernels import COMBINE_RULES, KERNEL_KINDS
 from .pipeline import GridConfig
 from .tensor import DenseTensor
 from .ttn import read_dataset
@@ -111,6 +116,68 @@ def _bool(text: str, key: str) -> bool:
         raise ConfigError(f"{key}: expected a boolean, got {text!r}") from None
 
 
+def _one(parse):
+    """``parse`` for a scalar key: exactly one value, or ConfigError."""
+    def one(text: str, key: str):
+        values = parse(text, key)
+        if len(values) != 1:
+            raise ConfigError(f"{key}: expected exactly one value, got {text!r}")
+        return values[0]
+    return one
+
+
+def _text(text: str, key: str) -> str:
+    return text
+
+
+def _combine(text: str, key: str) -> str:
+    if text not in COMBINE_RULES:
+        raise ConfigError(f"{key}: expected {' or '.join(COMBINE_RULES)}, got {text!r}")
+    return text
+
+
+def _kinds(text: str, key: str) -> tuple[str, ...]:
+    kinds = tuple(p.strip() for p in text.split(",") if p.strip())
+    for kind in kinds:
+        if kind not in KERNEL_KINDS:
+            raise ConfigError(f"{key}: unknown kernel kind {kind!r}")
+    return kinds
+
+
+# section -> key -> (RunConfig field, parser).  These are the accepted keys,
+# parsed in this order.
+_KEYS = {
+    "data": {
+        "train_images": ("train_images", _text),
+        "train_labels": ("train_labels", _text),
+        "test_images": ("test_images", _text),
+        "test_labels": ("test_labels", _text),
+        "reshape": ("reshape", _ints),
+        "normalize": ("normalize", _bool),
+    },
+    "split": {
+        "train_per_class": ("train_per_class", _one(_ints)),
+        "val_per_class": ("val_per_class", _one(_ints)),
+        "seed": ("seed", _one(_ints)),
+    },
+    "grid": {
+        "c_values": ("c_values", _floats),
+        "sigma_values": ("sigma_values", _floats),
+        "rank_values": ("rank_values", _ranks),
+        "combine": ("combine", _combine),
+    },
+    "kernel": {
+        "mode_kinds": ("mode_kinds", _kinds),
+        "poly_c": ("poly_c", _one(_floats)),
+        "poly_degree": ("poly_degree", _one(_ints)),
+    },
+    "solver": {
+        "tol": ("solver_tol", _one(_floats)),
+        "max_iter": ("solver_max_iter", _one(_ints)),
+    },
+}
+
+
 def load_config(path) -> RunConfig:
     """Parse an INI file into a RunConfig; unknown keys are rejected."""
     parser = configparser.ConfigParser()
@@ -120,80 +187,19 @@ def load_config(path) -> RunConfig:
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
-    known = {
-        "data": {"train_images", "train_labels", "test_images", "test_labels",
-                 "reshape", "normalize"},
-        "split": {"train_per_class", "val_per_class", "seed"},
-        "grid": {"c_values", "sigma_values", "rank_values", "combine"},
-        "kernel": {"mode_kinds", "poly_c", "poly_degree"},
-        "solver": {"tol", "max_iter"},
-    }
     for section in parser.sections():
-        if section not in known:
+        if section not in _KEYS:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key in parser[section]:
-            if key not in known[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
 
     kwargs = {}
-
-    def get(section, key):
-        if parser.has_option(section, key):
-            value = parser.get(section, key).strip()
-            return value if value else None
-        return None
-
-    for key in ("train_images", "train_labels", "test_images", "test_labels"):
-        value = get("data", key)
-        if value is not None:
-            kwargs[key] = value
-    value = get("data", "reshape")
-    if value is not None:
-        kwargs["reshape"] = _ints(value, "reshape")
-    value = get("data", "normalize")
-    if value is not None:
-        kwargs["normalize"] = _bool(value, "normalize")
-
-    for key in ("train_per_class", "val_per_class", "seed"):
-        value = get("split", key)
-        if value is not None:
-            kwargs[key] = _ints(value, key)[0]
-
-    value = get("grid", "c_values")
-    if value is not None:
-        kwargs["c_values"] = _floats(value, "c_values")
-    value = get("grid", "sigma_values")
-    if value is not None:
-        kwargs["sigma_values"] = _floats(value, "sigma_values")
-    value = get("grid", "rank_values")
-    if value is not None:
-        kwargs["rank_values"] = _ranks(value, "rank_values")
-    value = get("grid", "combine")
-    if value is not None:
-        if value not in ("prod", "sum"):
-            raise ConfigError(f"combine: expected prod or sum, got {value!r}")
-        kwargs["combine"] = value
-
-    value = get("kernel", "mode_kinds")
-    if value is not None:
-        kinds = tuple(p.strip() for p in value.split(",") if p.strip())
-        for kind in kinds:
-            if kind not in ("linear", "poly", "rbf"):
-                raise ConfigError(f"mode_kinds: unknown kernel kind {kind!r}")
-        kwargs["mode_kinds"] = kinds
-    value = get("kernel", "poly_c")
-    if value is not None:
-        kwargs["poly_c"] = _floats(value, "poly_c")[0]
-    value = get("kernel", "poly_degree")
-    if value is not None:
-        kwargs["poly_degree"] = _ints(value, "poly_degree")[0]
-
-    value = get("solver", "tol")
-    if value is not None:
-        kwargs["solver_tol"] = _floats(value, "tol")[0]
-    value = get("solver", "max_iter")
-    if value is not None:
-        kwargs["solver_max_iter"] = _ints(value, "max_iter")[0]
+    for section, keys in _KEYS.items():
+        for key, (field, parse) in keys.items():
+            text = parser.get(section, key, fallback="").strip()
+            if text:
+                kwargs[field] = parse(text, key)
 
     cfg = RunConfig(**kwargs)
     if cfg.reshape is not None and cfg.mode_kinds is not None:

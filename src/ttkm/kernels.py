@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -45,6 +45,9 @@ NAIVE_TERM_CAP = 10_000_000
 # every temporary is O(chunk * M * S) for M columns of rank S.
 CHUNK_VALUES = 1 << 16
 
+# The base-kernel kinds, one per class below, and the rules that combine
+# per-mode values across modes.  Every other module reads these two.
+KERNEL_KINDS = ("linear", "poly", "rbf")
 COMBINE_RULES = ("prod", "sum")
 
 
@@ -80,27 +83,27 @@ class RbfKernel:
 
 
 BaseKernel = LinearKernel | PolynomialKernel | RbfKernel
+_KERNEL_TYPES = dict(zip(KERNEL_KINDS, (LinearKernel, PolynomialKernel, RbfKernel)))
 
 
 def kernel_to_dict(k: BaseKernel) -> dict:
-    if isinstance(k, LinearKernel):
-        return {"kind": "linear"}
-    if isinstance(k, PolynomialKernel):
-        return {"kind": "poly", "c": k.c, "degree": k.degree}
-    if isinstance(k, RbfKernel):
-        return {"kind": "rbf", "sigma": k.sigma}
+    for kind, cls in _KERNEL_TYPES.items():
+        if isinstance(k, cls):
+            return {"kind": kind, **asdict(k)}
     raise TypeError(f"not a base kernel: {k!r}")
 
 
 def kernel_from_dict(d: dict) -> BaseKernel:
+    """The base kernel named by ``{"kind": ..., **parameters}``.
+
+    This is the one place a kind becomes a class.  Parameters the kind
+    does not take are ignored; missing optional ones take their defaults.
+    """
     kind = d.get("kind")
-    if kind == "linear":
-        return LinearKernel()
-    if kind == "poly":
-        return PolynomialKernel(c=d.get("c", 1.0), degree=d.get("degree", 2))
-    if kind == "rbf":
-        return RbfKernel(sigma=d["sigma"])
-    raise ValueError(f"unknown kernel kind: {kind!r}")
+    if kind not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel kind: {kind!r}")
+    cls = _KERNEL_TYPES[kind]
+    return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def parse_kernel(text: str) -> BaseKernel:
@@ -115,17 +118,15 @@ def parse_kernel(text: str) -> BaseKernel:
                 # bare value shorthand, e.g. "rbf:2.5"
                 key, val = ("sigma" if name == "rbf" else "c"), key
             args[key.strip()] = float(val)
-    if name == "linear":
-        return LinearKernel()
-    if name in ("poly", "polynomial"):
-        return PolynomialKernel(
-            c=args.get("c", 1.0), degree=int(args.get("degree", 2))
-        )
-    if name == "rbf":
-        if "sigma" not in args:
-            raise ValueError(f"rbf kernel needs a sigma, got {text!r}")
-        return RbfKernel(sigma=args["sigma"])
-    raise ValueError(f"unknown kernel {text!r}")
+    if name == "polynomial":
+        name = "poly"
+    if name not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel {text!r}")
+    if name == "rbf" and "sigma" not in args:
+        raise ValueError(f"rbf kernel needs a sigma, got {text!r}")
+    if name == "poly" and "degree" in args:
+        args["degree"] = int(args["degree"])  # "poly:degree=2.5" means degree 2
+    return kernel_from_dict({**args, "kind": name})
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ class KernelSpec:
         if not per_mode:
             raise ValueError("per_mode must list at least one kernel")
         for k in per_mode:
-            if not isinstance(k, (LinearKernel, PolynomialKernel, RbfKernel)):
+            if not isinstance(k, BaseKernel):
                 raise TypeError(f"not a base kernel: {k!r}")
         if self.combine not in COMBINE_RULES:
             raise ValueError(f"combine must be one of {COMBINE_RULES}, got {self.combine!r}")
@@ -153,13 +154,6 @@ class KernelSpec:
     @classmethod
     def uniform(cls, kernel: BaseKernel, d: int, combine: str = "prod") -> "KernelSpec":
         return cls(per_mode=(kernel,) * d, combine=combine)
-
-    def with_sigma(self, sigma: float) -> "KernelSpec":
-        """Copy with every RBF mode switched to the given bandwidth."""
-        per_mode = tuple(
-            RbfKernel(sigma) if isinstance(k, RbfKernel) else k for k in self.per_mode
-        )
-        return replace(self, per_mode=per_mode)
 
     def to_dict(self) -> dict:
         return {

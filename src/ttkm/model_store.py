@@ -144,6 +144,11 @@ def _model_from_parts(header: dict, blob: bytes, path) -> SvmModel:
         spec = KernelSpec.from_dict(header["spec"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad kernel spec in header ({exc})") from exc
+    if spec.order != len(dims):
+        raise DataFormatError(
+            f"{path}: kernel spec has {spec.order} per-mode kernels but dims has "
+            f"{len(dims)} modes"
+        )
     return SvmModel(
         support=tuple(support),
         coef=coef,
@@ -242,9 +247,9 @@ def load_model(path):
     if kind == "binary":
         return _model_from_parts(_get(header, "model", _is_dict, path), blob, path)
     if kind == "ovo":
-        classes = _get(header, "classes", _int_list, path)
+        classes = _get(header, "classes", lambda v: _int_list(v) and len(v) >= 2, path)
         models = {}
-        for entry in _get(header, "models", lambda v: isinstance(v, list), path):
+        for entry in _get(header, "models", lambda v: isinstance(v, list) and v, path):
             a, b = _get(entry, "pair", lambda v: _int_list(v) and len(v) == 2
                         and set(v) <= set(classes), path)
             start = _get(entry, "blob_offset", lambda v: _is_int(v) and v >= 0, path)

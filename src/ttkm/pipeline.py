@@ -20,12 +20,11 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .kernels import (
+    KERNEL_KINDS,
     KernelSpec,
-    LinearKernel,
-    PolynomialKernel,
-    RbfKernel,
     build_gram,
     cross_gram,
+    kernel_from_dict,
 )
 from .solver import (
     SUPPORT_EPS,
@@ -38,13 +37,13 @@ from .tensor import (
     DenseTensor,
     TensorTrain,
     TtSvdConfig,
+    interior_rank_chain,
     stack_and_decompose,
 )
 
 logger = logging.getLogger(__name__)
 
 SPLIT_NAMES = ("train", "validation", "test")
-MODE_KINDS = ("linear", "poly", "rbf")
 
 
 @dataclass
@@ -203,8 +202,8 @@ class GridConfig:
         if not self.rank_values:
             raise ValueError("rank_values must not be empty")
         for kind in self.mode_kinds:
-            if kind not in MODE_KINDS:
-                raise ValueError(f"mode kind must be one of {MODE_KINDS}, got {kind!r}")
+            if kind not in KERNEL_KINDS:
+                raise ValueError(f"mode kind must be one of {KERNEL_KINDS}, got {kind!r}")
         if self.has_rbf and not self.sigma_values:
             raise ValueError("sigma_values must not be empty when an rbf mode is used")
 
@@ -215,14 +214,7 @@ class GridConfig:
     def rank_settings(self, d: int) -> list[tuple[int, ...]]:
         out = []
         for entry in self.rank_values:
-            if isinstance(entry, (int, np.integer)):
-                setting = (int(entry),) * (d - 1)
-            else:
-                setting = tuple(int(r) for r in entry)
-            if len(setting) != d - 1:
-                raise ValueError(
-                    f"rank setting {entry} has {len(setting)} entries; order-{d} data needs {d - 1}"
-                )
+            setting = interior_rank_chain(entry, d, f"rank setting {entry}")
             if any(r < 1 for r in setting):
                 raise ValueError(f"ranks must be >= 1, got {entry}")
             out.append(setting)
@@ -232,17 +224,13 @@ class GridConfig:
         return self.sigma_values if self.has_rbf else (None,)
 
     def make_spec(self, sigma) -> KernelSpec:
-        per_mode = []
-        for kind in self.mode_kinds:
-            if kind == "linear":
-                per_mode.append(LinearKernel())
-            elif kind == "poly":
-                per_mode.append(PolynomialKernel(c=self.poly_c, degree=self.poly_degree))
-            else:
-                if sigma is None:
-                    raise ValueError("rbf mode requires a sigma")
-                per_mode.append(RbfKernel(float(sigma)))
-        return KernelSpec(per_mode=tuple(per_mode), combine=self.combine)
+        if sigma is None and self.has_rbf:
+            raise ValueError("rbf mode requires a sigma")
+        params = {"c": self.poly_c, "degree": self.poly_degree, "sigma": sigma}
+        return KernelSpec(
+            per_mode=tuple(kernel_from_dict({**params, "kind": k}) for k in self.mode_kinds),
+            combine=self.combine,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -347,7 +335,7 @@ def predict(model: SvmModel, samples) -> np.ndarray:
     return np.where(signs > 0, model.pos_class, model.neg_class).astype(np.int64)
 
 
-def _signed_labels(labels, neg_class, pos_class) -> np.ndarray:
+def _signed_labels(labels, pos_class) -> np.ndarray:
     return np.where(labels == pos_class, 1.0, -1.0)
 
 
@@ -402,8 +390,8 @@ def train_binary(
     if normalize:
         train_s = _normalized(train_s)
         val_s = _normalized(val_s)
-    y_train = _signed_labels(train_y, neg_class, pos_class)
-    y_val = _signed_labels(val_y, neg_class, pos_class)
+    y_train = _signed_labels(train_y, pos_class)
+    y_val = _signed_labels(val_y, pos_class)
     n_train = len(train_s)
 
     def scan(ranks, sigmas, c_values):
@@ -487,6 +475,10 @@ class OvoModel:
 
     classes: tuple[int, ...]
     models: dict
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return next(iter(self.models.values())).dims
 
     def predict(self, samples) -> np.ndarray:
         samples = list(samples)

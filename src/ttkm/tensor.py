@@ -160,6 +160,20 @@ class TtSvdConfig:
         return cls(rel_tol=float(eps))
 
 
+def interior_rank_chain(entry, d: int, what: str) -> tuple[int, ...]:
+    """The d-1 interior ranks of order-d data that ``entry`` names.
+
+    One int is used at every interior position; a sequence must list
+    exactly d-1 ranks.  ``what`` names the entry in the error message.
+    """
+    if isinstance(entry, (int, np.integer)):
+        return (int(entry),) * (d - 1)
+    ranks = tuple(int(r) for r in entry)
+    if len(ranks) != d - 1:
+        raise ValueError(f"{what} has {len(ranks)} entries; order-{d} data needs {d - 1}")
+    return ranks
+
+
 def unfold(t: DenseTensor, k: int) -> np.ndarray:
     """Mode-split unfolding: rows indexed by (i_1..i_k), columns by the rest.
 

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from ttkm.cli import main
 from ttkm.config import RunConfig, load_config, load_labels, load_samples
 from ttkm.errors import ConfigError, DataFormatError
 from ttkm.idx import load_idx_images, load_idx_labels, load_idx_pair
@@ -381,6 +382,33 @@ def edit_header(path, edit):
     path.write_bytes(data[:4] + struct.pack("<II", version, len(raw)) + raw + data[12 + n:])
 
 
+DELETE = object()
+HEADER_MUTATIONS = (("delete", DELETE), ("null", None), ("string", "x"),
+                    ("list", [1]), ("minus-one", -1))
+
+
+def set_header_key(header, key_path, value):
+    """Set the key at ``key_path`` to ``value``, or delete it for DELETE."""
+    *parents, key = key_path
+    for step in parents:
+        header = header[step]
+    if value is DELETE:
+        del header[key]
+    else:
+        header[key] = value
+
+
+def header_key_paths(node, path=()):
+    """The path to every dict key in a JSON header, at every nesting level."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from header_key_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from header_key_paths(value, path + (i,))
+
+
 class TestModelHeaderValidation:
     """Missing or ill-typed header keys are format errors, not crashes."""
 
@@ -388,9 +416,12 @@ class TestModelHeaderValidation:
     def saved(self, tmp_path_factory):
         rng = np.random.default_rng(7)
         root = tmp_path_factory.mktemp("models")
-        save_model(root / "binary.ttkm", train_binary(blob_dataset(rng), tiny_grid()))
+        save_model(root / "binary.ttkm", train_binary(blob_dataset(rng), tiny_grid()),
+                   meta={"seed": 3, "classes": [0, 1]})
         ds = blob_dataset(rng, classes=(0, 1, 2))
-        save_model(root / "ovo.ttkm", train_multiclass_ovo(ds, tiny_grid()))
+        save_model(root / "ovo.ttkm", train_multiclass_ovo(ds, tiny_grid()),
+                   meta={"seed": 3, "classes": [0, 1, 2]})
+        write_dataset(root / "samples.ttn", ds.subset("test")[0])
         return root
 
     @pytest.mark.parametrize("edit", [
@@ -403,8 +434,11 @@ class TestModelHeaderValidation:
         lambda h: h["model"].update(spec={"per_mode": [3], "combine": "prod"}),
         lambda h: h.update(model=[]),
         lambda h: h.pop("checksum"),
+        lambda h: h["model"]["spec"]["per_mode"].pop(),
+        lambda h: h["model"]["spec"]["per_mode"].append({"kind": "linear"}),
     ], ids=["no-dims", "str-dims", "short-ranks", "str-count", "no-neg-class",
-            "int-normalize", "bad-spec", "list-model", "no-checksum"])
+            "int-normalize", "bad-spec", "list-model", "no-checksum",
+            "short-per-mode", "long-per-mode"])
     def test_binary(self, saved, tmp_path, edit):
         path = tmp_path / "m.ttkm"
         path.write_bytes((saved / "binary.ttkm").read_bytes())
@@ -418,8 +452,11 @@ class TestModelHeaderValidation:
         lambda h: h["models"][0].update(pair=[0, 7]),
         lambda h: h["models"][0].update(blob_offset="0"),
         lambda h: h["models"][1]["model"].pop("dims"),
+        lambda h: h.update(models=[]),
+        lambda h: h.update(classes=[0], models=[]),
+        lambda h: h["models"][2]["model"]["spec"]["per_mode"].pop(),
     ], ids=["no-classes", "dict-models", "pair-outside-classes", "str-offset",
-            "no-dims"])
+            "no-dims", "no-models", "one-class", "short-per-mode"])
     def test_ovo(self, saved, tmp_path, edit):
         path = tmp_path / "m.ttkm"
         path.write_bytes((saved / "ovo.ttkm").read_bytes())
@@ -433,6 +470,55 @@ class TestModelHeaderValidation:
             path.write_bytes((saved / name).read_bytes())
             edit_header(path, lambda h: None)
             load_model(path)
+
+    @pytest.mark.parametrize("name,edit", [
+        ("binary.ttkm", lambda h: h["model"]["spec"]["per_mode"].pop()),
+        ("binary.ttkm", lambda h: h["model"]["spec"]["per_mode"].append({"kind": "linear"})),
+        ("ovo.ttkm", lambda h: h.update(models=[])),
+    ], ids=["short-per-mode", "long-per-mode", "ovo-without-models"])
+    def test_predict_exits_5(self, saved, tmp_path, capsys, name, edit):
+        path = tmp_path / "m.ttkm"
+        path.write_bytes((saved / name).read_bytes())
+        edit_header(path, edit)
+        assert main(["predict", "--model", str(path), "--input",
+                     str(saved / "samples.ttn")]) == 5
+        assert capsys.readouterr().err.startswith("error:data-format:")
+
+    def test_every_header_key_mutation(self, saved, tmp_path, capsys):
+        """Delete each header key at every nesting level, or set it to null,
+        a string, a list or -1; also drop every one-vs-one model and make a
+        per-mode kernel list one short or one long.  Each file loads or is a
+        DataFormatError, and ``ttkm predict`` on any that loads exits 0 or 5."""
+        path = tmp_path / "m.ttkm"
+        samples = str(saved / "samples.ttn")
+        failures, checked = [], 0
+        for name, spec_of in (("binary.ttkm", lambda h: h["model"]["spec"]),
+                              ("ovo.ttkm", lambda h: h["models"][0]["model"]["spec"])):
+            data = (saved / name).read_bytes()
+            n = struct.unpack("<I", data[8:12])[0]
+            edits = [
+                (f"{label} {key_path}", lambda h, k=key_path, v=value: set_header_key(h, k, v))
+                for key_path in header_key_paths(json.loads(data[12:12 + n]))
+                for label, value in HEADER_MUTATIONS
+            ] + [
+                ("short per_mode", lambda h: spec_of(h)["per_mode"].pop()),
+                ("long per_mode", lambda h: spec_of(h)["per_mode"].append({"kind": "linear"})),
+                ("no models", lambda h: h.update(models=[])),
+            ]
+            for label, edit in edits:
+                path.write_bytes(data)
+                edit_header(path, edit)
+                checked += 1
+                try:
+                    load_model(path)
+                except DataFormatError:
+                    continue
+                code = main(["predict", "--model", str(path), "--input", samples])
+                err = capsys.readouterr().err
+                if code not in (0, 5):
+                    failures.append((name, label, code, err))
+        assert checked > 300
+        assert not failures, failures
 
 
 class TestConfig:
@@ -507,6 +593,23 @@ max_iter = 5000
         path = self.write(tmp_path, "[grid]\nrank_values = 2.5\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("split", "train_per_class", "10, 20"),
+        ("split", "val_per_class", "10 20"),
+        ("split", "seed", "1, 2"),
+        ("split", "seed", ","),
+        ("kernel", "poly_c", "1 2"),
+        ("kernel", "poly_degree", "2, 3"),
+        ("solver", "tol", "1e-3 5"),
+        ("solver", "max_iter", "10, 20"),
+    ])
+    def test_scalar_key_takes_exactly_one_value(self, tmp_path, capsys, section, key, value):
+        path = self.write(tmp_path, f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match="exactly one value"):
+            load_config(path)
+        assert main(["train", "--config", str(path), "--pair", "0,1"]) == 3
+        assert "exactly one value" in capsys.readouterr().err
 
     def test_grid_defaults_to_rbf_modes(self):
         grid = RunConfig().grid(3)

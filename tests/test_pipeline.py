@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ttkm.kernels import KernelSpec, LinearKernel, RbfKernel, build_gram
+from ttkm.kernels import KernelSpec, LinearKernel, PolynomialKernel, RbfKernel, build_gram
 from ttkm.pipeline import (
     Dataset,
     GridConfig,
@@ -165,6 +165,16 @@ class TestGridConfig:
         g = small_grid(d=2)
         spec = g.make_spec(42.0)
         assert spec.per_mode == (RbfKernel(42.0), RbfKernel(42.0))
+        # only the RBF modes take the sigma; the others keep their settings
+        g = GridConfig(c_values=(1.0,), sigma_values=(1.0,), rank_values=(2,),
+                       mode_kinds=("rbf", "poly", "linear", "rbf"), combine="sum",
+                       poly_c=0.5, poly_degree=3)
+        spec = g.make_spec(9.0)
+        assert spec == KernelSpec(
+            per_mode=(RbfKernel(9.0), PolynomialKernel(c=0.5, degree=3),
+                      LinearKernel(), RbfKernel(9.0)),
+            combine="sum",
+        )
 
 
 class TestTrainBinary:
