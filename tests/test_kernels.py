@@ -126,6 +126,17 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(per_mode=(LinearKernel(),), combine="avg")
 
+    def test_with_sigma_touches_only_rbf_modes(self):
+        # a sigma put into every mode's dict reaches only the RBF modes:
+        # kernel_from_dict ignores parameters a kind does not take
+        spec = mixed_spec(3, sigma=1.0)
+        d = spec.to_dict()
+        d["per_mode"] = [{**m, "sigma": 9.0} for m in d["per_mode"]]
+        out = KernelSpec.from_dict(d)
+        assert out.per_mode[0] == RbfKernel(9.0)
+        assert out.per_mode[1] == PolynomialKernel(c=1.0, degree=2)
+        assert out.per_mode[2] == LinearKernel()
+
     def test_dict_round_trip(self):
         spec = mixed_spec(4, sigma=2.5, combine="sum")
         assert KernelSpec.from_dict(spec.to_dict()) == spec
