@@ -141,12 +141,20 @@ def _svd_config(args, order: int) -> TtSvdConfig:
 
 
 def _parse_kinds(text: str, sigma) -> tuple:
-    """Build per-mode kernels from 'rbf,linear,poly:c=2' style text;
-    ``sigma`` sets the bandwidth of bare 'rbf' modes."""
-    parts = [part.strip() for part in text.split(",")]
+    """Build per-mode kernels from 'rbf,linear,poly:c=2,degree=3' style text.
+
+    A ``key=value`` piece after a kernel with parameters continues that
+    kernel's parameters; ``sigma`` sets the bandwidth of bare 'rbf' modes.
+    """
+    parts = []
+    for piece in (p.strip() for p in text.split(",")):
+        if parts and ":" in parts[-1] and "=" in piece and ":" not in piece:
+            parts[-1] += "," + piece
+        else:
+            parts.append(piece)
     return tuple(
         kernel_from_dict({"kind": "rbf", "sigma": sigma})
-        if part == "rbf" and sigma is not None
+        if part.lower() == "rbf" and sigma is not None
         else parse_kernel(part)
         for part in parts
     )
@@ -484,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gram", cmd_gram, "Gram matrix as CSV plus a JSON sidecar")
     p.add_argument("--input", required=True, help="multi-sample .ttn or IDX images")
-    p.add_argument("--kinds", required=True, help="per-mode kernels, e.g. rbf,rbf,linear")
+    p.add_argument("--kinds", required=True,
+                   help="per-mode kernels, e.g. rbf,linear,poly:c=2,degree=3")
     p.add_argument("--sigma", type=float, default=None, help="bandwidth for bare rbf modes")
     p.add_argument("--combine", choices=COMBINE_RULES, default="prod")
     p.add_argument("--eps", type=float, default=None, help="relative tolerance")

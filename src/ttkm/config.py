@@ -197,7 +197,10 @@ def load_config(path) -> RunConfig:
     kwargs = {}
     for section, keys in _KEYS.items():
         for key, (field, parse) in keys.items():
-            text = parser.get(section, key, fallback="").strip()
+            try:
+                text = parser.get(section, key, fallback="").strip()
+            except configparser.Error as exc:  # e.g. a bare '%' in a value
+                raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
             if text:
                 kwargs[field] = parse(text, key)
 

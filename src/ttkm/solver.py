@@ -94,6 +94,26 @@ def _bias(values, y, alphas, c) -> float:
     return float(0.5 * (hi_part + lo_part))
 
 
+def _pair_curvatures(k) -> np.ndarray:
+    """Table of max(K_ii + K_jj - 2 K_ij, 1e-12): row i for every partner j.
+
+    Built a row at a time, so no temporary is larger than one row.
+    """
+    kd = np.diag(k)
+    quad = np.empty_like(k)
+    for i, row in enumerate(k):
+        np.maximum(kd[i] + kd - 2.0 * row, 1e-12, out=quad[i])
+    return quad
+
+
+def _label_products(k, y) -> np.ndarray:
+    """Q = K * y y^T, built a row at a time like ``_pair_curvatures``."""
+    q = np.empty_like(k)
+    for i, row in enumerate(k):
+        np.multiply(row, y[i] * y, out=q[i])
+    return q
+
+
 def solve_dual(
     p: DualProblem,
     tol: float = 1e-3,
@@ -109,6 +129,15 @@ def solve_dual(
     drops to ``tol``; the dual objective never decreases.  ``max_iter``
     defaults to 2000 times the problem size; hitting it returns the current
     iterate with ``converged=False``.
+
+    The loop's state is ``values`` = y - G (G_i the margin sums), moved by
+    ``step * K[:, j] - step * K[:, i]``.  Since y is +-1 and negation
+    commutes with rounding, this is bit for bit the gradient update on
+    Q = K * y y^T, so Q is built only for the objective.  Which samples may
+    move up or down is kept as 0/inf masks, updated at the two indices that
+    changed; the second-order denominators max(K_ii + K_jj - 2 K_ij, 1e-12)
+    come from a table built once per solve; the box bookkeeping runs on
+    Python floats.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -118,54 +147,61 @@ def solve_dual(
     k = p.gram.values
     y = p.labels
     c = p.C
-    q = k * np.outer(y, y)
+    cols = k.T  # the update reads columns; a Gram may be asymmetric by 1e-10
+    quad = _pair_curvatures(k)
 
-    alphas = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the minimization form 1/2 aQa - sum a
-    kd = np.diag(k)
-    last_obj = _objective(alphas, q)
+    signs = y.tolist()
+    alphas = [0.0] * n
+    values = y.copy()  # y_i - G_i, and G = 0 at alpha = 0
+    # 0 where alpha may still move up (resp. down) in the +y direction,
+    # -inf (resp. +inf) elsewhere; at alpha = 0 that is y > 0 (resp. y < 0)
+    up = np.where(y > 0, 0.0, -np.inf)
+    low = np.where(y > 0, np.inf, 0.0)
+    if debug:
+        q = _label_products(k, y)
+        last_obj = _objective(np.array(alphas), q)
 
     iterations = 0
     converged = False
     while iterations < max_iter:
-        values = -y * grad  # y_i - G_i
-        up = ((y > 0) & (alphas < c)) | ((y < 0) & (alphas > 0))
-        low = ((y > 0) & (alphas > 0)) | ((y < 0) & (alphas < c))
-        up_vals = np.where(up, values, -np.inf)
-        i = int(np.argmax(up_vals))
-        gap_hi = up_vals[i]
-        gap_lo = np.min(np.where(low, values, np.inf))
-        if gap_hi - gap_lo <= tol:
+        up_vals = values + up
+        i = int(up_vals.argmax())
+        gap_hi = float(up_vals[i])
+        low_vals = values + low
+        if gap_hi - float(low_vals.min()) <= tol:
             converged = True
             break
 
         # second-order selection of the partner index
-        diff = gap_hi - values
-        eligible = low & (diff > 0)
-        quad = np.maximum(kd[i] + kd - 2.0 * k[i], 1e-12)
-        gain = np.where(eligible, diff * diff / quad, -np.inf)
-        j = int(np.argmax(gain))
+        diff = gap_hi - low_vals
+        gain = np.where(diff > 0, diff * diff / quad[i], -np.inf)
+        j = int(gain.argmax())
 
         # exact minimizer of the pair subproblem along the feasible segment
-        a = quad[j]
-        step = (gap_hi - values[j]) / a
-        bound_i = (c - alphas[i]) if y[i] > 0 else alphas[i]
-        bound_j = alphas[j] if y[j] > 0 else (c - alphas[j])
+        step = float(diff[j]) / float(quad[i, j])
+        yi, yj = signs[i], signs[j]
+        ai, aj = alphas[i], alphas[j]
+        bound_i = (c - ai) if yi > 0 else ai
+        bound_j = aj if yj > 0 else (c - aj)
         step = min(step, bound_i, bound_j)
 
         if step >= bound_i:
-            alphas[i] = c if y[i] > 0 else 0.0
+            ai = c if yi > 0 else 0.0
         else:
-            alphas[i] += y[i] * step
+            ai += yi * step
         if step >= bound_j:
-            alphas[j] = 0.0 if y[j] > 0 else c
+            aj = 0.0 if yj > 0 else c
         else:
-            alphas[j] -= y[j] * step
-        grad += (y[i] * step) * q[:, i] - (y[j] * step) * q[:, j]
+            aj -= yj * step
+        alphas[i], alphas[j] = ai, aj
+        for t, yt, at in ((i, yi, ai), (j, yj, aj)):
+            up[t] = 0.0 if (at < c if yt > 0 else at > 0) else -np.inf
+            low[t] = 0.0 if (at > 0 if yt > 0 else at < c) else np.inf
+        values += step * cols[j] - step * cols[i]
         iterations += 1
 
         if debug:
-            obj = _objective(alphas, q)
+            obj = _objective(np.array(alphas), q)
             if obj < last_obj - 1e-9 * max(1.0, abs(last_obj)):
                 raise AssertionError(
                     f"dual objective decreased: {last_obj} -> {obj} at iteration {iterations}"
@@ -174,11 +210,15 @@ def solve_dual(
 
     if not converged:
         logger.warning("SMO stopped at max_iter=%d without converging", max_iter)
-    values = -y * grad
+    del quad  # one n x n array at a time: the table, then Q
+    alphas = np.array(alphas)
+    # The update leaves exact zeros as +0.0; y - G taken as -y * gradient
+    # has -0.0 where y = +1.  Keep that sign, so a zero bias keeps its bits.
+    values = np.where(values == 0.0, -0.0 * y, values)
     return DualSolution(
         alphas=alphas,
         bias=_bias(values, y, alphas, c),
-        objective=_objective(alphas, q),
+        objective=_objective(alphas, _label_products(k, y)),
         iterations=iterations,
         converged=converged,
     )

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from ttkm.cli import dump_json, format_float, main
+from ttkm.cli import _parse_kinds, dump_json, format_float, main
 from ttkm.model_store import load_model
 from ttkm.tensor import DenseTensor
 from ttkm.ttn import write_dataset, write_tensor
@@ -148,6 +148,41 @@ class TestGramCommand:
                            "--kinds", "rbf,rbf,rbf", "--ranks", "2")
         assert code == 2 and "sigma" in err
 
+    @pytest.mark.parametrize("kinds,want", [
+        ("rbf:sigma=3,poly:c=2,degree=3,rbf",
+         [{"kind": "rbf", "sigma": 3.0}, {"kind": "poly", "c": 2.0, "degree": 3},
+          {"kind": "rbf", "sigma": 2.0}]),
+        ("poly:degree=3,c=0.5,linear,rbf:1.5",
+         [{"kind": "poly", "c": 0.5, "degree": 3}, {"kind": "linear"},
+          {"kind": "rbf", "sigma": 1.5}]),
+        ("RBF,linear,Rbf",
+         [{"kind": "rbf", "sigma": 2.0}, {"kind": "linear"}, {"kind": "rbf", "sigma": 2.0}]),
+    ])
+    def test_kinds_with_parameters_and_case(self, data_dir, capsys, kinds, want):
+        code, _, _ = run(capsys, "gram", "--input", data_dir / "test.ttn",
+                         "--kinds", kinds, "--sigma", "2.0", "--ranks", "2",
+                         "--output", data_dir / "gram.csv")
+        assert code == 0
+        sidecar = json.loads((data_dir / "gram.json").read_text())
+        assert sidecar["kernel"]["per_mode"] == want
+
+    @pytest.mark.parametrize("kinds", [
+        "rbf:sigma=3,linear,degree=3",  # a parameter after a kernel without any
+        "degree=3,rbf,rbf",
+        "RBF,RBF,RBF",  # no --sigma
+    ])
+    def test_bad_kinds_are_usage_errors(self, data_dir, capsys, kinds):
+        code, _, err = run(capsys, "gram", "--input", data_dir / "test.ttn",
+                           "--kinds", kinds, "--ranks", "2")
+        assert code == 2 and err.startswith("error:usage:")
+
+    def test_parse_kinds_continues_parameters(self):
+        kernels = _parse_kinds("rbf:sigma=3,linear,poly:c=2,degree=3,rbf", 1.0)
+        assert [type(k).__name__ for k in kernels] == [
+            "RbfKernel", "LinearKernel", "PolynomialKernel", "RbfKernel"]
+        assert (kernels[2].c, kernels[2].degree) == (2.0, 3)
+        assert kernels[0].sigma == 3.0 and kernels[3].sigma == 1.0
+
 
 class TestTrainCommand:
     def test_binary_pair(self, data_dir, capsys):
@@ -219,6 +254,14 @@ class TestTrainCommand:
         code, _, err = run(capsys, "train", "--config", data_dir / "run.ini",
                            "--pair", "0,9")
         assert code == 2 and err.startswith("error:usage:")
+
+    @pytest.mark.parametrize("value", ["a%1.ttn", "%(missing)s.ttn", "%(x"])
+    def test_bad_interpolation_is_config_error(self, tmp_path, capsys, value):
+        ini = tmp_path / "pct.ini"
+        ini.write_text(f"[data]\ntrain_images = {value}\n")
+        code, _, err = run(capsys, "train", "--config", ini, "--pair", "0,1")
+        assert code == 3 and err.startswith("error:config:")
+        assert "train_images" in err
 
     def test_missing_data_paths(self, tmp_path, capsys):
         ini = tmp_path / "empty.ini"

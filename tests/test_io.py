@@ -611,6 +611,11 @@ max_iter = 5000
         assert main(["train", "--config", str(path), "--pair", "0,1"]) == 3
         assert "exactly one value" in capsys.readouterr().err
 
+    def test_bare_percent_is_config_error(self, tmp_path):
+        path = self.write(tmp_path, "[data]\ntrain_images = a%1.ttn\n")
+        with pytest.raises(ConfigError, match="train_images"):
+            load_config(path)
+
     def test_grid_defaults_to_rbf_modes(self):
         grid = RunConfig().grid(3)
         assert grid.mode_kinds == ("rbf", "rbf", "rbf")

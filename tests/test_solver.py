@@ -1,5 +1,7 @@
 """Dual QP solvers: SMO, the projected-gradient oracle, and KKT checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from ttkm.solver import (
     BRUTE_FORCE_MAX_SIZE,
     DualProblem,
     DualSolution,
+    _bias,
+    _objective,
     brute_force_dual,
     decision_values,
     kkt_report,
@@ -44,6 +48,121 @@ def two_point_problem(c=1e6):
     """
     k = np.array([[1.0, -1.0], [-1.0, 1.0]])
     return DualProblem(gram=gram_of(k), labels=np.array([1.0, -1.0]), C=c)
+
+
+def labelled_problem(gram, y, c):
+    return DualProblem(gram=gram_of(gram), labels=y, C=c)
+
+
+def rbf_problem(seed, n, c, pos_frac):
+    """RBF Gram of two shifted Gaussian clouds; ``pos_frac`` of labels +1."""
+    rng = np.random.default_rng(seed)
+    y = -np.ones(n)
+    y[rng.permutation(n)[: max(1, round(pos_frac * n))]] = 1.0
+    x = rng.standard_normal((n, 3))
+    x[y > 0] += 0.7
+    d2 = np.sum((x[:, None] - x[None]) ** 2, axis=-1)
+    return labelled_problem(np.exp(-d2 / 2.0), y, c)
+
+
+def integer_problem(seed):
+    """Linear Gram of small integer points: exact ties and exact zeros."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    x = rng.integers(-2, 3, size=(n, 2)).astype(float)
+    y = np.where(x[:, 0] + 0.5 * rng.standard_normal(n) > 0, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    return labelled_problem(x @ x.T, y, float(rng.choice([0.5, 1.0, 4.0])))
+
+
+def reference_solve_dual(p, tol=1e-3, max_iter=None, debug=False):
+    """SMO in its textbook gradient form, frozen as the trajectory oracle.
+
+    Every iteration rebuilds the masks, the pair denominators and the
+    gradient update on Q = K * y y^T with whole-array numpy calls.
+    ``solve_dual`` must take the same (i, j) and step at every iteration.
+    """
+    n = p.size
+    if max_iter is None:
+        max_iter = 2000 * n
+    k = p.gram.values
+    y = p.labels
+    c = p.C
+    q = k * np.outer(y, y)
+
+    alphas = np.zeros(n)
+    grad = -np.ones(n)
+    kd = np.diag(k)
+    last_obj = _objective(alphas, q)
+
+    iterations = 0
+    converged = False
+    while iterations < max_iter:
+        values = -y * grad
+        up = ((y > 0) & (alphas < c)) | ((y < 0) & (alphas > 0))
+        low = ((y > 0) & (alphas > 0)) | ((y < 0) & (alphas < c))
+        up_vals = np.where(up, values, -np.inf)
+        i = int(np.argmax(up_vals))
+        gap_hi = up_vals[i]
+        gap_lo = np.min(np.where(low, values, np.inf))
+        if gap_hi - gap_lo <= tol:
+            converged = True
+            break
+
+        diff = gap_hi - values
+        eligible = low & (diff > 0)
+        quad = np.maximum(kd[i] + kd - 2.0 * k[i], 1e-12)
+        gain = np.where(eligible, diff * diff / quad, -np.inf)
+        j = int(np.argmax(gain))
+
+        a = quad[j]
+        step = (gap_hi - values[j]) / a
+        bound_i = (c - alphas[i]) if y[i] > 0 else alphas[i]
+        bound_j = alphas[j] if y[j] > 0 else (c - alphas[j])
+        step = min(step, bound_i, bound_j)
+
+        if step >= bound_i:
+            alphas[i] = c if y[i] > 0 else 0.0
+        else:
+            alphas[i] += y[i] * step
+        if step >= bound_j:
+            alphas[j] = 0.0 if y[j] > 0 else c
+        else:
+            alphas[j] -= y[j] * step
+        grad += (y[i] * step) * q[:, i] - (y[j] * step) * q[:, j]
+        iterations += 1
+
+        if debug:
+            obj = _objective(alphas, q)
+            assert obj >= last_obj - 1e-9 * max(1.0, abs(last_obj))
+            last_obj = obj
+
+    values = -y * grad
+    return DualSolution(
+        alphas=alphas,
+        bias=_bias(values, y, alphas, c),
+        objective=_objective(alphas, q),
+        iterations=iterations,
+        converged=converged,
+    )
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def assert_same_trajectory(p, **kwargs):
+    want = reference_solve_dual(p, **kwargs)
+    got = solve_dual(p, **kwargs)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert np.array_equal(got.alphas, want.alphas)
+    assert np.array_equal(got.bias, want.bias)
+    # the same to the bit, signs of zeros included
+    assert bits(got.alphas) == bits(want.alphas)
+    assert bits(got.bias) == bits(want.bias)
+    assert bits(got.objective) == bits(want.objective)
+    return got
 
 
 def check_feasible(p, s, tol=1e-8):
@@ -131,6 +250,62 @@ class TestSolveDual:
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError):
             solve_dual(two_point_problem(), tol=0.0)
+
+
+class TestSolveDualTrajectory:
+    """solve_dual walks the reference loop's path exactly, iteration by iteration."""
+
+    @pytest.mark.parametrize("pos_frac", [0.5, 0.2], ids=["balanced", "skewed"])
+    @pytest.mark.parametrize("c", [0.1, 1.0, 10.0, 1000.0])
+    @pytest.mark.parametrize("n", [2, 3, 7, 20, 60, 200])
+    def test_rbf_problems(self, n, c, pos_frac):
+        s = assert_same_trajectory(rbf_problem(7 * n + int(c), n, c, pos_frac))
+        assert s.converged
+
+    def test_random_psd_problems(self):
+        rng = np.random.default_rng(141)
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            assert_same_trajectory(random_problem(rng, n, float(rng.choice([0.1, 1.0, 10.0]))))
+
+    def test_integer_problems_with_ties_and_exact_zeros(self):
+        negative_zero_bias = 0
+        for seed in range(300):
+            s = assert_same_trajectory(integer_problem(seed))
+            negative_zero_bias += s.bias == 0.0 and np.signbit(s.bias)
+        assert negative_zero_bias > 0  # the sign of a zero bias is exercised
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 50])
+    def test_truncated_solve(self, max_iter):
+        s = assert_same_trajectory(rbf_problem(151, 60, 1000.0, 0.5), max_iter=max_iter)
+        assert not s.converged and s.iterations == max_iter
+
+    def test_debug_mode(self):
+        assert_same_trajectory(rbf_problem(152, 40, 10.0, 0.5), tol=1e-8, debug=True)
+
+    def test_asymmetric_gram_within_tolerance(self):
+        # GramMatrix accepts asymmetry up to 1e-10; the update reads columns
+        p = rbf_problem(153, 30, 10.0, 0.5)
+        skew = np.triu(np.full((30, 30), 3e-11), 1)
+        assert_same_trajectory(labelled_problem(p.gram.values + skew, p.labels, p.C))
+
+    def test_peak_memory_not_above_the_gradient_form(self):
+        # The gradient form peaked at 1,409,544 traced bytes on this problem
+        # (numpy 2.4): Q = K * y y^T plus a ufunc buffer.  solve_dual holds
+        # one n x n table at a time and builds it row by row.
+        n = 400
+        rng = np.random.default_rng(7)
+        f = rng.standard_normal((n, 8))
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        p = labelled_problem(f @ f.T, y, 1.0)
+        tracemalloc.start()
+        try:
+            s = solve_dual(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.converged
+        assert peak <= 1_409_544
 
 
 class TestBruteForce:
