@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bench import bench_compare, bench_fast_prod_ranks, bench_naive_orders
-from .config import RunConfig, _ranks, load_config, load_labels, load_samples
+from .config import RunConfig, _kinds, _ranks, load_config, load_labels, load_samples
 from .errors import (
     CapacityError,
     ConfigError,
@@ -172,13 +172,14 @@ def _load_run_config(args) -> RunConfig:
         overrides["seed"] = args.seed
     if getattr(args, "reshape", None) is not None:
         overrides["reshape"] = _parse_ints(args.reshape)
-    if getattr(args, "ranks", None) is not None:
-        try:
+    try:
+        if getattr(args, "ranks", None) is not None:
             overrides["rank_values"] = _ranks(args.ranks, "--ranks")
-        except ConfigError as exc:
-            raise ValueError(str(exc)) from None
-    if getattr(args, "kinds", None) is not None:
-        overrides["mode_kinds"] = tuple(p.strip() for p in args.kinds.split(","))
+        if getattr(args, "kinds", None) is not None:
+            # bare kind names, any case; the grid sets their parameters
+            overrides["mode_kinds"] = _kinds(args.kinds.lower(), "--kinds")
+    except ConfigError as exc:  # a bad flag is a usage error
+        raise ValueError(str(exc)) from None
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg

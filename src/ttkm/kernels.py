@@ -453,8 +453,8 @@ def build_gram(samples, spec: KernelSpec, sample_ids=None) -> GramMatrix:
 def cross_gram(train, test, spec: KernelSpec) -> np.ndarray:
     """Rectangular kernel block, rows = test samples, columns = train samples.
 
-    Train samples must share one rank chain; test samples must carry that
-    same chain (pad with conform_interior_ranks if needed).
+    Train samples must share one rank chain, and test samples must carry
+    that same chain.
     """
     train = _checked_samples(train, "train")
     test = _checked_samples(test, "test")

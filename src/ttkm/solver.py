@@ -6,9 +6,12 @@ The dual for labels y in {-1, +1}, kernel matrix K, and box parameter C is
     subject to  0 <= a_i <= C,   sum_i a_i y_i = 0.
 
 ``solve_dual`` is a sequential minimal optimization (SMO) solver operating
-on one violating pair at a time with second-order pair selection;
-``brute_force_dual`` is a deliberately simple projected-gradient reference
-for small problems, used to cross-check the SMO implementation.
+on one violating pair at a time with second-order pair selection, finished
+by periodic active-set steps on the face of the free samples: near hard
+margin (large C, a Gram with tiny eigenvalues) two-coordinate steps crawl
+along flat directions that one linear solve crosses.  ``brute_force_dual``
+is a deliberately simple projected-gradient reference for small problems,
+used to cross-check the SMO implementation.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ logger = logging.getLogger(__name__)
 
 BRUTE_FORCE_MAX_SIZE = 12
 SUPPORT_EPS = 1e-12
+FACE_EVERY = 50  # SMO iterations between two face phases
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,79 @@ def _label_products(k, y) -> np.ndarray:
     return q
 
 
+def _check_ascent(alphas, q, last_obj, iterations) -> float:
+    """The objective at ``alphas``, asserted not to have decreased."""
+    obj = _objective(alphas, q)
+    if obj < last_obj - 1e-9 * max(1.0, abs(last_obj)):
+        raise AssertionError(
+            f"dual objective decreased: {last_obj} -> {obj} at iteration {iterations}"
+        )
+    return obj
+
+
+def _masks(alphas, y, c):
+    """0 where alpha may still move up (resp. down) in the +y direction,
+    -inf (resp. +inf) elsewhere."""
+    up = ((y > 0) & (alphas < c)) | ((y < 0) & (alphas > 0))
+    low = ((y > 0) & (alphas > 0)) | ((y < 0) & (alphas < c))
+    return np.where(up, 0.0, -np.inf), np.where(low, 0.0, np.inf)
+
+
+def _face_phase(k, y, c, alphas, values, budget) -> int:
+    """Active-set ascent on the face of the free samples, in place on alphas.
+
+    F = {0 < alpha_i < C} moves by the step d that maximizes the objective
+    with every other alpha fixed: the KKT system
+    [Q_FF y_F; y_F^T 0][d; b] = [y_F * values_F; -y.alpha], whose right-hand
+    side is the gradient on F (and the balance residual), so no |F| x |B|
+    block of K is read.  alpha_F goes along d until the first coordinate
+    reaches its bound; that coordinate is pinned there and the smaller face
+    solved again (an active-set method; Scheinberg, JMLR 2006).  The phase
+    ends once the face optimum lies inside the box, or before a step that
+    would not raise the objective.  A face larger than the Gram's rank + 1
+    is singular; its solve gives a long step along a near-null direction,
+    kept only if it ascends.  Each solve counts as one pivot, at most
+    ``budget``; returns the pivots taken.  Temporaries are O(|F|^2).
+    """
+    free = np.flatnonzero((alphas > 0.0) & (alphas < c))
+    grad = y[free] * values[free]
+    buf = np.empty((free.size + 1) ** 2)  # every face's system fits; F shrinks
+    pivots = 0
+    while free.size and pivots < budget:
+        m = free.size
+        yf = y[free]
+        kkt = buf[: (m + 1) ** 2].reshape(m + 1, m + 1)
+        q = kkt[:m, :m]
+        for r, i in enumerate(free):  # Q_FF a row at a time, no second copy
+            np.multiply(k[i, free], y[i] * yf, out=q[r])
+        kkt[m, :m] = kkt[:m, m] = yf
+        kkt[m, m] = 0.0
+        pivots += 1
+        try:
+            d = np.linalg.solve(kkt, np.append(grad, -float(y @ alphas)))[:m]
+        except np.linalg.LinAlgError:
+            break
+        qd = q @ d
+        af = alphas[free]
+        with np.errstate(divide="ignore"):
+            room = np.where(d > 0, c - af, -af) / d  # step to the bound d heads for
+        room[d == 0.0] = np.inf
+        t = min(1.0, float(room.min()))
+        if not t * float(grad @ d) - 0.5 * t * t * float(d @ qd) > 0.0:
+            break  # rejected: it would not raise the objective
+        af += t * d
+        np.clip(af, 0.0, c, out=af)
+        hit = room <= t
+        af[hit] = np.where(d[hit] > 0, c, 0.0)
+        alphas[free] = af
+        if t >= 1.0:
+            break
+        grad -= t * qd
+        keep = (af > 0.0) & (af < c)
+        free, grad = free[keep], grad[keep]
+    return pivots
+
+
 def solve_dual(
     p: DualProblem,
     tol: float = 1e-3,
@@ -125,10 +202,15 @@ def solve_dual(
     Each iteration picks i as the maximal-violation index among samples
     whose alpha can still grow in the +y direction, picks j by the largest
     second-order gain among those that can shrink, and solves the
-    two-variable subproblem in closed form.  Stops when the violation gap
+    two-variable subproblem in closed form (Fan, Chen & Lin, JMLR 2005).
+    Every ``FACE_EVERY`` such iterations a face phase (``_face_phase``)
+    solves for the optimum over all free alphas at once, pinning the ones
+    that reach a bound, and the loop resumes from there; each of its linear
+    solves counts as one iteration.  Stops only when the violation gap
     drops to ``tol``; the dual objective never decreases.  ``max_iter``
-    defaults to 2000 times the problem size; hitting it returns the current
-    iterate with ``converged=False``.
+    defaults to 2000 times the problem size and bounds SMO iterations and
+    face pivots together; hitting it returns the current iterate with
+    ``converged=False``.
 
     The loop's state is ``values`` = y - G (G_i the margin sums), moved by
     ``step * K[:, j] - step * K[:, i]``.  Since y is +-1 and negation
@@ -137,7 +219,8 @@ def solve_dual(
     move up or down is kept as 0/inf masks, updated at the two indices that
     changed; the second-order denominators max(K_ii + K_jj - 2 K_ij, 1e-12)
     come from a table built once per solve; the box bookkeeping runs on
-    Python floats.
+    Python floats.  A face phase rebuilds ``values`` and the masks from
+    alpha.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -150,18 +233,16 @@ def solve_dual(
     cols = k.T  # the update reads columns; a Gram may be asymmetric by 1e-10
     quad = _pair_curvatures(k)
 
-    signs = y.tolist()
+    signs = [1.0 if v > 0 else -1.0 for v in y]  # two float objects, not n
     alphas = [0.0] * n
     values = y.copy()  # y_i - G_i, and G = 0 at alpha = 0
-    # 0 where alpha may still move up (resp. down) in the +y direction,
-    # -inf (resp. +inf) elsewhere; at alpha = 0 that is y > 0 (resp. y < 0)
-    up = np.where(y > 0, 0.0, -np.inf)
-    low = np.where(y > 0, np.inf, 0.0)
+    up, low = _masks(np.zeros(n), y, c)
     if debug:
         q = _label_products(k, y)
         last_obj = _objective(np.array(alphas), q)
 
     iterations = 0
+    smo_steps = 0  # since the last face phase
     converged = False
     while iterations < max_iter:
         up_vals = values + up
@@ -171,6 +252,21 @@ def solve_dual(
         if gap_hi - float(low_vals.min()) <= tol:
             converged = True
             break
+
+        if smo_steps == FACE_EVERY:
+            smo_steps = 0
+            # hold no loop vectors next to the face system, which may be large
+            del up_vals, low_vals, diff, gain
+            a = np.array(alphas)
+            pivots = _face_phase(k, y, c, a, values, max_iter - iterations)
+            if pivots:
+                iterations += pivots
+                alphas = a.tolist()
+                values = y - k @ (a * y)
+                up, low = _masks(a, y, c)
+                if debug:
+                    last_obj = _check_ascent(a, q, last_obj, iterations)
+            continue
 
         # second-order selection of the partner index
         diff = gap_hi - low_vals
@@ -199,14 +295,10 @@ def solve_dual(
             low[t] = 0.0 if (at > 0 if yt > 0 else at < c) else np.inf
         values += step * cols[j] - step * cols[i]
         iterations += 1
+        smo_steps += 1
 
         if debug:
-            obj = _objective(np.array(alphas), q)
-            if obj < last_obj - 1e-9 * max(1.0, abs(last_obj)):
-                raise AssertionError(
-                    f"dual objective decreased: {last_obj} -> {obj} at iteration {iterations}"
-                )
-            last_obj = obj
+            last_obj = _check_ascent(np.array(alphas), q, last_obj, iterations)
 
     if not converged:
         logger.warning("SMO stopped at max_iter=%d without converging", max_iter)

@@ -186,19 +186,6 @@ def unfold(t: DenseTensor, k: int) -> np.ndarray:
     return t.values.reshape(rows, -1, order="F")
 
 
-def fold(mat: np.ndarray, dims, k: int) -> DenseTensor:
-    """Inverse of :func:`unfold` for the same dims and split position."""
-    dims = tuple(int(n) for n in dims)
-    mat = np.asarray(mat, dtype=np.float64)
-    if not 1 <= k <= len(dims) - 1:
-        raise ValueError(f"split position k={k} out of range for dims {dims}")
-    rows = math.prod(dims[:k])
-    cols = math.prod(dims[k:])
-    if mat.shape != (rows, cols):
-        raise ValueError(f"matrix shape {mat.shape} does not match dims {dims} at k={k}")
-    return DenseTensor(mat.reshape(dims, order="F"))
-
-
 def _pick_rank(s: np.ndarray, delta: float | None, cap: int | None) -> int:
     """Smallest rank meeting the truncation budget, clamped to cap."""
     r_full = len(s)
@@ -334,33 +321,6 @@ def stack_and_decompose(samples, cfg: TtSvdConfig) -> list[TensorTrain]:
         first = np.einsum("r,ris->is", lead[0, i, :], head)[None, :, :]
         out.append(TensorTrain((first,) + tail))
     return out
-
-
-def conform_interior_ranks(tt: TensorTrain, interior) -> TensorTrain:
-    """Zero-pad cores so the train's interior ranks match a target chain.
-
-    Padding slices are zero, so the represented tensor is unchanged.  Used
-    when a single sample's achievable ranks fall short of a chain fixed at
-    training time.  Shrinking is not supported.
-    """
-    target = tuple(int(r) for r in interior)
-    if len(target) != tt.order - 1:
-        raise ValueError(
-            f"target has {len(target)} interior ranks; order-{tt.order} train needs {tt.order - 1}"
-        )
-    current = tt.interior_ranks
-    if current == target:
-        return tt
-    if any(c > t for c, t in zip(current, target)):
-        raise ValueError(f"cannot shrink ranks {current} to {target}")
-    full = (1,) + target + (1,)
-    cores = []
-    for k, core in enumerate(tt.cores):
-        rk, ik, rk1 = core.shape
-        padded = np.zeros((full[k], ik, full[k + 1]))
-        padded[:rk, :, :rk1] = core
-        cores.append(padded)
-    return TensorTrain(tuple(cores))
 
 
 def random_tensor_train(dims, interior_ranks, rng) -> TensorTrain:

@@ -350,6 +350,34 @@ class TestGridCommand:
         assert code == 2 and "pair" in err
 
 
+class TestTrainingKinds:
+    """``--kinds`` of train, grid and rank-sweep: bare kind names, any case."""
+
+    COMMANDS = ["train", "grid", "rank-sweep"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_names_are_case_insensitive(self, data_dir, capsys, command):
+        outputs = []
+        for kinds in ("RBF,rbf,Rbf", "rbf,rbf,rbf"):
+            code, out, err = run(capsys, command, "--config", data_dir / "run.ini",
+                                 "--pair", "0,1", "--ranks", "2", "--kinds", kinds)
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("kinds", [
+        "rbf:sigma=2,rbf,rbf",  # the grid sets sigma
+        "rbf,gauss,rbf",
+        "poly:degree=3,linear,rbf",
+    ])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_kinds_are_usage_errors(self, data_dir, capsys, command, kinds):
+        code, _, err = run(capsys, command, "--config", data_dir / "run.ini",
+                           "--pair", "0,1", "--ranks", "2", "--kinds", kinds)
+        assert code == 2 and err.startswith("error:usage:")
+        assert "--kinds" in err
+
+
 class TestRankSweepCommand:
     def test_csv_table(self, data_dir, capsys):
         out_path = data_dir / "sweep.csv"

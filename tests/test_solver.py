@@ -1,14 +1,22 @@
 """Dual QP solvers: SMO, the projected-gradient oracle, and KKT checks."""
 
+import importlib.util
 import tracemalloc
+from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from ttkm import solver
 from ttkm.errors import CapacityError
-from ttkm.kernels import GramMatrix, KernelSpec, LinearKernel
+from ttkm.kernels import GramMatrix, KernelSpec, LinearKernel, build_gram
 from ttkm.solver import (
     BRUTE_FORCE_MAX_SIZE,
+    FACE_EVERY,
     DualProblem,
     DualSolution,
     _bias,
@@ -19,6 +27,7 @@ from ttkm.solver import (
     predict_labels,
     solve_dual,
 )
+from ttkm.tensor import DenseTensor, TtSvdConfig, stack_and_decompose
 
 LIN1 = KernelSpec.uniform(LinearKernel(), 1)
 
@@ -151,9 +160,13 @@ def bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
-def assert_same_trajectory(p, **kwargs):
+def assert_same_trajectory(p, face_every=None, **kwargs):
+    """solve_dual with FACE_EVERY = ``face_every`` (None: no face step)
+    against the reference loop."""
     want = reference_solve_dual(p, **kwargs)
-    got = solve_dual(p, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "FACE_EVERY", face_every)
+        got = solve_dual(p, **kwargs)
     assert got.iterations == want.iterations
     assert got.converged == want.converged
     assert np.array_equal(got.alphas, want.alphas)
@@ -253,7 +266,8 @@ class TestSolveDual:
 
 
 class TestSolveDualTrajectory:
-    """solve_dual walks the reference loop's path exactly, iteration by iteration."""
+    """With the face step off, solve_dual walks the reference loop's path
+    exactly, iteration by iteration."""
 
     @pytest.mark.parametrize("pos_frac", [0.5, 0.2], ids=["balanced", "skewed"])
     @pytest.mark.parametrize("c", [0.1, 1.0, 10.0, 1000.0])
@@ -278,6 +292,14 @@ class TestSolveDualTrajectory:
     @pytest.mark.parametrize("max_iter", [0, 1, 2, 50])
     def test_truncated_solve(self, max_iter):
         s = assert_same_trajectory(rbf_problem(151, 60, 1000.0, 0.5), max_iter=max_iter)
+        assert not s.converged and s.iterations == max_iter
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, FACE_EVERY])
+    def test_truncated_solve_with_face_step(self, max_iter):
+        # no face phase starts before FACE_EVERY SMO iterations
+        s = assert_same_trajectory(
+            rbf_problem(151, 60, 1000.0, 0.5), face_every=FACE_EVERY, max_iter=max_iter
+        )
         assert not s.converged and s.iterations == max_iter
 
     def test_debug_mode(self):
@@ -306,6 +328,111 @@ class TestSolveDualTrajectory:
             tracemalloc.stop()
         assert s.converged
         assert peak <= 1_409_544
+
+
+@st.composite
+def small_problems(draw):
+    """Random PSD Grams of n <= 12 (a ridge keeps the oracle quick), both
+    classes present, C from 0.1 to 1000."""
+    n = draw(st.integers(2, BRUTE_FORCE_MAX_SIZE))
+    rank = draw(st.integers(1, n))
+    f = draw(arrays(np.float64, (n, rank), elements=st.floats(-1.0, 1.0)))
+    ridge = draw(st.floats(0.01, 1.0))
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    if not (np.any(y > 0) and np.any(y < 0)):
+        y[:2] = (1.0, -1.0)
+    c = draw(st.floats(0.1, 1000.0))
+    return labelled_problem(f @ f.T / rank + ridge * np.eye(n), y, c)
+
+
+class TestSolveDualProperties:
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=timedelta(seconds=10))
+    @given(small_problems(), st.sampled_from([1, 2, 5, FACE_EVERY]))
+    def test_converges_to_the_oracle_optimum(self, p, face_every):
+        # small FACE_EVERY runs the face step on problems this small
+        tol = 1e-6
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "FACE_EVERY", face_every)
+            s = solve_dual(p, tol=tol, debug=True)
+        assert s.converged
+        check_feasible(p, s)
+        assert kkt_report(p, s, tol).max_violation <= tol
+        o = brute_force_dual(p)
+        assert abs(s.objective - o.objective) <= 1e-5 * max(1.0, abs(o.objective))
+
+
+def benchmark_corpus_gram(spec, rank):
+    """Gram of the benchmark's fixed training corpus (30 + 30 samples of
+    4x7x4x7), decomposed jointly with its validation split at ``rank`` and
+    normalised, as ``train_binary`` does; and the +-1 labels."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+    loader = importlib.util.spec_from_file_location("perfbench_synth", path)
+    synth = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(synth)
+    corpus = np.random.default_rng(0)
+    train, labels = synth.split(corpus, 30)
+    validation, _ = synth.split(corpus, 20)
+    samples = [DenseTensor(x / np.linalg.norm(x)) for x in np.concatenate([train, validation])]
+    tts = stack_and_decompose(samples, TtSvdConfig(max_ranks=(rank,) * 3))
+    gram = build_gram(tts[: len(train)], spec).values
+    return gram, np.where(labels == synth.CLASSES[1], 1.0, -1.0)
+
+
+class TestFaceStep:
+    """The face step on the problems where two-coordinate SMO crawls."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_hard_margin_rbf_takes_a_fifth_of_the_iterations(self, seed):
+        p = rbf_problem(seed, 60, 1000.0, 0.5)
+        smo_only = reference_solve_dual(p)
+        s = solve_dual(p)
+        assert smo_only.converged and s.converged
+        assert 5 * s.iterations <= smo_only.iterations
+        assert kkt_report(p, s, 1e-3).max_violation <= 1e-3
+        assert s.objective >= smo_only.objective - 1e-3
+
+    def test_rank_deficient_linear_sum_still_converges(self):
+        # rank 5 all-linear sum: a Gram of numerical rank 5 on 60 samples,
+        # so faces of more than six free samples are singular.  The face
+        # step has no null-space step for them yet; on some random draws of
+        # such Grams it costs iterations instead of saving them.
+        gram, y = benchmark_corpus_gram(KernelSpec.uniform(LinearKernel(), 4, "sum"), 5)
+        p = labelled_problem(gram, y, 100.0)
+        smo_only = reference_solve_dual(p)
+        s = solve_dual(p)
+        assert smo_only.converged and s.converged
+        assert s.iterations <= smo_only.iterations
+        assert kkt_report(p, s, 1e-3).max_violation <= 1e-3
+
+    def test_face_pivots_count_as_iterations(self, monkeypatch):
+        # each phase's budget is max_iter less the SMO steps and pivots so far
+        calls = []
+        face_phase = solver._face_phase
+
+        def spy(k, y, c, alphas, values, budget):
+            pivots = face_phase(k, y, c, alphas, values, budget)
+            calls.append((budget, pivots))
+            return pivots
+
+        monkeypatch.setattr(solver, "_face_phase", spy)
+        s = solve_dual(rbf_problem(0, 60, 1000.0, 0.5), max_iter=10_000)
+        assert s.converged and len(calls) >= 2
+        assert calls[0][0] == 10_000 - FACE_EVERY
+        for (budget, pivots), (next_budget, _) in zip(calls, calls[1:]):
+            assert 1 <= pivots <= budget
+            assert next_budget == budget - pivots - FACE_EVERY
+
+    def test_debug_checks_the_face_phases(self, monkeypatch):
+        def lowering_phase(k, y, c, alphas, values, budget):
+            alphas[:] = 0.0  # feasible, and the objective drops to 0
+            return 1
+
+        monkeypatch.setattr(solver, "_face_phase", lowering_phase)
+        p = rbf_problem(3, 60, 1000.0, 0.5)
+        assert not solve_dual(p, max_iter=3 * FACE_EVERY).converged  # unchecked
+        with pytest.raises(AssertionError, match="objective decreased"):
+            solve_dual(p, debug=True)
 
 
 class TestBruteForce:

@@ -9,8 +9,6 @@ from ttkm.tensor import (
     DenseTensor,
     TensorTrain,
     TtSvdConfig,
-    conform_interior_ranks,
-    fold,
     random_tensor_train,
     reconstruct,
     stack_and_decompose,
@@ -78,8 +76,9 @@ class TestUnfold:
         t = DenseTensor(np.arange(24, dtype=float).reshape(2, 3, 4))
         m = unfold(t, 2)
         assert m.shape == (6, 4)
-        back = fold(m, (2, 3, 4), 2)
-        np.testing.assert_array_equal(back.values, t.values)
+        # entry (i, j, k) sits at row i + 2 j, column k
+        i, j, k = np.meshgrid(range(2), range(3), range(4), indexing="ij")
+        np.testing.assert_array_equal(m[i + 2 * j, k], t.values)
 
     def test_index_arithmetic_oracle(self):
         # row/column positions must follow first-index-fastest linearization
@@ -93,15 +92,14 @@ class TestUnfold:
                     assert m1[i, j + 4 * k] == t.values[i, j, k]
                     assert m2[i + 3 * j, k] == t.values[i, j, k]
 
-    def test_fold_then_unfold_other_split_preserves_entries(self):
+    def test_unfoldings_at_every_split_share_one_linearization(self):
+        # entry (i, j, k) is element i + 3 j + 9 k of every unfolding,
+        # read first-index-fastest
         rng = np.random.default_rng(12)
         t = DenseTensor(rng.standard_normal((3, 3, 3)))
-        back = fold(unfold(t, 1), t.dims, 1)
-        m2 = unfold(back, 2)
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    assert m2[i + 3 * j, k] == t.values[i, j, k]
+        flat = np.array([t.values[i, j, k] for k in range(3) for j in range(3) for i in range(3)])
+        for k in (1, 2):
+            np.testing.assert_array_equal(unfold(t, k).ravel(order="F"), flat)
 
     def test_split_out_of_range(self):
         t = DenseTensor(np.zeros((2, 2)))
@@ -382,28 +380,6 @@ class TestStackAndDecompose:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             stack_and_decompose([], TtSvdConfig.fixed((2,)))
-
-
-class TestConformInteriorRanks:
-    def test_padding_preserves_reconstruction(self):
-        rng = np.random.default_rng(81)
-        tt = random_tensor_train((3, 4, 3), (2, 2), rng)
-        padded = conform_interior_ranks(tt, (4, 5))
-        assert padded.interior_ranks == (4, 5)
-        np.testing.assert_allclose(
-            reconstruct(padded).values, reconstruct(tt).values, atol=1e-14
-        )
-
-    def test_noop_when_already_matching(self):
-        rng = np.random.default_rng(82)
-        tt = random_tensor_train((3, 3), (2,), rng)
-        assert conform_interior_ranks(tt, (2,)) is tt
-
-    def test_shrinking_rejected(self):
-        rng = np.random.default_rng(83)
-        tt = random_tensor_train((3, 3), (3,), rng)
-        with pytest.raises(ValueError):
-            conform_interior_ranks(tt, (2,))
 
 
 class TestRandomizedInvariants:
