@@ -15,7 +15,9 @@ any reshape with the same element count preserves the flat sequence.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -32,7 +34,7 @@ def _read_file(path) -> bytes:
     try:
         with opener(path, "rb") as fh:
             return fh.read()
-    except (gzip.BadGzipFile, EOFError, OSError) as exc:
+    except (gzip.BadGzipFile, EOFError, OSError, zlib.error) as exc:
         if isinstance(exc, FileNotFoundError):
             raise
         raise DataFormatError(f"{path}: cannot read ({exc})") from exc
@@ -55,7 +57,7 @@ def _parse_header(data: bytes, path, expected_ndim: int):
         raise DataFormatError(f"{path}: truncated dimension list")
     dims = struct.unpack(f">{ndim}I", data[4:header_len])
     payload = data[header_len:]
-    expected = int(np.prod(dims))
+    expected = math.prod(dims)
     if len(payload) != expected:
         raise DataFormatError(
             f"{path}: payload of {len(payload)} bytes does not match dims {dims} "
@@ -71,14 +73,16 @@ def load_idx_images(path, reshape=None) -> list[DenseTensor]:
     columns); its product must equal the image size in bytes.
     """
     dims, payload = _parse_header(_read_file(path), path, IMAGE_NDIM)
-    count, rows, cols = (int(n) for n in dims)
+    if 0 in dims:
+        raise DataFormatError(f"{path}: zero-length dimension in image dims {dims}")
+    count, rows, cols = dims
     pixels = rows * cols
     if reshape is None:
         reshape = (rows, cols)
     reshape = tuple(int(n) for n in reshape)
-    if int(np.prod(reshape)) != pixels:
+    if math.prod(reshape) != pixels:
         raise ValueError(
-            f"reshape {reshape} has {int(np.prod(reshape))} entries, "
+            f"reshape {reshape} has {math.prod(reshape)} entries, "
             f"images have {pixels}"
         )
     flat = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0

@@ -5,10 +5,13 @@ that samples are decomposed jointly: for every candidate rank setting, the
 train and validation samples are stacked and decomposed together so all
 trains share one rank chain (a requirement for a PSD Gram matrix), then a
 grid over (C, sigma) is scanned on the validation split, and the winning
-combination is refit.  Prediction decomposes each incoming sample at the
-model's rank chain by keeping the support vectors' shared trailing cores
-and fitting a fresh first core by least squares, which keeps new samples
-in the same core representation the kernel values were trained on.
+combination is refit.  The samples are stacked once per training, and the
+rank settings and the refit share that stack's split SVDs, so each split
+is decomposed once per distinct prefix of earlier ranks.  Prediction
+decomposes each incoming sample at the model's rank chain by keeping the
+support vectors' shared trailing cores and fitting a fresh first core by
+least squares, which keeps new samples in the same core representation
+the kernel values were trained on.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .solver import (
 )
 from .tensor import (
     DenseTensor,
+    StackedSamples,
     TensorTrain,
     TtSvdConfig,
     interior_rank_chain,
@@ -368,6 +372,14 @@ def train_binary(
     toward smaller ranks, then smaller C, then smaller sigma.  The winner
     is refit along the identical deterministic path and returned with the
     full scan attached under ``info["grid"]``.
+
+    The train and validation samples are stacked once, in one
+    ``StackedSamples``, and every scan decomposes that holder.  Its cache
+    keeps each split's SVD under the ranks kept at the earlier splits: the
+    sample-mode split and the next are computed once for all rank
+    settings, each setting adds only the splits its ranks reach first, and
+    the refit takes no SVD.  The holder, and with it the cache, is freed
+    when training returns.
     """
     train_s, train_y = ds.subset("train")
     val_s, val_y = ds.subset("validation")
@@ -393,10 +405,12 @@ def train_binary(
     y_train = _signed_labels(train_y, pos_class)
     y_val = _signed_labels(val_y, pos_class)
     n_train = len(train_s)
+    # every scan, the refit included, reads the split SVDs of this one stack
+    stack = StackedSamples(train_s + val_s)
 
     def scan(ranks, sigmas, c_values):
         """Decompose at ``ranks``, then solve and score each (sigma, C)."""
-        tts = stack_and_decompose(train_s + val_s, TtSvdConfig(max_ranks=ranks))
+        tts = stack_and_decompose(stack, TtSvdConfig(max_ranks=ranks))
         tr_tts, va_tts = tts[:n_train], tts[n_train:]
         for sigma in sigmas:
             spec = grid.make_spec(sigma)

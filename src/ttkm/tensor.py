@@ -206,6 +206,77 @@ def _zero_tt(dims) -> TensorTrain:
     return TensorTrain(tuple(np.zeros((1, n, 1)) for n in dims))
 
 
+class _Splits:
+    """The SVDs of one tensor's TT-SVD splits, each computed at most once.
+
+    TT-SVD sweeps left to right, so the SVD at split k depends only on the
+    ranks kept at splits 1..k-1.  That rank prefix is the key of its
+    ``(u, s, vt)`` here, and every sweep that reaches split k with the same
+    prefix reads the same SVD.  The tensor itself is read by the first
+    split only, so it is dropped once a split has been taken.  The cached
+    arrays are read-only: the cores a sweep returns are views of ``u``.
+    """
+
+    def __init__(self, t: DenseTensor):
+        self.dims = t.dims
+        self.size = t.size
+        self.norm = t.norm()
+        self.values = t.values
+        self.svds: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+
+
+def _sweep(splits: _Splits, cfg: TtSvdConfig) -> TensorTrain:
+    """TT-SVD of the tensor behind ``splits``, reading each split's SVD
+    from its cache and adding the ones it lacks."""
+    dims = splits.dims
+    d = len(dims)
+    if cfg.max_ranks is not None and len(cfg.max_ranks) != d - 1:
+        raise ValueError(
+            f"max_ranks has {len(cfg.max_ranks)} entries; order-{d} tensor needs {d - 1}"
+        )
+    if splits.norm == 0.0:
+        return _zero_tt(dims)
+    if d == 1:
+        return TensorTrain((splits.values.reshape(1, dims[0], 1),))
+
+    delta = None
+    if cfg.rel_tol is not None:
+        delta = cfg.rel_tol * splits.norm / math.sqrt(d - 1)
+
+    cores = []
+    kept = ()  # the ranks kept so far: the key of the next split
+    r_prev = 1
+    for k in range(d - 1):
+        svd = splits.svds.get(kept)
+        if svd is None:
+            if k == 0:
+                # a view, not a copy, of a Fortran-ordered tensor, as
+                # StackedSamples lays out its stack
+                mat = splits.values.reshape(dims[0], -1, order="F")
+            else:
+                mat = (vt[:r_prev] * s[:r_prev, None]).reshape(
+                    r_prev * dims[k], -1, order="F")
+            svd = np.linalg.svd(mat, full_matrices=False)
+            del mat
+            for a in svd:
+                a.flags.writeable = False
+            splits.svds[kept] = svd
+            splits.values = None
+        u, s, vt = svd
+        cap = cfg.max_ranks[k] if cfg.max_ranks is not None else None
+        r = _pick_rank(s, delta, cap)
+        if cap is not None and cap > len(s):
+            logger.debug(
+                "tt_svd: requested rank %d at split %d clamped to achievable %d",
+                cap, k + 1, len(s),
+            )
+        cores.append(u[:, :r].reshape(r_prev, dims[k], r, order="F"))
+        kept += (r,)
+        r_prev = r
+    cores.append((vt[:r_prev] * s[:r_prev, None]).reshape(r_prev, dims[-1], 1, order="F"))
+    return TensorTrain(tuple(cores))
+
+
 def tt_svd(t: DenseTensor, cfg: TtSvdConfig) -> TensorTrain:
     """Decompose a dense tensor into TT format by sequential truncated SVD.
 
@@ -215,47 +286,12 @@ def tt_svd(t: DenseTensor, cfg: TtSvdConfig) -> TensorTrain:
     mode each interior rank is ``min(requested, achievable)`` where the
     achievable rank is the smaller dimension of the unfolding being split;
     clamping is logged.  A zero tensor returns an all-zero rank-1 train.
+
+    This is the one TT-SVD sweep, run with a fresh cache of split SVDs, so
+    nothing is shared with other calls.  ``stack_and_decompose`` runs the
+    same sweep on a cache that a ``StackedSamples`` keeps between calls.
     """
-    dims = t.dims
-    d = len(dims)
-    if cfg.max_ranks is not None and len(cfg.max_ranks) != d - 1:
-        raise ValueError(
-            f"max_ranks has {len(cfg.max_ranks)} entries; order-{d} tensor needs {d - 1}"
-        )
-    nrm = t.norm()
-    if nrm == 0.0:
-        return _zero_tt(dims)
-    if d == 1:
-        return TensorTrain((t.values.reshape(1, dims[0], 1),))
-
-    delta = None
-    if cfg.rel_tol is not None:
-        delta = cfg.rel_tol * nrm / math.sqrt(d - 1)
-
-    cores = []
-    c = t.values
-    r_prev = 1
-    for k in range(d - 1):
-        # a view, not a copy, when c is Fortran-ordered, as stack_and_decompose
-        # lays out its input
-        mat = c.reshape(r_prev * dims[k], -1, order="F")
-        del c
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        del mat
-        cap = cfg.max_ranks[k] if cfg.max_ranks is not None else None
-        r = _pick_rank(s, delta, cap)
-        if cap is not None and cap > len(s):
-            logger.debug(
-                "tt_svd: requested rank %d at split %d clamped to achievable %d",
-                cap, k + 1, len(s),
-            )
-        cores.append(u[:, :r].reshape(r_prev, dims[k], r, order="F"))
-        c = vt[:r]
-        c *= s[:r, None]
-        del u, vt
-        r_prev = r
-    cores.append(c.reshape(r_prev, dims[-1], 1, order="F"))
-    return TensorTrain(tuple(cores))
+    return _sweep(_Splits(t), cfg)
 
 
 def reconstruct(tt: TensorTrain) -> DenseTensor:
@@ -284,6 +320,34 @@ def tt_inner_product(a: TensorTrain, b: TensorTrain) -> float:
     return float(v[0, 0])
 
 
+class StackedSamples:
+    """Same-shape samples stacked along a new leading mode, for decomposing
+    them jointly at several rank settings.
+
+    It owns the Fortran-ordered stack and the cache of its TT-SVD split
+    SVDs, keyed by the ranks kept at the earlier splits.  Every
+    ``stack_and_decompose`` of one holder shares that cache, so a split is
+    decomposed once however many rank settings reach it with the same
+    earlier ranks.  The stack is freed after the first split, and the
+    cache lives as long as the holder: drop it to free the SVDs.
+    """
+
+    def __init__(self, samples):
+        samples = list(samples)
+        if not samples:
+            raise ValueError("need at least one sample")
+        dims = samples[0].dims
+        for i, s in enumerate(samples):
+            if s.dims != dims:
+                raise ValueError(f"sample {i} has dims {s.dims}, expected {dims}")
+        self.count = len(samples)
+        # Fortran order makes the first split's unfolding a view of the stack
+        stacked = np.empty((self.count,) + dims, order="F")
+        for i, s in enumerate(samples):
+            stacked[i] = s.values
+        self.splits = _Splits(DenseTensor(stacked))
+
+
 def stack_and_decompose(samples, cfg: TtSvdConfig) -> list[TensorTrain]:
     """Jointly decompose same-shape samples so they share a rank chain.
 
@@ -293,34 +357,22 @@ def stack_and_decompose(samples, cfg: TtSvdConfig) -> list[TensorTrain]:
     identical interior ranks, and their cores for modes 2..d are the same
     arrays (only the first core is sample-specific).  The stacking rank
     itself is never truncated by a fixed-rank config.
+
+    ``samples`` is a ``StackedSamples`` or an iterable of ``DenseTensor``,
+    which gets a fresh holder.  Calls on one holder share its split SVDs:
+    under fixed ranks the first split (the sample mode) and the second are
+    the same SVDs for every rank setting, and a repeated setting takes no
+    SVD at all.  The result is the same, bit for bit, either way.
     """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one sample")
-    dims = samples[0].dims
-    for i, s in enumerate(samples):
-        if s.dims != dims:
-            raise ValueError(f"sample {i} has dims {s.dims}, expected {dims}")
-    m = len(samples)
-    # Fortran order makes tt_svd's first unfolding a view of this array
-    stacked = np.empty((m,) + dims, order="F")
-    for i, s in enumerate(samples):
-        stacked[i] = s.values
+    stack = samples if isinstance(samples, StackedSamples) else StackedSamples(samples)
     if cfg.max_ranks is not None:
-        inner = TtSvdConfig(max_ranks=(stacked.size,) + cfg.max_ranks,
-                            rel_tol=cfg.rel_tol)
-    else:
-        inner = cfg
-    joint = tt_svd(DenseTensor(stacked), inner)
-    del stacked
+        cfg = TtSvdConfig(max_ranks=(stack.splits.size,) + cfg.max_ranks,
+                          rel_tol=cfg.rel_tol)
+    joint = _sweep(stack.splits, cfg)
     lead = joint.cores[0]  # (1, M, R)
-    head = joint.cores[1]
     tail = joint.cores[2:]
-    out = []
-    for i in range(m):
-        first = np.einsum("r,ris->is", lead[0, i, :], head)[None, :, :]
-        out.append(TensorTrain((first,) + tail))
-    return out
+    first = np.einsum("mr,ris->mis", lead[0], joint.cores[1])
+    return [TensorTrain((first[i:i + 1],) + tail) for i in range(stack.count)]
 
 
 def random_tensor_train(dims, interior_ranks, rng) -> TensorTrain:

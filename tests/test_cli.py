@@ -1,7 +1,11 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,6 +429,22 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "tt-svd" in capsys.readouterr().out
+
+    def test_python_dash_m_runs_from_a_checkout(self, data_dir):
+        # src/ on the path, nothing installed: the exit code and output of main
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        ok = subprocess.run([sys.executable, "-m", "ttkm", "tt-svd", "--input",
+                             str(data_dir / "one.ttn"), "--eps", "1e-8"],
+                            capture_output=True, text=True, env=env, timeout=120)
+        assert ok.returncode == 0, ok.stderr
+        assert json.loads(ok.stdout)["interior_ranks"] == [1, 1]
+        missing = subprocess.run([sys.executable, "-m", "ttkm", "tt-svd", "--input",
+                                  str(data_dir / "nope.ttn"), "--eps", "1e-8"],
+                                 capture_output=True, text=True, env=env, timeout=120)
+        assert missing.returncode == 4
+        assert missing.stderr.startswith("error:missing-input:")
 
     def test_stderr_is_machine_parseable(self, data_dir, capsys):
         code, _, err = run(capsys, "tt-svd", "--input", data_dir / "nope.ttn",

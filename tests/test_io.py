@@ -272,6 +272,39 @@ class TestIdx:
         with pytest.raises(DataFormatError):
             load_idx_images(path)
 
+    @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2**31, 2**31, 2**31)])
+    def test_header_product_overflowing_int64_is_format_error(self, tmp_path, dims):
+        # the payload size 2^64 (or 2^93) wrapped to 0 in int64 and matched
+        # the empty payload
+        path = tmp_path / "im.idx"
+        path.write_bytes(idx_images_bytes(*dims, b""))
+        with pytest.raises(DataFormatError, match="payload"):
+            load_idx_images(path)
+
+    @pytest.mark.parametrize("dims", [(2, 0, 3), (2, 3, 0), (0, 2, 3), (0, 0, 0)])
+    def test_zero_image_dimension_is_format_error(self, tmp_path, dims):
+        path = tmp_path / "im.idx"
+        path.write_bytes(idx_images_bytes(*dims, b""))
+        with pytest.raises(DataFormatError, match="zero-length"):
+            load_idx_images(path)
+
+    @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2, 0, 3)])
+    def test_bad_image_header_exits_5(self, tmp_path, capsys, dims):
+        path = tmp_path / "im.idx"
+        path.write_bytes(idx_images_bytes(*dims, b""))
+        assert main(["gram", "--input", str(path), "--kinds", "rbf,rbf",
+                     "--sigma", "1", "--ranks", "2"]) == 5
+        assert capsys.readouterr().err.startswith("error:data-format:")
+
+    def test_corrupt_gzip_stream_is_format_error(self, tmp_path):
+        # a damaged deflate stream raised zlib.error, which is no OSError
+        data = bytearray(gzip.compress(idx_images_bytes(2, 3, 3, range(18)), mtime=0))
+        data[12] ^= 0xFF
+        path = tmp_path / "im.idx.gz"
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="cannot read"):
+            load_idx_images(path)
+
     def test_pair_length_mismatch(self, tmp_path):
         images = tmp_path / "im.idx"
         labels = tmp_path / "lb.idx"

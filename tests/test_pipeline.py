@@ -1,8 +1,12 @@
 """Training pipeline: datasets, grid search, multiclass, metrics, sweeps."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from ttkm import pipeline
 from ttkm.kernels import KernelSpec, LinearKernel, PolynomialKernel, RbfKernel, build_gram
 from ttkm.pipeline import (
     Dataset,
@@ -215,6 +219,34 @@ class TestTrainBinary:
         ]
         assert len(matching) == 1
         assert model.validation_accuracy == matching[0]["validation_accuracy"]
+
+    def test_one_svd_per_new_rank_prefix(self, monkeypatch):
+        # order-4 data at ranks 2 and 4: the sample-mode split and the next
+        # are shared, each rank adds its last two splits, and the refit
+        # reads everything from the cache: 2 + 2 * 2 SVDs (3 * 4 unshared)
+        rng = np.random.default_rng(16)
+        ds = blob_dataset(rng, dims=(3, 3, 4, 4), noise=0.3)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        model = train_binary(ds, small_grid(d=4, ranks=(2, 4), cs=(1.0, 10.0)))
+        assert len(calls) == 6
+        assert len(model.info["grid"]) == 4
+
+    def test_stack_is_dropped_when_training_returns(self, monkeypatch):
+        holders = []
+
+        class Recorded(pipeline.StackedSamples):
+            def __init__(self, samples):
+                super().__init__(samples)
+                holders.append(weakref.ref(self))
+
+        monkeypatch.setattr(pipeline, "StackedSamples", Recorded)
+        rng = np.random.default_rng(17)
+        model = train_binary(blob_dataset(rng), small_grid(ranks=(1, 2)))
+        gc.collect()
+        assert len(holders) == 1 and holders[0]() is None
+        assert model.support
 
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(13)

@@ -1,12 +1,16 @@
 """Tensor train construction, decomposition, and contraction."""
 
+import importlib.util
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ttkm.tensor import (
     DenseTensor,
+    StackedSamples,
     TensorTrain,
     TtSvdConfig,
     random_tensor_train,
@@ -398,3 +402,188 @@ class TestRandomizedInvariants:
             assert tt.ranks[0] == tt.ranks[-1] == 1
             if cfg.rel_tol is not None:
                 assert rel_err(t, tt) <= cfg.rel_tol
+
+
+def reference_tt_svd(t, cfg):
+    """The TT-SVD sweep as it was before split SVDs were shared: it keeps
+    the tensor to the end and scales ``vt`` in place.  The shared sweep
+    must match it bit for bit."""
+    dims, d = t.dims, t.order
+    nrm = t.norm()
+    if nrm == 0.0:
+        return [np.zeros((1, n, 1)) for n in dims]
+    delta = None if cfg.rel_tol is None else cfg.rel_tol * nrm / math.sqrt(d - 1)
+    cores, c, r_prev = [], t.values, 1
+    for k in range(d - 1):
+        u, s, vt = np.linalg.svd(c.reshape(r_prev * dims[k], -1, order="F"),
+                                 full_matrices=False)
+        r = len(s)
+        if delta is not None:
+            tail = np.concatenate([np.cumsum((s * s)[::-1])[::-1], [0.0]])
+            keep = np.nonzero(tail <= delta * delta)[0]
+            r = int(keep[0]) if keep.size else len(s)
+        if cfg.max_ranks is not None:
+            r = min(r, cfg.max_ranks[k])
+        r = max(1, min(r, len(s)))
+        cores.append(u[:, :r].reshape(r_prev, dims[k], r, order="F"))
+        c = vt[:r]
+        c *= s[:r, None]
+        r_prev = r
+    cores.append(c.reshape(r_prev, dims[-1], 1, order="F"))
+    return cores
+
+
+def reference_stack_and_decompose(samples, cfg):
+    """The joint decomposition before split SVDs were shared: a fresh
+    Fortran-ordered stack, ``reference_tt_svd``, and one ``einsum`` per
+    sample for the first cores."""
+    stacked = np.empty((len(samples),) + samples[0].dims, order="F")
+    for i, s in enumerate(samples):
+        stacked[i] = s.values
+    if cfg.max_ranks is not None:
+        cfg = TtSvdConfig(max_ranks=(stacked.size,) + cfg.max_ranks, rel_tol=cfg.rel_tol)
+    joint = reference_tt_svd(DenseTensor(stacked), cfg)
+    out = []
+    for i in range(len(samples)):
+        first = np.einsum("r,ris->is", joint[0][0, i, :], joint[1])[None, :, :]
+        out.append((first,) + tuple(joint[2:]))
+    return out
+
+
+def assert_same_trains(got, want):
+    assert len(got) == len(want)
+    for tt, cores in zip(got, want):
+        cores = cores.cores if isinstance(cores, TensorTrain) else cores
+        assert len(tt.cores) == len(cores)
+        for a, b in zip(tt.cores, cores):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+def benchmark_corpus(train_per_class, val_per_class):
+    """The benchmark's fixed training and validation corpus (4x7x4x7)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+    loader = importlib.util.spec_from_file_location("perfbench_synth", path)
+    synth = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(synth)
+    corpus = np.random.default_rng(0)
+    train, _ = synth.split(corpus, train_per_class)
+    validation, _ = synth.split(corpus, val_per_class)
+    return [DenseTensor(x) for x in np.concatenate([train, validation])]
+
+
+# tracemalloc peak of one plain-list stack_and_decompose of the
+# predict-stream corpus at ranks 4, with the sweep that kept the stack to
+# the end and scaled vt in place (under pytest, numpy 2.4)
+UNSHARED_SWEEP_PEAK_BYTES = 4_398_320
+
+
+SHARED_SWEEP_CONFIGS = (
+    TtSvdConfig.fixed((2, 2, 2)),
+    TtSvdConfig.fixed((4, 4, 4)),
+    TtSvdConfig.fixed((2, 4, 2)),
+    TtSvdConfig.fixed((2, 2, 2)),
+    TtSvdConfig.tolerance(0.3),
+    TtSvdConfig(max_ranks=(3, 2, 2), rel_tol=0.1),
+)
+
+
+class TestSharedSweep:
+    """One ``StackedSamples`` decomposed at many settings gives what a fresh
+    plain-list decomposition gives, bit for bit, from fewer SVDs."""
+
+    def samples(self, seed, m=9, dims=(3, 4, 2, 5)):
+        rng = np.random.default_rng(seed)
+        return [DenseTensor(rng.standard_normal(dims)) for _ in range(m)]
+
+    def test_one_holder_through_many_settings(self):
+        samples = self.samples(81)
+        stack = StackedSamples(samples)
+        for cfg in SHARED_SWEEP_CONFIGS:
+            got = stack_and_decompose(stack, cfg)
+            assert_same_trains(got, stack_and_decompose(samples, cfg))
+            assert_same_trains(got, reference_stack_and_decompose(samples, cfg))
+
+    @pytest.mark.parametrize("case", ["zeros", "one sample", "order 2", "order 1"])
+    def test_edge_cases(self, case):
+        rng = np.random.default_rng(82)
+        if case == "zeros":
+            samples = [DenseTensor(np.zeros((3, 4, 2, 5))) for _ in range(4)]
+        elif case == "one sample":
+            samples = self.samples(83, m=1)
+        elif case == "order 2":
+            samples = [DenseTensor(rng.standard_normal((4, 6))) for _ in range(7)]
+        else:
+            samples = [DenseTensor(rng.standard_normal(5)) for _ in range(3)]
+        d = samples[0].order
+        configs = [TtSvdConfig(max_ranks=(r,) * (d - 1)) for r in (2, 4, 2)]
+        configs += [TtSvdConfig.tolerance(0.3), TtSvdConfig(max_ranks=(3,) * (d - 1),
+                                                            rel_tol=0.1)]
+        stack = StackedSamples(samples)
+        for cfg in configs:
+            got = stack_and_decompose(stack, cfg)
+            assert_same_trains(got, stack_and_decompose(samples, cfg))
+            assert_same_trains(got, reference_stack_and_decompose(samples, cfg))
+
+    def test_tt_svd_matches_the_reference_sweep(self):
+        rng = np.random.default_rng(84)
+        for _ in range(30):
+            d = int(rng.integers(2, 5))
+            dims = tuple(int(n) for n in rng.integers(1, 5, size=d))
+            t = DenseTensor(rng.standard_normal(dims))
+            caps = tuple(int(r) for r in rng.integers(1, 4, size=d - 1))
+            rel_tol = float(rng.choice([0.5, 0.1, 1e-8]))
+            for cfg in (TtSvdConfig(max_ranks=caps), TtSvdConfig(rel_tol=rel_tol),
+                        TtSvdConfig(max_ranks=caps, rel_tol=rel_tol)):
+                assert_same_trains([tt_svd(t, cfg)], [reference_tt_svd(t, cfg)])
+
+    @pytest.mark.parametrize("name, per_class", [("pair-rbf-prod", (30, 20)),
+                                                 ("predict-stream", (60, 40))])
+    def test_benchmark_corpora_match_the_reference(self, name, per_class):
+        samples = benchmark_corpus(*per_class)
+        stack = StackedSamples(samples)
+        for ranks in ((2, 2, 2), (4, 4, 4), (2, 2, 2)):
+            cfg = TtSvdConfig.fixed(ranks)
+            assert_same_trains(stack_and_decompose(stack, cfg),
+                               reference_stack_and_decompose(samples, cfg))
+
+    def test_one_svd_per_new_rank_prefix(self, monkeypatch):
+        samples = self.samples(85)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        stack = StackedSamples(samples)
+        seen = 0
+        # (splits whose rank prefix is new, cfg): the sample-mode split
+        # keeps all 9 ranks, so its prefix is (9,) for every fixed setting
+        for new, cfg in ((4, TtSvdConfig.fixed((2, 2, 2))),
+                         (2, TtSvdConfig.fixed((4, 4, 4))),
+                         (1, TtSvdConfig.fixed((2, 4, 2))),
+                         (0, TtSvdConfig.fixed((2, 2, 2))),
+                         (0, TtSvdConfig.fixed((4, 4, 4)))):
+            stack_and_decompose(stack, cfg)
+            seen += new
+            assert len(calls) == seen
+        stack_and_decompose(samples, TtSvdConfig.fixed((2, 2, 2)))
+        assert len(calls) == seen + 4  # a plain list shares nothing
+
+    def test_cached_svds_are_read_only(self):
+        stack = StackedSamples(self.samples(86))
+        tts = stack_and_decompose(stack, TtSvdConfig.fixed((2, 2, 2)))
+        with pytest.raises(ValueError):
+            tts[0].cores[1][...] = 0.0
+        again = stack_and_decompose(stack, TtSvdConfig.fixed((2, 2, 2)))
+        assert_same_trains(again, [tt.cores for tt in tts])
+
+    def test_peak_memory_not_above_the_unshared_sweep(self):
+        # the cache keeps vt of the first split, but the stack, as large,
+        # is freed once that split is taken
+        samples = benchmark_corpus(60, 40)
+        cfg = TtSvdConfig.fixed((4, 4, 4))
+        tracemalloc.start()
+        try:
+            stack_and_decompose(samples, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= UNSHARED_SWEEP_PEAK_BYTES
