@@ -34,6 +34,7 @@ from .model_store import load_model, save_model
 from .pipeline import (
     Dataset,
     OvoModel,
+    class_labels,
     decision_function,
     draw_dataset,
     evaluate,
@@ -396,10 +397,13 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     reshape = _parse_ints(args.reshape) if args.reshape else model.dims
     samples = load_samples(args.input, reshape=reshape)
-    labels = model.predict(samples)
-    out = {"labels": [int(v) for v in labels], "seed": args.seed}
-    if not isinstance(model, OvoModel):
-        out["decision_values"] = list(decision_function(model, samples))
+    if isinstance(model, OvoModel):
+        out = {"labels": [int(v) for v in model.predict(samples)], "seed": args.seed}
+    else:
+        # one projection and one cross-Gram give both the values and the labels
+        values = decision_function(model, samples)
+        out = {"labels": [int(v) for v in class_labels(model, values)], "seed": args.seed,
+               "decision_values": list(values)}
     emit_json(out, args.output)
     return 0
 

@@ -14,6 +14,9 @@ Sections and keys (all optional unless a command needs them)::
 The scalar keys (train_per_class, val_per_class, seed, poly_c,
 poly_degree, tol, max_iter) take exactly one value; ``seed = 1, 2`` is a
 ConfigError, not seed 1.  An empty value leaves the default in place.
+Numbers must be finite: ``nan`` or ``inf`` anywhere is a ConfigError.
+A file that is not UTF-8 text, or cannot be read, is a ConfigError too;
+a missing file stays a FileNotFoundError.
 
 Sample/label files are dispatched on extension: ``.ttn`` for the binary
 tensor container, ``.json`` for a plain list of labels, anything else is
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +88,12 @@ class RunConfig:
 
 def _floats(text: str, key: str) -> tuple[float, ...]:
     try:
-        return tuple(float(p) for p in text.replace(",", " ").split())
+        values = tuple(float(p) for p in text.replace(",", " ").split())
     except ValueError as exc:
         raise ConfigError(f"{key}: expected comma-separated numbers, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{key}: expected finite numbers, got {text!r}")
+    return values
 
 
 def _ints(text: str, key: str) -> tuple[int, ...]:
@@ -181,11 +188,13 @@ _KEYS = {
 def load_config(path) -> RunConfig:
     """Parse an INI file into a RunConfig; unknown keys are rejected."""
     parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-        except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+    except FileNotFoundError:
+        raise
+    except (configparser.Error, UnicodeDecodeError, OSError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
     for section in parser.sections():
         if section not in _KEYS:

@@ -11,7 +11,9 @@ is decomposed once per distinct prefix of earlier ranks.  Prediction
 decomposes each incoming sample at the model's rank chain by keeping the
 support vectors' shared trailing cores and fitting a fresh first core by
 least squares, which keeps new samples in the same core representation
-the kernel values were trained on.
+the kernel values were trained on.  The samples of one request are fit
+together, one least-squares solve per chunk, and share one array of
+first cores, as the trains of a joint decomposition do.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .kernels import (
+    CHUNK_VALUES,
     KERNEL_KINDS,
     KernelSpec,
     build_gram,
@@ -301,24 +304,51 @@ def _prepare_samples(model: SvmModel, samples) -> list[TensorTrain]:
     same footing as the training Gram matrix; an independent decomposition
     is free to pick different core scales and bases, which the kernel
     registers as a systematic shift.
+
+    The fits share their matrix, so the samples are projected in chunks of
+    about ``CHUNK_VALUES`` values: one ``lstsq`` per chunk, whose
+    right-hand sides are the mode-1 unfoldings of every sample in it.  The
+    first cores land in one ``(n, I_1, R_2)`` array, and each returned
+    train is a view of its row plus the support vectors' tail arrays, as
+    ``stack_and_decompose`` returns them.
     """
+    dims = tuple(model.dims)
     for sample in samples:
-        if sample.dims != tuple(model.dims):
+        if sample.dims != dims:
             raise ValueError(
-                f"sample dims {sample.dims} do not match model dims {model.dims}"
+                f"sample dims {sample.dims} do not match model dims {dims}"
             )
-    prepared = _normalized(samples) if model.normalize else samples
-    if len(model.dims) == 1:
+    if len(dims) == 1:
         # order-1 data has no interior ranks; the single core is the sample
-        return [TensorTrain(cores=(s.values[None, :, None],)) for s in prepared]
-    tail = model.support[0].cores[1:]
-    basis = _tail_basis(tail)
-    tts = []
-    for s in prepared:
-        unfolding = s.values.reshape(model.dims[0], -1, order="F")
-        first = np.linalg.lstsq(basis.T, unfolding.T, rcond=None)[0].T
-        tts.append(TensorTrain(cores=(first[None, :, :],) + tuple(tail)))
-    return tts
+        first = np.empty((len(samples), dims[0], 1))
+        _fill_reversed(first[:, :, 0], samples, model.normalize)
+        return [TensorTrain((first[i:i + 1],)) for i in range(len(samples))]
+    tail = tuple(model.support[0].cores[1:])
+    basis = _tail_basis(tail)  # (R_2, I_2*...*I_d)
+    rank, cols = basis.shape
+    first = np.empty((len(samples), dims[0], rank))
+    step = max(1, CHUNK_VALUES // (dims[0] * cols))
+    for lo in range(0, len(samples), step):
+        chunk = samples[lo:lo + step]
+        # with the modes reversed, the (I_d..I_2) rows of rhs run
+        # first-index-fastest, as the basis columns do: rhs holds the
+        # transposed mode-1 unfoldings of the chunk side by side
+        rhs = np.empty(dims[:0:-1] + (len(chunk), dims[0]))
+        _fill_reversed(rhs, chunk, model.normalize)
+        fit = np.linalg.lstsq(basis.T, rhs.reshape(cols, -1), rcond=None)[0]
+        first[lo:lo + len(chunk)] = fit.reshape(rank, len(chunk), dims[0]).transpose(1, 2, 0)
+    return [TensorTrain((first[i:i + 1],) + tail) for i in range(len(samples))]
+
+
+def _fill_reversed(out: np.ndarray, samples, normalize: bool) -> None:
+    """``out[..., j, :]`` = sample j with its modes reversed, normalised as
+    training normalises it under ``normalize``."""
+    for j, s in enumerate(samples):
+        scale = _norm_scale(s) if normalize else None
+        if scale is None:
+            out[..., j, :] = s.values.T
+        else:
+            np.divide(s.values.T, scale, out=out[..., j, :])
 
 
 def decision_function(model: SvmModel, samples) -> np.ndarray:
@@ -333,21 +363,33 @@ def decision_function(model: SvmModel, samples) -> np.ndarray:
     return decision_values(model.coef, model.bias, rows)
 
 
+def class_labels(model: SvmModel, values) -> np.ndarray:
+    """Class ids of decision values; a value of exactly 0 goes positive."""
+    signs = predict_labels(values)
+    return np.where(signs > 0, model.pos_class, model.neg_class).astype(np.int64)
+
+
 def predict(model: SvmModel, samples) -> np.ndarray:
     """Predicted class ids; a decision value of exactly 0 goes positive."""
-    signs = predict_labels(decision_function(model, samples))
-    return np.where(signs > 0, model.pos_class, model.neg_class).astype(np.int64)
+    return class_labels(model, decision_function(model, samples))
 
 
 def _signed_labels(labels, pos_class) -> np.ndarray:
     return np.where(labels == pos_class, 1.0, -1.0)
 
 
+def _norm_scale(sample: DenseTensor) -> float | None:
+    """What normalisation divides a sample by: its norm, or None for a zero
+    sample, which stays as it is.  Training and prediction both use it."""
+    nrm = sample.norm()
+    return nrm if nrm > 0 else None
+
+
 def _normalized(samples):
     out = []
     for s in samples:
-        nrm = s.norm()
-        out.append(DenseTensor(s.values / nrm) if nrm > 0 else s)
+        scale = _norm_scale(s)
+        out.append(s if scale is None else DenseTensor(s.values / scale))
     return out
 
 

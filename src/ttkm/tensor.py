@@ -213,15 +213,19 @@ class _Splits:
     ranks kept at splits 1..k-1.  That rank prefix is the key of its
     ``(u, s, vt)`` here, and every sweep that reaches split k with the same
     prefix reads the same SVD.  The tensor itself is read by the first
-    split only, so it is dropped once a split has been taken.  The cached
-    arrays are read-only: the cores a sweep returns are views of ``u``.
+    split only, so it is dropped once a split has been taken.  A
+    ``shared`` cache is read by many sweeps, so its arrays are read-only:
+    the cores a sweep returns are views of ``u``.  A private one is read by
+    one sweep, which scales each split's ``vt`` in place into the next
+    split's matrix and then drops that split's SVD.
     """
 
-    def __init__(self, t: DenseTensor):
+    def __init__(self, t: DenseTensor, shared: bool):
         self.dims = t.dims
         self.size = t.size
         self.norm = t.norm()
         self.values = t.values
+        self.shared = shared
         self.svds: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
 
@@ -253,13 +257,21 @@ def _sweep(splits: _Splits, cfg: TtSvdConfig) -> TensorTrain:
                 # a view, not a copy, of a Fortran-ordered tensor, as
                 # StackedSamples lays out its stack
                 mat = splits.values.reshape(dims[0], -1, order="F")
-            else:
+            elif splits.shared:
                 mat = (vt[:r_prev] * s[:r_prev, None]).reshape(
                     r_prev * dims[k], -1, order="F")
+            else:
+                # no later sweep reads the previous split: scale its vt in
+                # place, and free it once the next matrix is formed
+                mat = vt[:r_prev]
+                mat *= s[:r_prev, None]
+                del splits.svds[kept[:-1]], s, vt
+                mat = mat.reshape(r_prev * dims[k], -1, order="F")
             svd = np.linalg.svd(mat, full_matrices=False)
             del mat
-            for a in svd:
-                a.flags.writeable = False
+            if splits.shared:
+                for a in svd:
+                    a.flags.writeable = False
             splits.svds[kept] = svd
             splits.values = None
         u, s, vt = svd
@@ -288,10 +300,11 @@ def tt_svd(t: DenseTensor, cfg: TtSvdConfig) -> TensorTrain:
     clamping is logged.  A zero tensor returns an all-zero rank-1 train.
 
     This is the one TT-SVD sweep, run with a fresh cache of split SVDs, so
-    nothing is shared with other calls.  ``stack_and_decompose`` runs the
-    same sweep on a cache that a ``StackedSamples`` keeps between calls.
+    nothing is shared with other calls, and each split's SVD is freed once
+    the next split is formed.  ``stack_and_decompose`` runs the same sweep
+    on a cache that a ``StackedSamples`` keeps between calls.
     """
-    return _sweep(_Splits(t), cfg)
+    return _sweep(_Splits(t, shared=False), cfg)
 
 
 def reconstruct(tt: TensorTrain) -> DenseTensor:
@@ -345,7 +358,7 @@ class StackedSamples:
         stacked = np.empty((self.count,) + dims, order="F")
         for i, s in enumerate(samples):
             stacked[i] = s.values
-        self.splits = _Splits(DenseTensor(stacked))
+        self.splits = _Splits(DenseTensor(stacked), shared=True)
 
 
 def stack_and_decompose(samples, cfg: TtSvdConfig) -> list[TensorTrain]:

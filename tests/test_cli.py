@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ttkm import pipeline
 from ttkm.cli import _parse_kinds, dump_json, format_float, main
 from ttkm.model_store import load_model
 from ttkm.tensor import DenseTensor
-from ttkm.ttn import write_dataset, write_tensor
+from ttkm.ttn import read_dataset, write_dataset, write_tensor
 
 
 @pytest.fixture
@@ -293,6 +294,33 @@ class TestPredictEvaluateCommands:
         hits = [p == t for p, t in zip(report["labels"], truth) if t in (0, 1)]
         assert np.mean(hits) >= 0.9
         assert len(report["decision_values"]) == len(truth)
+
+    def test_binary_predict_takes_one_cross_gram(self, data_dir, model_path, capsys,
+                                                  monkeypatch):
+        # the labels come from the decision values, not from a second pass
+        calls = []
+        real = pipeline.cross_gram
+        monkeypatch.setattr(pipeline, "cross_gram",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        code, out, _ = run(capsys, "predict", "--model", model_path,
+                           "--input", data_dir / "test.ttn", "--seed", "4")
+        assert code == 0 and len(calls) == 1
+        model = load_model(model_path)
+        samples = read_dataset(data_dir / "test.ttn")
+        want = {"labels": [int(v) for v in pipeline.predict(model, samples)], "seed": 4,
+                "decision_values": list(pipeline.decision_function(model, samples))}
+        assert out == dump_json(want) + "\n"
+
+    def test_ovo_predict_labels(self, data_dir, capsys):
+        path = data_dir / "ovo.ttkm"
+        assert run(capsys, "train", "--config", data_dir / "run.ini",
+                   "--classes", "0,1,2", "--output", path)[0] == 0
+        code, out, _ = run(capsys, "predict", "--model", path, "--input", data_dir / "test.ttn")
+        assert code == 0
+        report = json.loads(out)
+        samples = read_dataset(data_dir / "test.ttn")
+        assert report["labels"] == load_model(path).predict(samples).tolist()
+        assert "decision_values" not in report
 
     def test_evaluate_filters_other_classes(self, data_dir, model_path, capsys):
         code, out, _ = run(capsys, "evaluate", "--model", model_path,

@@ -1,9 +1,12 @@
 """Fuzzed readers: a truncated, bit-flipped or integer-spliced copy of a
 valid ``.ttn``, IDX or ``.ttkm`` file gives a value or DataFormatError,
-within a per-example deadline; nothing else escapes."""
+and a mutated run INI gives a RunConfig or ConfigError, within a
+per-example deadline; nothing else escapes.  A handful of mutated INIs also
+run through ``ttkm train``, which must never exit 1 ("unexpected")."""
 
 import functools
 import gzip
+import json
 import re
 import struct
 import tempfile
@@ -11,10 +14,13 @@ from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttkm.errors import DataFormatError
+from ttkm.cli import main
+from ttkm.config import RunConfig, load_config
+from ttkm.errors import ConfigError, DataFormatError
 from ttkm.idx import load_idx_images, load_idx_labels
 from ttkm.model_store import load_model, save_model
 from ttkm.pipeline import Dataset, GridConfig, train_binary, train_multiclass_ovo
@@ -185,3 +191,149 @@ class TestFuzzedReaders:
     def test_ttkm(self, header, ops, ovo):
         data = mutate(valid_models()[ovo], header, ops, (4, 8), "<I", json_header=True)
         read_or_format_error(load_model, data, ".ttkm")
+
+
+# A valid run INI, with {train} and {labels} for the data paths.  Every key
+# of config._KEYS appears, so each mutation below can reach every parser.
+VALID_INI = """[data]
+train_images = {train}
+train_labels = {labels}
+reshape = 4, 3, 3
+normalize = false
+
+[split]
+train_per_class = 6
+val_per_class = 3
+seed = 1
+
+[grid]
+c_values = 10
+sigma_values = 1
+rank_values = 2
+combine = prod
+
+[kernel]
+mode_kinds = rbf, linear, poly
+poly_c = 1
+poly_degree = 2
+
+[solver]
+tol = 0.001
+max_iter = 5000
+"""
+# values spliced over a key's value: a bare '%', an empty value, multi-valued
+# scalars, unknown kinds, integers that are not, and non-finite numbers
+INI_VALUES = (b"%", b"a%1", b"%(x)s", b"", b"1, 2", b"2 3", b"bogus", b"rbf, bogus, linear",
+              b"2.5", b"2x", b"x", b"-1", b"0", b"nan", b"inf", b"1e400")
+INI_BYTES = (b"\xff", b"\xc3\x28", b"\x80abc", b"\xe2\x82")  # none is UTF-8
+INI_OPS = st.lists(st.one_of(
+    st.tuples(st.just("delete"), st.floats(0.0, 1.0, exclude_max=True)),
+    st.tuples(st.just("duplicate"), st.floats(0.0, 1.0, exclude_max=True)),
+    st.tuples(st.just("section"), st.floats(0.0, 1.0, exclude_max=True)),
+    st.tuples(st.just("value"), st.floats(0.0, 1.0, exclude_max=True),
+              st.sampled_from(INI_VALUES)),
+    st.tuples(st.just("bytes"), st.floats(0.0, 1.0, exclude_max=True),
+              st.sampled_from(INI_BYTES)),
+), max_size=4)
+
+
+def mutate_ini(data: bytes, ops) -> bytes:
+    """Apply (delete | duplicate | section | value | bytes) operations in
+    turn.  ``delete`` and ``duplicate`` act on one line, a key or a section
+    header; ``section`` appends a copy of the section around a line;
+    ``value`` replaces the value of a key line; ``bytes`` inserts bytes."""
+    for op in ops:
+        lines = data.split(b"\n")
+        at = int(op[1] * len(lines))
+        if op[0] == "delete":
+            del lines[at]
+        elif op[0] == "duplicate":
+            lines.insert(at, lines[at])
+        elif op[0] == "section":
+            start = max((i for i in range(at + 1) if lines[i].startswith(b"[")), default=0)
+            end = next((i for i in range(start + 1, len(lines))
+                        if lines[i].startswith(b"[")), len(lines))
+            lines += lines[start:end]
+        elif op[0] == "value" and b"=" in lines[at]:
+            lines[at] = lines[at].partition(b"=")[0] + b"= " + op[2]
+        elif op[0] == "bytes":
+            pos = int(op[1] * len(data))
+            lines = (data[:pos] + op[2] + data[pos:]).split(b"\n")
+        data = b"\n".join(lines)
+    return data
+
+
+def write_ini_data(d: Path) -> None:
+    """Two classes of 4x3x3 samples as .ttn plus JSON labels; a training on
+    them takes a fraction of a second."""
+    rng = np.random.default_rng(3)
+    centers = [rng.standard_normal((4, 3, 3)) for _ in range(2)]
+    samples = [DenseTensor(c + 0.2 * rng.standard_normal((4, 3, 3)))
+               for c in centers for _ in range(10)]
+    write_dataset(d / "train.ttn", samples)
+    (d / "train_y.json").write_text(json.dumps([0] * 10 + [1] * 10))
+
+
+def valid_ini(d: Path) -> bytes:
+    """VALID_INI naming the data under ``d``, which load_config never reads."""
+    return VALID_INI.format(train=d / "train.ttn", labels=d / "train_y.json").encode()
+
+
+def config_or_error(data: bytes, path: Path):
+    """``load_config`` on a file holding ``data``: a RunConfig, or None on ConfigError."""
+    path.write_bytes(data)
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return None
+    assert isinstance(cfg, RunConfig)
+    return cfg
+
+
+def at(prefix: str) -> float:
+    """The position, as a mutation takes it, of the VALID_INI line starting with ``prefix``."""
+    lines = VALID_INI.split("\n")
+    return (next(i for i, line in enumerate(lines) if line.startswith(prefix)) + 0.5) / len(lines)
+
+
+# mutated INIs run through ``ttkm train --config``: one per kind of mutation,
+# plus the inputs the fuzzer found escaping (non-finite integers, non-UTF-8)
+CLI_INI_CASES = {
+    "unmutated": [],
+    "key deleted": [("delete", at("train_images"))],
+    "section header deleted": [("delete", at("[split]"))],
+    "key duplicated": [("duplicate", at("train_per_class"))],
+    "section duplicated": [("section", at("c_values"))],
+    "bare percent": [("value", at("train_labels"), b"a%1")],
+    "empty value": [("value", at("seed"), b"")],
+    "multi-valued scalar": [("value", at("seed"), b"1, 2")],
+    "unknown kind": [("value", at("mode_kinds"), b"rbf, bogus, linear")],
+    "infinite integer": [("value", at("seed"), b"inf")],
+    "nan rank": [("value", at("rank_values"), b"nan")],
+    "non-utf-8 byte": [("bytes", 0.5, b"\xff")],
+    "zero class count": [("value", at("train_per_class"), b"0")],
+}
+
+
+class TestFuzzedConfig:
+    def test_valid_ini_loads(self, tmp_path):
+        cfg = config_or_error(valid_ini(tmp_path), tmp_path / "run.ini")
+        assert cfg is not None and cfg.mode_kinds == ("rbf", "linear", "poly")
+
+    @FUZZ
+    @given(INI_OPS)
+    def test_load_config(self, ops):
+        with tempfile.TemporaryDirectory() as d:
+            config_or_error(mutate_ini(valid_ini(Path("data")), ops), Path(d) / "run.ini")
+
+    @pytest.mark.parametrize("case", sorted(CLI_INI_CASES))
+    def test_train_never_exits_unexpected(self, tmp_path, capsys, case):
+        write_ini_data(tmp_path)
+        path = tmp_path / "run.ini"
+        path.write_bytes(mutate_ini(valid_ini(tmp_path), CLI_INI_CASES[case]))
+        code = main(["train", "--config", str(path), "--pair", "0,1"])
+        err = capsys.readouterr().err
+        assert code != 1, err
+        assert code == 0 or err.startswith("error:")
+        if case == "unmutated":
+            assert code == 0

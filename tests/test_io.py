@@ -644,6 +644,38 @@ max_iter = 5000
         assert main(["train", "--config", str(path), "--pair", "0,1"]) == 3
         assert "exactly one value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("split", "seed", "inf"),  # int(inf) raised OverflowError: exit 1
+        ("split", "train_per_class", "-inf"),
+        ("split", "seed", "nan"),  # int(nan) raised ValueError: exit 2
+        ("grid", "rank_values", "2, inf"),
+        ("grid", "c_values", "1e400"),  # parsed as inf
+        ("solver", "tol", "nan"),
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, section, key, value):
+        path = self.write(tmp_path, f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(path)
+        assert main(["train", "--config", str(path), "--pair", "0,1"]) == 3
+        assert capsys.readouterr().err.startswith("error:config:")
+
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        # UnicodeDecodeError escaped load_config and became exit 2 "usage"
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[split]\nseed = 1\xff\n")
+        with pytest.raises(ConfigError, match="utf-8"):
+            load_config(path)
+        assert main(["train", "--config", str(path), "--pair", "0,1"]) == 3
+
+    def test_unreadable_config_path_is_config_error(self, tmp_path, capsys):
+        # a directory raised IsADirectoryError: exit 1 "unexpected"
+        assert main(["train", "--config", str(tmp_path), "--pair", "0,1"]) == 3
+        assert capsys.readouterr().err.startswith("error:config:")
+        missing = tmp_path / "missing.ini"
+        with pytest.raises(FileNotFoundError):
+            load_config(missing)
+        assert main(["train", "--config", str(missing), "--pair", "0,1"]) == 4
+
     def test_bare_percent_is_config_error(self, tmp_path):
         path = self.write(tmp_path, "[data]\ntrain_images = a%1.ttn\n")
         with pytest.raises(ConfigError, match="train_images"):

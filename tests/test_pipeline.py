@@ -1,13 +1,22 @@
 """Training pipeline: datasets, grid search, multiclass, metrics, sweeps."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from ttkm import pipeline
-from ttkm.kernels import KernelSpec, LinearKernel, PolynomialKernel, RbfKernel, build_gram
+from ttkm.kernels import (
+    KernelSpec,
+    LinearKernel,
+    PolynomialKernel,
+    RbfKernel,
+    build_gram,
+    cross_gram,
+    tt_kernel_naive,
+)
 from ttkm.pipeline import (
     Dataset,
     GridConfig,
@@ -23,7 +32,13 @@ from ttkm.pipeline import (
     train_binary,
     train_multiclass_ovo,
 )
-from ttkm.tensor import DenseTensor, reconstruct
+from ttkm.tensor import (
+    DenseTensor,
+    TensorTrain,
+    TtSvdConfig,
+    reconstruct,
+    stack_and_decompose,
+)
 
 
 def blob_dataset(rng, classes=(0, 1), n_train=6, n_val=4, n_test=4,
@@ -388,6 +403,148 @@ class TestPredict:
         model = train_binary(ds, grid)
         m = evaluate(model, ds, split="test")
         assert m.accuracy >= 0.9
+
+
+def reference_prepare_samples(model, samples):
+    """The projection as it was before requests were batched: one ``lstsq``
+    and one train per sample.  The batched projection matches it to
+    roundoff, not bit for bit: a multi-RHS ``lstsq`` sums in another order."""
+    prepared = pipeline._normalized(samples) if model.normalize else samples
+    if len(model.dims) == 1:
+        return [TensorTrain((s.values[None, :, None],)) for s in prepared]
+    tail = model.support[0].cores[1:]
+    basis = pipeline._tail_basis(tail)
+    out = []
+    for s in prepared:
+        unfolding = s.values.reshape(model.dims[0], -1, order="F")
+        first = np.linalg.lstsq(basis.T, unfolding.T, rcond=None)[0].T
+        out.append(TensorTrain((first[None, :, :],) + tuple(tail)))
+    return out
+
+
+def projection_model(dims, normalize=False, rank_deficient=False, seed=50, m=12, rank=3):
+    """A model whose ``m`` support vectors come from one joint decomposition
+    of random samples (no training), with one base kernel of each kind."""
+    rng = np.random.default_rng(seed)
+    d = len(dims)
+    cfg = TtSvdConfig.fixed((rank,) * (d - 1)) if d > 1 else TtSvdConfig.tolerance(0.1)
+    support = tuple(stack_and_decompose(
+        [DenseTensor(rng.standard_normal(dims)) for _ in range(m)], cfg))
+    ranks = support[0].ranks
+    if rank_deficient:
+        # two equal rank slices of the first tail core: the tail basis has
+        # two equal rows, so each fit has a least-norm solution
+        core = support[0].cores[1].copy()
+        core[1] = core[0]
+        tail = (core,) + support[0].cores[2:]
+        support = tuple(TensorTrain((tt.cores[0],) + tail) for tt in support)
+        assert np.linalg.matrix_rank(pipeline._tail_basis(tail)) < ranks[1]
+    kinds = [RbfKernel(1.5), PolynomialKernel(c=1.0, degree=2), LinearKernel()]
+    return SvmModel(
+        support=support, coef=rng.standard_normal(m), bias=0.1,
+        spec=KernelSpec(per_mode=tuple(kinds[i % 3] for i in range(d))),
+        dims=dims, interior_ranks=ranks[1:-1], neg_class=0, pos_class=1,
+        normalize=normalize,
+    )
+
+
+def assert_close_trains(got, want, rel=1e-12):
+    """Same tails (the same arrays), first cores equal to ``rel`` of their size."""
+    assert len(got) == len(want)
+    for tt, ref in zip(got, want):
+        assert all(a is b for a, b in zip(tt.cores[1:], ref.cores[1:]))
+        a, b = tt.cores[0], ref.cores[0]
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= rel * max(np.max(np.abs(b)), 1e-300)
+
+
+def detach_first(trains):
+    """The same trains with each first core copied out of the shared array."""
+    return [TensorTrain((tt.cores[0].copy(),) + tt.cores[1:]) for tt in trains]
+
+
+class TestBatchedProjection:
+    """``_prepare_samples`` fits a request's first cores in one least-squares
+    solve per chunk, into one array that the returned trains are views of."""
+
+    @pytest.mark.parametrize("dims", [(6,), (4, 5), (3, 4, 5), (3, 4, 2, 3)])
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_matches_the_per_sample_reference(self, dims, normalize, n):
+        model = projection_model(dims, normalize)
+        rng = np.random.default_rng(51)
+        samples = [DenseTensor(rng.standard_normal(dims)) for _ in range(n)]
+        if n > 1:
+            samples[-1] = DenseTensor(np.zeros(dims))  # stays zero under normalize
+        got = pipeline._prepare_samples(model, samples)
+        assert isinstance(got, list) and len(got) == n
+        stacked = got[0].cores[0].base  # the one (n, I_1, R_2) array
+        assert stacked.shape[0] == n and all(tt.cores[0].base is stacked for tt in got)
+        assert_close_trains(got, reference_prepare_samples(model, samples))
+
+    @pytest.mark.parametrize("dims", [(6,), (3, 4, 5), (3, 4, 2, 3)])
+    def test_chunks_match_one_solve(self, monkeypatch, dims):
+        # a chunk of 3 samples: 20 samples take 7 solves
+        model = projection_model(dims, normalize=True)
+        rng = np.random.default_rng(52)
+        samples = [DenseTensor(rng.standard_normal(dims)) for _ in range(20)]
+        whole = pipeline._prepare_samples(model, samples)
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(pipeline, "CHUNK_VALUES", 3 * int(np.prod(dims)))
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        got = pipeline._prepare_samples(model, samples)
+        assert len(calls) == (7 if len(dims) > 1 else 0)
+        assert_close_trains(got, reference_prepare_samples(model, samples))
+        assert_close_trains(got, whole)
+
+    def test_rank_deficient_tail_basis(self):
+        model = projection_model((3, 4, 5), rank_deficient=True)
+        rng = np.random.default_rng(53)
+        samples = [DenseTensor(rng.standard_normal((3, 4, 5))) for _ in range(16)]
+        assert_close_trains(pipeline._prepare_samples(model, samples),
+                            reference_prepare_samples(model, samples))
+
+    def test_benchmark_scale_request_over_several_chunks(self):
+        # 400 samples of 4x7x4x7 at rank 4: 83 samples a chunk, 5 chunks
+        model = projection_model((4, 7, 4, 7), seed=54, m=40, rank=4)
+        rng = np.random.default_rng(55)
+        samples = [DenseTensor(rng.random((4, 7, 4, 7))) for _ in range(400)]
+        assert_close_trains(pipeline._prepare_samples(model, samples),
+                            reference_prepare_samples(model, samples))
+
+    @pytest.mark.parametrize("dims", [(6,), (3, 4, 2, 3)])
+    def test_kernel_rows_from_a_batch(self, dims):
+        model = projection_model(dims)
+        rng = np.random.default_rng(56)
+        samples = [DenseTensor(rng.standard_normal(dims)) for _ in range(16)]
+        batch = pipeline._prepare_samples(model, samples)
+        rows = cross_gram(model.support, batch, model.spec)
+        assert np.array_equal(rows, cross_gram(model.support, detach_first(batch), model.spec))
+        gram = build_gram(batch, model.spec).values
+        assert np.array_equal(gram, build_gram(detach_first(batch), model.spec).values)
+        for i, j in [(0, 0), (15, 11), (7, 3)]:
+            want = tt_kernel_naive(batch[i], model.support[j], model.spec)
+            assert rows[i, j] == pytest.approx(want, rel=1e-10, abs=1e-12)
+            want = tt_kernel_naive(batch[i], batch[j], model.spec)
+            assert gram[i, j] == pytest.approx(want, rel=1e-10, abs=1e-12)
+        ref = reference_prepare_samples(model, samples)
+        want = cross_gram(model.support, ref, model.spec) @ model.coef + model.bias
+        np.testing.assert_allclose(decision_function(model, samples), want, rtol=1e-10)
+
+    def test_peak_memory_stays_chunked(self):
+        # one right-hand side for all 400 samples would hold 2.5 MB and
+        # peaked at 2.69 MB here; a chunk of 83 samples peaks at 1.11 MB
+        model = projection_model((4, 7, 4, 7), seed=57, m=40, rank=4)
+        rng = np.random.default_rng(58)
+        samples = [DenseTensor(rng.random((4, 7, 4, 7))) for _ in range(400)]
+        tracemalloc.start()
+        try:
+            pipeline._prepare_samples(model, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 class TestOvo:

@@ -476,6 +476,11 @@ def benchmark_corpus(train_per_class, val_per_class):
 # predict-stream corpus at ranks 4, with the sweep that kept the stack to
 # the end and scaled vt in place (under pytest, numpy 2.4)
 UNSHARED_SWEEP_PEAK_BYTES = 4_398_320
+# tracemalloc peak of tt_svd of a C-ordered (200,4,7,4,7) tensor at ranks
+# (200,4,4,4) with that same sweep, before split SVDs were cached (under
+# pytest, numpy 2.4); a cache that kept each split's vt to the end of the
+# sweep peaked at 4,397,147 B
+UNCACHED_TT_SVD_PEAK_BYTES = 3_141_864
 
 
 SHARED_SWEEP_CONFIGS = (
@@ -587,3 +592,17 @@ class TestSharedSweep:
         finally:
             tracemalloc.stop()
         assert peak <= UNSHARED_SWEEP_PEAK_BYTES
+
+    def test_tt_svd_peak_memory_not_above_the_uncached_sweep(self):
+        # tt_svd's cache is private to the call: each split's SVD is freed
+        # once the next split's matrix is formed from it
+        t = DenseTensor(np.random.default_rng(0).standard_normal((200, 4, 7, 4, 7)))
+        cfg = TtSvdConfig.fixed((200, 4, 4, 4))
+        tracemalloc.start()
+        try:
+            tt = tt_svd(t, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_trains([tt], [reference_tt_svd(t, cfg)])
+        assert peak <= UNCACHED_TT_SVD_PEAK_BYTES
