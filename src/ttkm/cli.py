@@ -5,9 +5,11 @@ bench.  Outputs are deterministic: floats print at fixed "%.17g", JSON
 keys are sorted, and the --seed value is recorded in every output.
 
 Exit codes (also in the README): 0 success, 1 unexpected error, 2 usage
-error, 3 configuration error, 4 missing input file, 5 data format
-error, 6 capacity exceeded, 7 solver non-convergence.  Failures print a
-single machine-parseable line ``error:<category>: <message>`` to stderr.
+error (an output path that cannot be written too), 3 configuration
+error, 4 missing input file, 5 data format error (an input path that
+exists but cannot be read too), 6 capacity exceeded, 7 solver
+non-convergence.  Failures print a single machine-parseable line
+``error:<category>: <message>`` to stderr.
 """
 
 from __future__ import annotations
@@ -104,13 +106,28 @@ def dump_csv(header, rows, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _unwritable(path, exc: OSError) -> ValueError:
+    """An output path that cannot be written is a usage error (exit 2)."""
+    return ValueError(f"{path}: cannot write ({exc})")
+
+
 def emit(text: str, path=None) -> None:
     """Write to the path, or stdout when no path is given."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _unwritable(path, exc) from exc
     else:
         sys.stdout.write(text)
+
+
+def _save_model(path, model, meta) -> None:
+    try:
+        save_model(path, model, meta=meta)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 def emit_json(obj, path=None) -> None:
@@ -313,7 +330,7 @@ def cmd_train(args) -> int:
         "val_per_class": cfg.val_per_class,
     }
     if args.output:
-        save_model(args.output, model, meta=meta)
+        _save_model(args.output, model, meta)
     report = {
         "seed": cfg.seed,
         "classes": list(classes),
@@ -352,7 +369,7 @@ def cmd_grid(args) -> int:
         raise ValueError("grid reports are binary; give --pair a,b")
     model = _train_model(ds, classes, cfg)
     if args.output_model:
-        save_model(args.output_model, model, meta={"seed": cfg.seed})
+        _save_model(args.output_model, model, {"seed": cfg.seed})
     report = {
         "seed": cfg.seed,
         "classes": list(classes),

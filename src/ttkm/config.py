@@ -20,7 +20,9 @@ a missing file stays a FileNotFoundError.
 
 Sample/label files are dispatched on extension: ``.ttn`` for the binary
 tensor container, ``.json`` for a plain list of labels, anything else is
-parsed as IDX (with transparent ``.gz``).
+parsed as IDX (with transparent ``.gz``).  A sample or label path that
+exists but cannot be read is a DataFormatError, and so is a ``.json``
+label file that is not a list of integers.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .idx import load_idx_images, load_idx_labels
 from .kernels import COMBINE_RULES, KERNEL_KINDS
 from .pipeline import GridConfig
 from .tensor import DenseTensor
-from .ttn import read_dataset
+from .ttn import read_bytes, read_dataset
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -243,7 +245,11 @@ def load_samples(path, reshape=None):
 def load_labels(path) -> np.ndarray:
     """Load labels from an IDX label file or a JSON list."""
     if str(path).endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return np.asarray(data, dtype=np.int64)
+        try:
+            labels = np.asarray(json.loads(read_bytes(path)), dtype=np.int64)
+        except (ValueError, TypeError) as exc:  # not JSON, or not integers
+            raise DataFormatError(f"{path}: not a JSON list of integer labels ({exc})") from exc
+        if labels.ndim != 1:
+            raise DataFormatError(f"{path}: not a JSON list of integer labels")
+        return labels
     return load_idx_labels(path)

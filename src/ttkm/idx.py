@@ -17,12 +17,12 @@ from __future__ import annotations
 import gzip
 import math
 import struct
-import zlib
 
 import numpy as np
 
 from .errors import DataFormatError
 from .tensor import DenseTensor
+from .ttn import read_bytes
 
 UBYTE_TYPE = 0x08
 IMAGE_NDIM = 3
@@ -30,14 +30,7 @@ LABEL_NDIM = 1
 
 
 def _read_file(path) -> bytes:
-    opener = gzip.open if str(path).endswith(".gz") else open
-    try:
-        with opener(path, "rb") as fh:
-            return fh.read()
-    except (gzip.BadGzipFile, EOFError, OSError, zlib.error) as exc:
-        if isinstance(exc, FileNotFoundError):
-            raise
-        raise DataFormatError(f"{path}: cannot read ({exc})") from exc
+    return read_bytes(path, gzip.open if str(path).endswith(".gz") else open)
 
 
 def _parse_header(data: bytes, path, expected_ndim: int):

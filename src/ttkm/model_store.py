@@ -17,7 +17,8 @@ one-vs-one ensemble (``kind: "ovo"``) whose per-pair blobs are
 concatenated and indexed by offsets in the header.
 
 The checksum covers only the blob, so every header field is validated on
-load: a missing or ill-typed key is a DataFormatError, never a crash.
+load: a missing or ill-typed key is a DataFormatError, never a crash.  So
+is a path that cannot be read; a missing file is a FileNotFoundError.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import DataFormatError
 from .kernels import KernelSpec
 from .pipeline import OvoModel, SvmModel
 from .tensor import TensorTrain
+from .ttn import read_bytes
 
 MAGIC = b"TTKM"
 VERSION = 1
@@ -212,8 +214,7 @@ def save_model(path, model, meta=None) -> None:
 
 def load_model(path):
     """Read a .ttkm file back into an SvmModel or OvoModel."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_bytes(path)
     if len(data) < 12:
         raise DataFormatError(f"{path}: too short for a model file")
     if data[:4] != MAGIC:

@@ -29,6 +29,12 @@ logger = logging.getLogger(__name__)
 BRUTE_FORCE_MAX_SIZE = 12
 SUPPORT_EPS = 1e-12
 FACE_EVERY = 50  # SMO iterations between two face phases
+# Values per block of rows when a table is filled.  An n x n table takes
+# 4096 (32 KB; one block up to n = 64).  Q_FF is filled while the pair
+# table and the KKT buffer are held, so its temporaries add to the solve's
+# peak memory: 256 values a block.
+TABLE_BLOCK_VALUES = 4096
+FACE_BLOCK_VALUES = 256
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,7 @@ class DualProblem:
             raise ValueError(
                 f"labels shape {y.shape} does not match Gram size {self.gram.size}"
             )
-        if not np.all(np.isin(y, (-1.0, 1.0))):
+        if not (np.abs(y) == 1.0).all():
             raise ValueError("labels must be -1 or +1")
         if not (np.any(y > 0) and np.any(y < 0)):
             raise ValueError("both classes must be present")
@@ -98,24 +104,46 @@ def _bias(values, y, alphas, c) -> float:
     return float(0.5 * (hi_part + lo_part))
 
 
+def _row_blocks(rows, width, values):
+    """Slices of ``rows`` rows of ``width`` values each, with at most
+    ``values`` values (and at least one row) in a slice."""
+    step = max(1, values // max(1, width))
+    for r in range(0, rows, step):
+        yield slice(r, r + step)
+
+
 def _pair_curvatures(k) -> np.ndarray:
     """Table of max(K_ii + K_jj - 2 K_ij, 1e-12): row i for every partner j.
 
-    Built a row at a time, so no temporary is larger than one row.
+    Built in blocks of ``TABLE_BLOCK_VALUES`` values, so temporaries are a
+    few blocks; each entry is computed as in a row loop, (K_ii + K_jj) -
+    2.0 * K_ij, and then clipped.
     """
     kd = np.diag(k)
     quad = np.empty_like(k)
-    for i, row in enumerate(k):
-        np.maximum(kd[i] + kd - 2.0 * row, 1e-12, out=quad[i])
+    for b in _row_blocks(len(k), len(k), TABLE_BLOCK_VALUES):
+        np.maximum((kd[b, None] + kd) - 2.0 * k[b], 1e-12, out=quad[b])
     return quad
 
 
 def _label_products(k, y) -> np.ndarray:
-    """Q = K * y y^T, built a row at a time like ``_pair_curvatures``."""
+    """Q = K * y y^T in blocks of rows like ``_pair_curvatures``: each entry
+    is K_ij * (y_i y_j), with y_i y_j written into Q first."""
     q = np.empty_like(k)
-    for i, row in enumerate(k):
-        np.multiply(row, y[i] * y, out=q[i])
+    for b in _row_blocks(len(k), len(k), TABLE_BLOCK_VALUES):
+        np.multiply(y[b, None], y, out=q[b])
+        np.multiply(k[b], q[b], out=q[b])
     return q
+
+
+def _face_products(k, y, free, out) -> None:
+    """Q_FF = K_FF * y_F y_F^T into ``out``, each entry computed as
+    ``_label_products`` computes it, in blocks of ``FACE_BLOCK_VALUES``
+    values with one gather of K per block."""
+    yf = y[free]
+    for b in _row_blocks(free.size, free.size, FACE_BLOCK_VALUES):
+        np.multiply(yf[b, None], yf, out=out[b])
+        np.multiply(k[free[b, None], free], out[b], out=out[b])
 
 
 def _check_ascent(alphas, q, last_obj, iterations) -> float:
@@ -150,7 +178,10 @@ def _face_phase(k, y, c, alphas, values, budget) -> int:
     would not raise the objective.  A face larger than the Gram's rank + 1
     is singular; its solve gives a long step along a near-null direction,
     kept only if it ascends.  Each solve counts as one pivot, at most
-    ``budget``; returns the pivots taken.  Temporaries are O(|F|^2).
+    ``budget``; returns the pivots taken.  The KKT system lives in one
+    buffer of the first face's size; Q_FF is filled into it in blocks of
+    rows (``_face_products``), so the other temporaries are a few blocks
+    and a few |F|-vectors.
     """
     free = np.flatnonzero((alphas > 0.0) & (alphas < c))
     grad = y[free] * values[free]
@@ -161,8 +192,7 @@ def _face_phase(k, y, c, alphas, values, budget) -> int:
         yf = y[free]
         kkt = buf[: (m + 1) ** 2].reshape(m + 1, m + 1)
         q = kkt[:m, :m]
-        for r, i in enumerate(free):  # Q_FF a row at a time, no second copy
-            np.multiply(k[i, free], y[i] * yf, out=q[r])
+        _face_products(k, y, free, q)
         kkt[m, :m] = kkt[:m, m] = yf
         kkt[m, m] = 0.0
         pivots += 1
@@ -188,6 +218,7 @@ def _face_phase(k, y, c, alphas, values, budget) -> int:
         grad -= t * qd
         keep = (af > 0.0) & (af < c)
         free, grad = free[keep], grad[keep]
+        del d, qd, af, room, hit, keep  # not held while the next face is filled
     return pivots
 
 
@@ -218,9 +249,13 @@ def solve_dual(
     Q = K * y y^T, so Q is built only for the objective.  Which samples may
     move up or down is kept as 0/inf masks, updated at the two indices that
     changed; the second-order denominators max(K_ii + K_jj - 2 K_ij, 1e-12)
-    come from a table built once per solve; the box bookkeeping runs on
-    Python floats.  A face phase rebuilds ``values`` and the masks from
-    alpha.
+    come from a table built once per solve, in blocks of rows; the box
+    bookkeeping runs on Python floats.  The partner's gain is taken as
+    |diff| * diff / quad: diff^2 / quad where diff > 0 and at most 0
+    elsewhere, so while some diff^2 / quad is positive its argmax is that of
+    the masked gains.  (Some diff exceeds tol > 0; only when every diff^2 /
+    quad underflows to 0 does the masked form decide.)  A face phase
+    rebuilds ``values`` and the masks from alpha.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -249,7 +284,7 @@ def solve_dual(
         i = int(up_vals.argmax())
         gap_hi = float(up_vals[i])
         low_vals = values + low
-        if gap_hi - float(low_vals.min()) <= tol:
+        if gap_hi - float(low_vals[low_vals.argmin()]) <= tol:
             converged = True
             break
 
@@ -270,8 +305,13 @@ def solve_dual(
 
         # second-order selection of the partner index
         diff = gap_hi - low_vals
-        gain = np.where(diff > 0, diff * diff / quad[i], -np.inf)
+        gain = np.abs(diff)
+        gain *= diff
+        gain /= quad[i]  # diff^2 / quad where diff > 0, and <= 0 elsewhere
         j = int(gain.argmax())
+        if not gain[j] > 0.0:  # every diff^2 underflowed: the masked form
+            gain = np.where(diff > 0, diff * diff / quad[i], -np.inf)
+            j = int(gain.argmax())
 
         # exact minimizer of the pair subproblem along the feasible segment
         step = float(diff[j]) / float(quad[i, j])

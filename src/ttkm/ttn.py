@@ -10,7 +10,9 @@ Multi-sample layout (all samples share dims)::
 
 All integers and floats are little-endian; values are stored in
 first-index-fastest order, the package-wide linearization convention.
-A NaN or inf value is a format error.
+A NaN or inf value is a format error, and so is a path that exists but
+cannot be read (a directory, or no permission); a missing file stays a
+``FileNotFoundError``.
 The two layouts are distinguished by the operation used to read them —
 ``read_tensor`` and ``read_dataset`` each validate the exact payload
 length and reject files of the other layout.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -27,6 +30,22 @@ from .errors import DataFormatError
 from .tensor import DenseTensor
 
 MAGIC = b"TTN1"
+
+
+def read_bytes(path, opener=open) -> bytes:
+    """All bytes of ``path``, read through ``opener``.
+
+    A path that exists but cannot be read (a directory, no permission, a
+    corrupt compressed stream) is a DataFormatError; a missing path stays
+    a FileNotFoundError.  Every file reader in the package reads this way.
+    """
+    try:
+        with opener(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise
+    except (EOFError, OSError, zlib.error) as exc:  # gzip.BadGzipFile is an OSError
+        raise DataFormatError(f"{path}: cannot read ({exc})") from exc
 
 
 class _Reader:
@@ -114,8 +133,7 @@ def write_tensor(path, t: DenseTensor) -> None:
 
 def read_tensor(path) -> DenseTensor:
     """Read a single-tensor file; rejects multi-sample files."""
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read(), path)
+    r = _Reader(read_bytes(path), path)
     _check_magic(r)
     dims = _read_dims(r)
     (tensor,) = _read_tensors(r, dims, 1)
@@ -146,8 +164,7 @@ def read_dataset(path) -> list[DenseTensor]:
     The file is read once; every sample's values are a read-only view into
     that one buffer, so no sample is copied.
     """
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read(), path)
+    r = _Reader(read_bytes(path), path)
     _check_magic(r)
     m = r.u32()
     if m == 0:

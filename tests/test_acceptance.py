@@ -423,6 +423,7 @@ def test_criterion_8_per_mode_kernel_mixing():
 # 9. fast evaluation is polynomial in rank, naive is exponential in order
 
 
+@pytest.mark.timing
 def test_criterion_9_performance_scaling():
     """Fast prod timing grows at most cubically when the rank doubles over
     {2,4,8,16} (d=3, I=8, with a 1.5x machine-noise allowance), while naive

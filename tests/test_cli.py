@@ -447,6 +447,85 @@ class TestBenchCommand:
         assert [row["rank"] for row in report["rows"]] == [2, 4]
 
 
+class TestUnreadablePaths:
+    """A directory where a file is read is malformed input (exit 5), and
+    one where a file is written is a usage error (exit 2); never exit 1.
+    A file without read or write permission takes the same path, but is
+    not tested: root may read and write any file."""
+
+    @pytest.fixture
+    def model_path(self, data_dir, capsys):
+        path = data_dir / "m.ttkm"
+        assert run(capsys, "train", "--config", data_dir / "run.ini",
+                   "--pair", "0,1", "--output", path)[0] == 0
+        return path
+
+    @staticmethod
+    def directory(data_dir, name):
+        path = data_dir / name
+        path.mkdir()
+        return path
+
+    def assert_unreadable(self, result, path):
+        code, _, err = result
+        assert code == 5 and err.startswith("error:data-format:")
+        assert f"{path}: cannot read" in err
+
+    def assert_unwritable(self, result, path):
+        code, _, err = result
+        assert code == 2 and err.startswith("error:usage:")
+        assert f"{path}: cannot write" in err
+
+    def test_predict_model(self, data_dir, capsys):
+        d = self.directory(data_dir, "dir.ttkm")
+        self.assert_unreadable(
+            run(capsys, "predict", "--model", d, "--input", data_dir / "test.ttn"), d)
+
+    def test_predict_input(self, data_dir, model_path, capsys):
+        d = self.directory(data_dir, "dir.ttn")
+        self.assert_unreadable(run(capsys, "predict", "--model", model_path, "--input", d), d)
+
+    def test_tt_svd_input(self, data_dir, capsys):
+        d = self.directory(data_dir, "dir.ttn")
+        self.assert_unreadable(run(capsys, "tt-svd", "--input", d, "--eps", "1e-6"), d)
+
+    def test_gram_input(self, data_dir, capsys):
+        # read as IDX, whose reader mapped directories before the others
+        d = self.directory(data_dir, "dir")
+        self.assert_unreadable(run(capsys, "gram", "--input", d, "--kinds", "rbf"), d)
+
+    @pytest.mark.parametrize("name", ["dir.json", "dir"], ids=["json", "idx"])
+    def test_evaluate_labels(self, data_dir, model_path, capsys, name):
+        d = self.directory(data_dir, name)
+        self.assert_unreadable(
+            run(capsys, "evaluate", "--model", model_path,
+                "--input", data_dir / "test.ttn", "--labels", d), d)
+
+    def test_tt_svd_output(self, data_dir, capsys):
+        d = self.directory(data_dir, "out")
+        self.assert_unwritable(
+            run(capsys, "tt-svd", "--input", data_dir / "one.ttn", "--eps", "1e-6",
+                "--output", d), d)
+
+    def test_output_in_a_missing_directory(self, data_dir, capsys):
+        path = data_dir / "no" / "out.json"
+        self.assert_unwritable(
+            run(capsys, "tt-svd", "--input", data_dir / "one.ttn", "--eps", "1e-6",
+                "--output", path), path)
+
+    def test_train_model_output(self, data_dir, capsys):
+        d = self.directory(data_dir, "out.ttkm")
+        self.assert_unwritable(
+            run(capsys, "train", "--config", data_dir / "run.ini", "--pair", "0,1",
+                "--output", d), d)
+
+    def test_grid_model_output(self, data_dir, capsys):
+        d = self.directory(data_dir, "out.ttkm")
+        self.assert_unwritable(
+            run(capsys, "grid", "--config", data_dir / "run.ini", "--pair", "0,1",
+                "--output-model", d), d)
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["not-a-command"]) == 2

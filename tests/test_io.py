@@ -318,6 +318,41 @@ class TestIdx:
             load_idx_images(tmp_path / "absent.idx")
 
 
+class TestUnreadablePaths:
+    """Every file reader: a path that exists but cannot be read is a
+    DataFormatError, as in the IDX reader; a missing one is not."""
+
+    READERS = {
+        "ttn-tensor": (read_tensor, "x.ttn"),
+        "ttn-dataset": (read_dataset, "x.ttn"),
+        "ttkm": (load_model, "x.ttkm"),
+        "json-labels": (load_labels, "y.json"),
+        "idx-labels": (load_labels, "y.idx"),
+        "samples": (load_samples, "x.ttn"),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_directory_is_format_error(self, tmp_path, reader):
+        read, name = self.READERS[reader]
+        (tmp_path / name).mkdir()
+        with pytest.raises(DataFormatError, match="cannot read"):
+            read(tmp_path / name)
+
+    @pytest.mark.parametrize("text", ["[1, 2", '{"a": 1}', '["a"]', "[[1], [2]]", "7"])
+    def test_json_labels_not_a_list_of_integers(self, tmp_path, text):
+        # through the CLI, invalid JSON exited 2 "usage" and an object 1
+        path = tmp_path / "y.json"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match="JSON list of integer labels"):
+            load_labels(path)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_missing_file_stays_missing(self, tmp_path, reader):
+        read, name = self.READERS[reader]
+        with pytest.raises(FileNotFoundError):
+            read(tmp_path / name)
+
+
 class TestModelStore:
     def train_small(self, seed=5):
         rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """Dual QP solvers: SMO, the projected-gradient oracle, and KKT checks."""
 
 import importlib.util
+import math
 import tracemalloc
 from datetime import timedelta
 from pathlib import Path
@@ -82,6 +83,40 @@ def integer_problem(seed):
     y = np.where(x[:, 0] + 0.5 * rng.standard_normal(n) > 0, 1.0, -1.0)
     y[:2] = (1.0, -1.0)
     return labelled_problem(x @ x.T, y, float(rng.choice([0.5, 1.0, 4.0])))
+
+
+def memory_guard_problem():
+    """Linear Gram of rank 8 on 400 samples: the n x n tables dominate
+    memory, and faces of up to 92 free samples form."""
+    n = 400
+    rng = np.random.default_rng(7)
+    f = rng.standard_normal((n, 8))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return labelled_problem(f @ f.T, y, 1.0)
+
+
+def reference_pair_curvatures(k):
+    """The row loop that built the pair table, frozen as its oracle."""
+    kd = np.diag(k)
+    quad = np.empty_like(k)
+    for i, row in enumerate(k):
+        np.maximum(kd[i] + kd - 2.0 * row, 1e-12, out=quad[i])
+    return quad
+
+
+def reference_label_products(k, y):
+    """The row loop that built Q = K * y y^T, frozen as its oracle."""
+    q = np.empty_like(k)
+    for i, row in enumerate(k):
+        np.multiply(row, y[i] * y, out=q[i])
+    return q
+
+
+def reference_face_products(k, y, free, out):
+    """The row loop that filled Q_FF, frozen as its oracle."""
+    yf = y[free]
+    for r, i in enumerate(free):
+        np.multiply(k[i, free], y[i] * yf, out=out[r])
 
 
 def reference_solve_dual(p, tol=1e-3, max_iter=None, debug=False):
@@ -196,6 +231,12 @@ class TestDualProblem:
             DualProblem(gram=k, labels=np.array([1.0, -1.0]), C=0.0)
         with pytest.raises(ValueError):
             DualProblem(gram=k, labels=np.array([1.0, -1.0, 1.0]), C=1.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, 0.5, np.nan, np.inf])
+    def test_labels_other_than_plus_minus_one_rejected(self, bad):
+        k = gram_of(np.eye(3))
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            DualProblem(gram=k, labels=np.array([1.0, -1.0, bad]), C=1.0)
 
 
 class TestSolveDual:
@@ -314,12 +355,8 @@ class TestSolveDualTrajectory:
     def test_peak_memory_not_above_the_gradient_form(self):
         # The gradient form peaked at 1,409,544 traced bytes on this problem
         # (numpy 2.4): Q = K * y y^T plus a ufunc buffer.  solve_dual holds
-        # one n x n table at a time and builds it row by row.
-        n = 400
-        rng = np.random.default_rng(7)
-        f = rng.standard_normal((n, 8))
-        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        p = labelled_problem(f @ f.T, y, 1.0)
+        # one n x n table at a time and builds it in blocks of rows.
+        p = memory_guard_problem()
         tracemalloc.start()
         try:
             s = solve_dual(p)
@@ -328,6 +365,130 @@ class TestSolveDualTrajectory:
             tracemalloc.stop()
         assert s.converged
         assert peak <= 1_409_544
+
+
+def table_gram(n, seed):
+    """RBF Gram scaled off 1, with repeated samples (pair curvature 0, so
+    the 1e-12 floor binds) and a 1e-10-bounded asymmetry; labels +-1."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3))
+    x[rng.random(n) < 0.2] = x[0]
+    k = 3.7 * np.exp(-np.sum((x[:, None] - x[None]) ** 2, axis=-1) / 2.0)
+    k += np.triu(rng.uniform(0.0, 3e-11, (n, n)), 1)
+    return k, np.where(rng.random(n) < 0.4, 1.0, -1.0)
+
+
+TABLE_EDGE = math.isqrt(solver.TABLE_BLOCK_VALUES)  # n x n fits one block up to here
+FACE_EDGE = math.isqrt(solver.FACE_BLOCK_VALUES)
+
+
+@pytest.fixture(params=[None, 7], ids=["default-blocks", "7-value-blocks"])
+def block_values(request, monkeypatch):
+    """The block sizes as shipped, or 7 values: blocks of 1 to 7 rows with a
+    ragged last one."""
+    if request.param:
+        monkeypatch.setattr(solver, "TABLE_BLOCK_VALUES", request.param)
+        monkeypatch.setattr(solver, "FACE_BLOCK_VALUES", request.param)
+
+
+class TestBlockedTables:
+    """The tables and face systems, filled in blocks of rows, hold the bits
+    of the row loops they replaced, and so does every solve."""
+
+    SIZES = [1, 2, 3, TABLE_EDGE - 1, TABLE_EDGE, TABLE_EDGE + 1, 60, 61, 400]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_pair_curvatures(self, n, block_values):
+        k, _ = table_gram(n, n)
+        assert bits(solver._pair_curvatures(k)) == bits(reference_pair_curvatures(k))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_label_products(self, n, block_values):
+        k, y = table_gram(n, n)
+        assert bits(solver._label_products(k, y)) == bits(reference_label_products(k, y))
+
+    def test_pair_curvature_floor_binds(self):
+        k, _ = table_gram(60, 60)
+        assert np.count_nonzero(solver._pair_curvatures(k) == 1e-12) > 60
+
+    @pytest.mark.parametrize(
+        "m", [1, 2, 3, FACE_EDGE - 1, FACE_EDGE, FACE_EDGE + 1, 40, 61]
+    )
+    def test_face_products(self, m, block_values):
+        # Q_FF goes into the top-left of a KKT buffer sized for a larger
+        # face, as in _face_phase; m = 61 is the whole set
+        n = 61
+        k, y = table_gram(n, m)
+        free = np.sort(np.random.default_rng(m).permutation(n)[:m])
+        got, want = (np.full((n + 1) ** 2, np.nan) for _ in range(2))
+        solver._face_products(k, y, free, got[: (m + 1) ** 2].reshape(m + 1, m + 1)[:m, :m])
+        reference_face_products(k, y, free, want[: (m + 1) ** 2].reshape(m + 1, m + 1)[:m, :m])
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [(0, 60, 1000.0, 0.5), (1, 200, 1000.0, 0.5), (151, 60, 1000.0, 0.5)],
+        ids=["n60", "n200", "n60-seed151"],
+    )
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_solve_dual_same_bits_as_with_the_row_loops(self, problem, debug, monkeypatch):
+        p = rbf_problem(*problem)
+        pivots = []
+        face_phase = solver._face_phase
+
+        def counting(*args):
+            pivots.append(face_phase(*args))
+            return pivots[-1]
+
+        monkeypatch.setattr(solver, "_face_phase", counting)
+        got = solve_dual(p, debug=debug)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_pair_curvatures", reference_pair_curvatures)
+            mp.setattr(solver, "_label_products", reference_label_products)
+            mp.setattr(solver, "_face_products", reference_face_products)
+            want = solve_dual(p, debug=debug)
+        assert got.converged and sum(pivots) > 0  # the face step ran
+        assert got.iterations == want.iterations
+        assert bits(got.alphas) == bits(want.alphas)
+        assert bits(got.bias) == bits(want.bias)
+        assert bits(got.objective) == bits(want.objective)
+
+    def test_partner_choice_when_every_gain_underflows(self):
+        # With K near 1e305 and C near 1e-305, diff^2 / quad underflows to 0
+        # for every partner once the gaps are small; the partner then comes
+        # from the masked gains, as in the reference loop
+        p = rbf_problem(0, 20, 1.0, 0.5)
+        huge = labelled_problem(1e305 * p.gram.values, p.labels, 10.0 / 1e305)
+        s = assert_same_trajectory(huge, tol=1e-10, max_iter=500)
+        assert not s.converged
+
+    def test_face_phase_peak_memory_not_above_the_row_loop(self, monkeypatch):
+        # Every face phase of the memory guard problem, run alone.  With the
+        # row loop the largest, on 92 free samples, peaked at 80,576 traced
+        # bytes (numpy 2.4).  A block of rows takes a few blocks of
+        # temporaries, up to ~7 KB more than a row on the smaller faces, so
+        # the phase frees the previous pivot's vectors before the next fill.
+        p = memory_guard_problem()
+        k, y, c = p.gram.values, p.labels, p.C
+        face_phase = solver._face_phase
+        calls = []
+
+        def recording(k, y, c, alphas, values, budget):
+            calls.append((alphas.copy(), values.copy(), budget))
+            return face_phase(k, y, c, alphas, values, budget)
+
+        monkeypatch.setattr(solver, "_face_phase", recording)
+        solve_dual(p)
+        peaks = []
+        for alphas, values, budget in calls:
+            tracemalloc.start()
+            try:
+                face_phase(k, y, c, alphas, values, budget)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(peaks) >= 5
+        assert max(peaks) <= 80_576
 
 
 @st.composite
