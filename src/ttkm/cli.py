@@ -249,16 +249,8 @@ def _build_dataset(args, cfg: RunConfig):
 def _train_model(ds: Dataset, classes, cfg: RunConfig):
     grid = cfg.grid(len(ds.dims))
     if len(classes) == 2:
-        model = train_binary(
-            ds, grid, normalize=cfg.normalize,
-            solver_tol=cfg.solver_tol, solver_max_iter=cfg.solver_max_iter,
-        )
-    else:
-        model = train_multiclass_ovo(
-            ds, grid, normalize=cfg.normalize,
-            solver_tol=cfg.solver_tol, solver_max_iter=cfg.solver_max_iter,
-        )
-    return model
+        return train_binary(ds, grid)
+    return train_multiclass_ovo(ds, grid)
 
 
 def _test_metrics(model, ds: Dataset):
@@ -389,8 +381,7 @@ def cmd_rank_sweep(args) -> int:
     ds, classes = _build_dataset(args, cfg)
     if len(classes) != 2:
         raise ValueError("rank-sweep is binary; give --pair a,b")
-    grid = cfg.grid(len(ds.dims))
-    rows = rank_sweep(ds, grid, normalize=cfg.normalize, solver_tol=cfg.solver_tol)
+    rows = rank_sweep(ds, cfg.grid(len(ds.dims)))
     csv_text = dump_csv(
         ["ranks", "C", "sigma", "validation_accuracy", "test_accuracy", "support_count"],
         [

@@ -68,7 +68,7 @@ class RunConfig:
     solver_max_iter: int | None = None
 
     def grid(self, order: int) -> GridConfig:
-        """The grid for data of the given tensor order."""
+        """The whole training run, for data of the given tensor order."""
         kinds = self.mode_kinds if self.mode_kinds is not None else ("rbf",) * order
         if len(kinds) != order:
             raise ConfigError(
@@ -83,6 +83,9 @@ class RunConfig:
                 combine=self.combine,
                 poly_c=self.poly_c,
                 poly_degree=self.poly_degree,
+                normalize=self.normalize,
+                solver_tol=self.solver_tol,
+                solver_max_iter=self.solver_max_iter,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -129,7 +129,7 @@ def _model_from_parts(header: dict, blob: bytes, path) -> SvmModel:
 
     def take(shape):
         nonlocal pos
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=pos)
         pos += 8 * n
         return arr.reshape(shape, order="F")

@@ -180,13 +180,21 @@ def make_pair_dataset(train_samples, train_labels, test_samples, test_labels, cl
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Search space of the training procedure.
+    """One training run: the search space and the options of every solve.
 
     ``rank_values`` entries are either a single int (uniform interior rank)
     or a tuple with one rank per interior position.  ``mode_kinds`` names
     the base kernel for each tensor mode; sigma from ``sigma_values`` is
     substituted into every RBF mode at each grid point, so with no RBF mode
     the sigma axis collapses to a single pass.
+
+    ``normalize`` scales every nonzero sample to unit Frobenius norm, in
+    training and in prediction; ``solver_tol`` and ``solver_max_iter`` are
+    ``solve_dual``'s ``tol`` and ``max_iter`` for every grid point.  They
+    are not checked here: a bad value fails where the solver reads it.
+    ``train_binary``, ``train_multiclass_ovo`` and ``rank_sweep`` all read
+    the run from one grid, so a variant of a run is ``dataclasses.replace``
+    of its grid.
     """
 
     c_values: tuple[float, ...]
@@ -196,6 +204,9 @@ class GridConfig:
     combine: str = "prod"
     poly_c: float = 1.0
     poly_degree: int = 2
+    normalize: bool = False
+    solver_tol: float = 1e-3
+    solver_max_iter: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
@@ -238,20 +249,6 @@ class GridConfig:
             per_mode=tuple(kernel_from_dict({**params, "kind": k}) for k in self.mode_kinds),
             combine=self.combine,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "c_values": list(self.c_values),
-            "sigma_values": list(self.sigma_values),
-            "rank_values": [
-                int(r) if isinstance(r, (int, np.integer)) else [int(x) for x in r]
-                for r in self.rank_values
-            ],
-            "mode_kinds": list(self.mode_kinds),
-            "combine": self.combine,
-            "poly_c": self.poly_c,
-            "poly_degree": self.poly_degree,
-        }
 
 
 @dataclass
@@ -399,21 +396,17 @@ def _grid_key(entry) -> tuple:
     return (-entry["validation_accuracy"], tuple(entry["ranks"]), entry["C"], sigma)
 
 
-def train_binary(
-    ds: Dataset,
-    grid: GridConfig,
-    normalize: bool = False,
-    solver_tol: float = 1e-3,
-    solver_max_iter: int | None = None,
-) -> SvmModel:
-    """Grid-searched binary training.
+def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
+    """Grid-searched binary training of the run ``grid`` describes.
 
     For every rank setting the train and validation samples are decomposed
     jointly; for every (sigma, C) the dual is solved on the training Gram
     matrix and scored on the validation split.  Accuracy ties are broken
     toward smaller ranks, then smaller C, then smaller sigma.  The winner
     is refit along the identical deterministic path and returned with the
-    full scan attached under ``info["grid"]``.
+    full scan attached under ``info["grid"]``.  The grid's ``normalize``,
+    ``solver_tol`` and ``solver_max_iter`` hold for every point, and an
+    unconverged winner raises ``ConvergenceError``.
 
     The train and validation samples are stacked once, in one
     ``StackedSamples``, and every scan decomposes that holder.  Its cache
@@ -441,7 +434,7 @@ def train_binary(
             f"grid names {len(grid.mode_kinds)} mode kinds but data has order {d}"
         )
 
-    if normalize:
+    if grid.normalize:
         train_s = _normalized(train_s)
         val_s = _normalized(val_s)
     y_train = _signed_labels(train_y, pos_class)
@@ -461,8 +454,8 @@ def train_binary(
             for c_value in c_values:
                 sol = solve_dual(
                     DualProblem(gram=gram, labels=y_train, C=c_value),
-                    tol=solver_tol,
-                    max_iter=solver_max_iter,
+                    tol=grid.solver_tol,
+                    max_iter=grid.solver_max_iter,
                 )
                 vals = decision_values(sol.alphas * y_train, sol.bias, rows)
                 acc = float(np.mean(predict_labels(vals) == y_val))
@@ -508,7 +501,7 @@ def train_binary(
         interior_ranks=tr_tts[0].interior_ranks,
         neg_class=neg_class,
         pos_class=pos_class,
-        normalize=normalize,
+        normalize=grid.normalize,
         grid_point={"ranks": list(ranks), "C": best["C"], "sigma": best["sigma"]},
         validation_accuracy=acc,
         info={
@@ -516,7 +509,7 @@ def train_binary(
             "train_count": n_train,
             "validation_count": len(val_s),
             "solver": {
-                "tol": solver_tol,
+                "tol": grid.solver_tol,
                 "iterations": sol.iterations,
                 "converged": sol.converged,
                 "objective": sol.objective,
@@ -561,14 +554,11 @@ class OvoModel:
         return out
 
 
-def train_multiclass_ovo(
-    ds: Dataset,
-    grid: GridConfig,
-    normalize: bool = False,
-    solver_tol: float = 1e-3,
-    solver_max_iter: int | None = None,
-) -> OvoModel:
+def train_multiclass_ovo(ds: Dataset, grid: GridConfig) -> OvoModel:
     """Train one binary model per unordered class pair; vote at prediction.
+
+    Each pair's model is ``train_binary`` of the pair's samples on the same
+    ``grid``, so it is bitwise the model a binary run of the pair gives.
 
     Vote ties are broken by the larger accumulated |decision value| over
     the models a class participates in, then by the smaller class id.
@@ -581,10 +571,7 @@ def train_multiclass_ovo(
     for i, a in enumerate(classes):
         for b in classes[i + 1:]:
             sub = ds.restrict_classes((a, b))
-            models[(a, b)] = train_binary(
-                sub, grid, normalize=normalize,
-                solver_tol=solver_tol, solver_max_iter=solver_max_iter,
-            )
+            models[(a, b)] = train_binary(sub, grid)
     return OvoModel(classes=classes, models=models)
 
 
@@ -636,24 +623,18 @@ def evaluate(model, ds: Dataset, split: str = "test") -> Metrics:
     return compute_metrics(labels, predicted, classes)
 
 
-def rank_sweep(
-    ds: Dataset,
-    grid: GridConfig,
-    rank_values=None,
-    normalize: bool = False,
-    solver_tol: float = 1e-3,
-) -> list[dict]:
+def rank_sweep(ds: Dataset, grid: GridConfig) -> list[dict]:
     """Train at each rank setting separately and report test accuracy.
 
-    Each entry restricts the grid to a single rank setting, runs the full
-    (sigma, C) search, and evaluates the winner on the test split.
+    Each entry of ``grid.rank_values`` gives one row: the winner of
+    ``train_binary`` on ``grid`` restricted to that one rank setting (the
+    full (sigma, C) search, with every other option of ``grid``), scored
+    on the test split.  To sweep other ranks, ``replace`` the grid's
+    ``rank_values``.
     """
-    if rank_values is None:
-        rank_values = grid.rank_values
     rows = []
-    for entry in rank_values:
-        sub_grid = replace(grid, rank_values=(entry,))
-        model = train_binary(ds, sub_grid, normalize=normalize, solver_tol=solver_tol)
+    for entry in grid.rank_values:
+        model = train_binary(ds, replace(grid, rank_values=(entry,)))
         metrics = evaluate(model, ds, split="test")
         rows.append(
             {

@@ -425,6 +425,30 @@ class TestRankSweepCommand:
         assert lines[4].startswith("2x2,")
 
 
+class TestSolverOptions:
+    """``[solver]`` reaches every training command through one grid."""
+
+    COMMANDS = ["train", "grid", "rank-sweep"]
+
+    def ini(self, data_dir, solver):
+        text = (data_dir / "run.ini").read_text().replace("c_values = 10", "c_values = 1000")
+        path = data_dir / "solver.ini"
+        path.write_text(text + "\n[solver]\n" + solver + "\n")
+        return path
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_max_iter_binds(self, data_dir, capsys, command):
+        code, _, err = run(capsys, command, "--config", self.ini(data_dir, "max_iter = 1"),
+                           "--pair", "0,1", "--ranks", "1,2")
+        assert code == 7 and err.splitlines()[-1].startswith("error:convergence:")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_zero_tol_is_usage_error(self, data_dir, capsys, command):
+        code, _, err = run(capsys, command, "--config", self.ini(data_dir, "tol = 0"),
+                           "--pair", "0,1")
+        assert code == 2 and err.splitlines()[-1].startswith("error:usage:")
+
+
 class TestBenchCommand:
     def test_compare(self, capsys):
         code, out, _ = run(capsys, "bench", "--d", "3", "--dims", "6",

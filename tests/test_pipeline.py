@@ -3,11 +3,13 @@
 import gc
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ttkm import pipeline
+from ttkm.errors import ConvergenceError
 from ttkm.kernels import (
     KernelSpec,
     LinearKernel,
@@ -374,7 +376,7 @@ class TestPredict:
     def test_normalize_makes_prediction_scale_invariant(self):
         rng = np.random.default_rng(23)
         ds = blob_dataset(rng)
-        model = train_binary(ds, small_grid(), normalize=True)
+        model = train_binary(ds, replace(small_grid(), normalize=True))
         te_s, _ = ds.subset("test")
         scaled = [DenseTensor(7.0 * s.values) for s in te_s]
         np.testing.assert_array_equal(predict(model, scaled), predict(model, te_s))
@@ -664,8 +666,65 @@ class TestRankSweep:
         assert rows[1]["test_accuracy"] >= rows[0]["test_accuracy"] - 1e-12
         assert all("validation_accuracy" in r and "C" in r for r in rows)
 
-    def test_explicit_rank_list_overrides_grid(self):
+    def test_replaced_rank_values_set_the_rows(self):
         rng = np.random.default_rng(51)
         ds = blob_dataset(rng)
-        rows = rank_sweep(ds, small_grid(ranks=(1,)), rank_values=(2,))
-        assert rows[0]["ranks"] == [2, 2]
+        rows = rank_sweep(ds, replace(small_grid(ranks=(1,)), rank_values=(2, (1, 2))))
+        assert [r["ranks"] for r in rows] == [[2, 2], [1, 2]]
+
+    def test_max_iter_binds(self):
+        rng = np.random.default_rng(52)
+        ds = blob_dataset(rng, noise=0.3)
+        grid = small_grid(ranks=(1, 2), cs=(1000.0,))
+        with pytest.raises(ConvergenceError):
+            rank_sweep(ds, replace(grid, solver_max_iter=1))
+
+
+class TestOneRunPerGrid:
+    """``train_binary``, ``train_multiclass_ovo`` and ``rank_sweep`` read
+    every option of a run from one ``GridConfig``, so their models are
+    bitwise equal when the grid is."""
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(53)
+        ds = blob_dataset(rng, noise=0.3)
+        # unequal sample norms, so that normalize changes the model
+        ds.samples = [DenseTensor((1.0 + i % 3) * s.values) for i, s in enumerate(ds.samples)]
+        grid = small_grid(ranks=(1, 2), cs=(1.0, 100.0), sigmas=(0.5, 2.0))
+        return ds, replace(grid, normalize=True, solver_tol=1e-6)
+
+    @staticmethod
+    def assert_same_model(a, b):
+        np.testing.assert_array_equal(a.coef, b.coef)
+        assert a.bias == b.bias
+        assert a.grid_point == b.grid_point
+
+    def test_the_options_change_the_model(self, case):
+        ds, grid = case
+        model = train_binary(ds, grid)
+        assert model.normalize and model.info["solver"]["tol"] == 1e-6
+        default = train_binary(ds, replace(grid, normalize=False, solver_tol=1e-3))
+        assert not (np.array_equal(model.coef, default.coef) and model.bias == default.bias)
+
+    def test_ovo_pair_model_is_the_binary_model(self, case):
+        ds, grid = case
+        ovo = train_multiclass_ovo(ds, grid)
+        self.assert_same_model(ovo.models[(0, 1)], train_binary(ds, grid))
+
+    def test_rank_sweep_winners_are_the_binary_models(self, case, monkeypatch):
+        ds, grid = case
+        winners = []
+
+        def recording(ds, grid):
+            winners.append(train_binary(ds, grid))
+            return winners[-1]
+
+        monkeypatch.setattr(pipeline, "train_binary", recording)
+        rows = rank_sweep(ds, grid)
+        monkeypatch.undo()
+        assert len(winners) == len(rows) == 2
+        for entry, row, winner in zip(grid.rank_values, rows, winners):
+            model = train_binary(ds, replace(grid, rank_values=(entry,)))
+            self.assert_same_model(winner, model)
+            assert row["support_count"] == len(model.support)
