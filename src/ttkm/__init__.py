@@ -5,6 +5,8 @@ evaluating per-mode kernels combined across modes in polynomial cost,
 and training a soft-margin SVM on the resulting Gram matrix.
 """
 
+import logging
+
 from .bench import bench_compare, bench_fast_prod_ranks, bench_naive_orders
 from .config import RunConfig, load_config, load_labels, load_samples
 from .errors import (
@@ -68,6 +70,12 @@ from .tensor import (
 from .ttn import read_dataset, read_tensor, write_dataset, write_tensor
 
 __version__ = "0.1.0"
+
+# A library logs; it does not print.  Without a handler of its own, logging's
+# last-resort handler would write every warning (an unconverged solve, say)
+# to stderr, where the CLI promises one line per failure.  ``ttkm --verbose``
+# installs a root handler, which still shows them.
+logging.getLogger("ttkm").addHandler(logging.NullHandler())
 
 __all__ = [
     "CapacityError",

@@ -18,7 +18,9 @@ concatenated and indexed by offsets in the header.
 
 The checksum covers only the blob, so every header field is validated on
 load: a missing or ill-typed key is a DataFormatError, never a crash.  So
-is a path that cannot be read; a missing file is a FileNotFoundError.
+is a NaN or inf in the blob, a one-vs-one file whose pair blobs do not lie
+end to end, and a path that cannot be read; a missing file is a
+FileNotFoundError.
 """
 
 from __future__ import annotations
@@ -125,6 +127,10 @@ def _model_from_parts(header: dict, blob: bytes, path) -> SvmModel:
             f"{path}: blob of {len(blob)} bytes does not match header "
             f"(expected {need})"
         )
+    # the checksum only shows the blob is as written; a NaN written into it
+    # would reach lstsq at predict time
+    if not np.all(np.isfinite(np.frombuffer(blob, dtype="<f8"))):
+        raise DataFormatError(f"{path}: model holds a NaN or inf value")
     pos = 0
 
     def take(shape):
@@ -250,11 +256,13 @@ def load_model(path):
     if kind == "ovo":
         classes = _get(header, "classes", lambda v: _int_list(v) and len(v) >= 2, path)
         models = {}
+        end = 0  # the pair blobs lie end to end in order, as save_model writes them
         for entry in _get(header, "models", lambda v: isinstance(v, list) and v, path):
             a, b = _get(entry, "pair", lambda v: _int_list(v) and len(v) == 2
                         and set(v) <= set(classes), path)
-            start = _get(entry, "blob_offset", lambda v: _is_int(v) and v >= 0, path)
+            start = _get(entry, "blob_offset", lambda v: _is_int(v) and v == end, path)
             length = _get(entry, "blob_len", lambda v: _is_int(v) and v >= 0, path)
+            end += length
             models[(a, b)] = _model_from_parts(
                 _get(entry, "model", _is_dict, path), blob[start:start + length], path
             )

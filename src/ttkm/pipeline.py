@@ -4,16 +4,18 @@ The training procedure mirrors the usual kernel-SVM recipe, with the twist
 that samples are decomposed jointly: for every candidate rank setting, the
 train and validation samples are stacked and decomposed together so all
 trains share one rank chain (a requirement for a PSD Gram matrix), then a
-grid over (C, sigma) is scanned on the validation split, and the winning
-combination is refit.  The samples are stacked once per training, and the
-rank settings and the refit share that stack's split SVDs, so each split
-is decomposed once per distinct prefix of earlier ranks.  Prediction
-decomposes each incoming sample at the model's rank chain by keeping the
-support vectors' shared trailing cores and fitting a fresh first core by
-least squares, which keeps new samples in the same core representation
-the kernel values were trained on.  The samples of one request are fit
-together, one least-squares solve per chunk, and share one array of
-first cores, as the trains of a joint decomposition do.
+grid over (C, sigma) is scanned on the validation split, each C seeded
+from the previous one's solution, and the winning combination is solved
+once more from a cold start on the Gram the scan built for it.  The
+samples are stacked once per training, and the rank settings share that
+stack's split SVDs, so each split is decomposed once per distinct prefix
+of earlier ranks.  Prediction decomposes each incoming sample at the
+model's rank chain by keeping the support vectors' shared trailing cores
+and fitting a fresh first core by least squares, which keeps new samples
+in the same core representation the kernel values were trained on.  The
+samples of one request are fit together, one least-squares solve per
+chunk, and share one array of first cores, as the trains of a joint
+decomposition do.
 """
 
 from __future__ import annotations
@@ -396,25 +398,44 @@ def _grid_key(entry) -> tuple:
     return (-entry["validation_accuracy"], tuple(entry["ranks"]), entry["C"], sigma)
 
 
+def _seeded_start(prev, c_value):
+    """Alpha seeding: the start for C = ``c_value`` after ``prev``, the
+    previous C of the same Gram and its solution (None for none).  The
+    previous alphas scaled by C / C_prev stay feasible and lie near the new
+    optimum; those at C_prev go to exactly C.  None, a cold start, unless
+    the previous C is smaller."""
+    if prev is None or not prev[0] < c_value:
+        return None
+    c_prev, alphas = prev
+    start = np.minimum(alphas * (c_value / c_prev), c_value)
+    start[alphas == c_prev] = c_value
+    return start
+
+
 def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
     """Grid-searched binary training of the run ``grid`` describes.
 
     For every rank setting the train and validation samples are decomposed
     jointly; for every (sigma, C) the dual is solved on the training Gram
     matrix and scored on the validation split.  Accuracy ties are broken
-    toward smaller ranks, then smaller C, then smaller sigma.  The winner
-    is refit along the identical deterministic path and returned with the
+    toward smaller ranks, then smaller C, then smaller sigma.  Each C of a
+    (ranks, sigma) starts from the previous C's solution when that C is
+    smaller (``_seeded_start``), so an ascending C grid pays for one cold
+    solve per Gram; the report keeps the grid's order.  The winner is then
+    solved once more from alpha = 0 on the Gram and validation cross-Gram
+    the scan built for it, so the model is the cold optimum of its grid
+    point whatever the rest of the grid holds, and it is returned with the
     full scan attached under ``info["grid"]``.  The grid's ``normalize``,
-    ``solver_tol`` and ``solver_max_iter`` hold for every point, and an
+    ``solver_tol`` and ``solver_max_iter`` hold for every solve, and an
     unconverged winner raises ``ConvergenceError``.
 
     The train and validation samples are stacked once, in one
-    ``StackedSamples``, and every scan decomposes that holder.  Its cache
-    keeps each split's SVD under the ranks kept at the earlier splits: the
-    sample-mode split and the next are computed once for all rank
-    settings, each setting adds only the splits its ranks reach first, and
-    the refit takes no SVD.  The holder, and with it the cache, is freed
-    when training returns.
+    ``StackedSamples``, and each rank setting decomposes that holder once.
+    Its cache keeps each split's SVD under the ranks kept at the earlier
+    splits: the sample-mode split and the next are computed once for all
+    rank settings, and each setting adds only the splits its ranks reach
+    first.  The holder, and with it the cache, is freed when training
+    returns.
     """
     train_s, train_y = ds.subset("train")
     val_s, val_y = ds.subset("validation")
@@ -440,32 +461,33 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
     y_train = _signed_labels(train_y, pos_class)
     y_val = _signed_labels(val_y, pos_class)
     n_train = len(train_s)
-    # every scan, the refit included, reads the split SVDs of this one stack
+    # every rank setting reads the split SVDs of this one stack
     stack = StackedSamples(train_s + val_s)
 
-    def scan(ranks, sigmas, c_values):
-        """Decompose at ``ranks``, then solve and score each (sigma, C)."""
+    def solve_and_score(gram, rows, c_value, start=None):
+        sol = solve_dual(
+            DualProblem(gram=gram, labels=y_train, C=c_value),
+            tol=grid.solver_tol,
+            max_iter=grid.solver_max_iter,
+            start=start,
+        )
+        vals = decision_values(sol.alphas * y_train, sol.bias, rows)
+        return sol, float(np.mean(predict_labels(vals) == y_val))
+
+    report = []
+    kept = None  # the best entry so far, with its trains, spec, Gram and cross-Gram
+    for ranks in grid.rank_settings(d):
         tts = stack_and_decompose(stack, TtSvdConfig(max_ranks=ranks))
         tr_tts, va_tts = tts[:n_train], tts[n_train:]
-        for sigma in sigmas:
+        for sigma in grid.sigmas():
             spec = grid.make_spec(sigma)
             gram = build_gram(tr_tts, spec)
             rows = cross_gram(tr_tts, va_tts, spec)
-            for c_value in c_values:
-                sol = solve_dual(
-                    DualProblem(gram=gram, labels=y_train, C=c_value),
-                    tol=grid.solver_tol,
-                    max_iter=grid.solver_max_iter,
-                )
-                vals = decision_values(sol.alphas * y_train, sol.bias, rows)
-                acc = float(np.mean(predict_labels(vals) == y_val))
-                yield tr_tts, spec, sigma, c_value, sol, acc
-
-    report = []
-    for ranks in grid.rank_settings(d):
-        for _, _, sigma, c_value, sol, acc in scan(ranks, grid.sigmas(), grid.c_values):
-            report.append(
-                {
+            prev = None
+            for c_value in grid.c_values:
+                sol, acc = solve_and_score(gram, rows, c_value, _seeded_start(prev, c_value))
+                prev = (c_value, sol.alphas)
+                entry = {
                     "ranks": list(ranks),
                     "sigma": sigma,
                     "C": c_value,
@@ -474,11 +496,13 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
                     "iterations": sol.iterations,
                     "support_count": int(len(sol.support_indices)),
                 }
-            )
+                report.append(entry)
+                if kept is None or _grid_key(entry) < _grid_key(kept[0]):
+                    kept = (entry, tr_tts, spec, gram, rows)
 
-    best = min(report, key=_grid_key)
+    best, tr_tts, spec, gram, rows = kept
     ranks = tuple(best["ranks"])
-    tr_tts, spec, _, _, sol, acc = next(scan(ranks, (best["sigma"],), (best["C"],)))
+    sol, acc = solve_and_score(gram, rows, best["C"])
     if not sol.converged:
         raise ConvergenceError(
             f"solver did not converge at the selected grid point "
@@ -487,7 +511,7 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
         )
     if acc != best["validation_accuracy"]:
         logger.warning(
-            "refit validation accuracy %.6f differs from scan %.6f",
+            "cold-start validation accuracy %.6f of the winner differs from scan %.6f",
             acc, best["validation_accuracy"],
         )
 

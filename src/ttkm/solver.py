@@ -222,11 +222,29 @@ def _face_phase(k, y, c, alphas, values, budget) -> int:
     return pivots
 
 
+def _feasible_start(start, y, c) -> np.ndarray:
+    """``start`` as a float array, checked to be a feasible alpha: one
+    finite value per label, each in [0, C], and |y.alpha| at most 1e-8 of
+    the alphas' sum (or of 1), which solutions meet by orders of magnitude."""
+    a = np.asarray(start, dtype=np.float64)
+    if a.shape != y.shape:
+        raise ValueError(f"start shape {a.shape} does not match {y.size} labels")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("start contains non-finite values")
+    if not (np.all(a >= 0.0) and np.all(a <= c)):
+        raise ValueError(f"start values must lie in [0, C] = [0, {c}]")
+    balance = abs(float(y @ a))
+    if balance > 1e-8 * max(1.0, float(np.sum(a))):
+        raise ValueError(f"start is not balanced: |y.alpha| = {balance:.3g}")
+    return a
+
+
 def solve_dual(
     p: DualProblem,
     tol: float = 1e-3,
     max_iter: int | None = None,
     debug: bool = False,
+    start=None,
 ) -> DualSolution:
     """SMO solver: repeatedly optimize the worst violating pair exactly.
 
@@ -256,6 +274,14 @@ def solve_dual(
     the masked gains.  (Some diff exceeds tol > 0; only when every diff^2 /
     quad underflows to 0 does the masked form decide.)  A face phase
     rebuilds ``values`` and the masks from alpha.
+
+    ``start`` is a feasible alpha to begin from (default zero), such as the
+    solution at a smaller C scaled up (alpha seeding; DeCoste & Wagstaff,
+    KDD 2000).  ``values`` and the masks are built from it as a face phase
+    rebuilds them; at alpha = 0 that gives y itself, so a zero start walks
+    the default path bit for bit.  A start of the wrong shape, with a
+    non-finite value, a value outside [0, C] or y.alpha beyond roundoff
+    raises ``ValueError``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -265,13 +291,14 @@ def solve_dual(
     k = p.gram.values
     y = p.labels
     c = p.C
+    a = np.zeros(n) if start is None else _feasible_start(start, y, c)
     cols = k.T  # the update reads columns; a Gram may be asymmetric by 1e-10
     quad = _pair_curvatures(k)
 
     signs = [1.0 if v > 0 else -1.0 for v in y]  # two float objects, not n
-    alphas = [0.0] * n
-    values = y.copy()  # y_i - G_i, and G = 0 at alpha = 0
-    up, low = _masks(np.zeros(n), y, c)
+    alphas = a.tolist()
+    values = y - k @ (a * y)  # y_i - G_i
+    up, low = _masks(a, y, c)
     if debug:
         q = _label_products(k, y)
         last_obj = _objective(np.array(alphas), q)

@@ -68,6 +68,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """``python -m ttkm`` in a fresh process, with src/ on the path and
+    nothing installed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-m", "ttkm", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestSerialization:
     def test_float_formatting(self):
         assert format_float(1.0) == "1"
@@ -443,6 +453,22 @@ class TestSolverOptions:
         assert code == 7 and err.splitlines()[-1].startswith("error:convergence:")
 
     @pytest.mark.parametrize("command", COMMANDS)
+    def test_unconverged_run_prints_one_stderr_line(self, data_dir, command):
+        # in a fresh process, as pytest's log capture would take the solver's
+        # warnings that logging's last-resort handler otherwise prints
+        done = run_module(command, "--config", self.ini(data_dir, "max_iter = 1"),
+                          "--pair", "0,1", "--ranks", "1,2")
+        assert done.returncode == 7
+        assert done.stderr.startswith("error:convergence:")
+        assert done.stderr.count("\n") == 1, done.stderr
+
+    def test_verbose_shows_the_solver_warnings(self, data_dir):
+        done = run_module("--verbose", "train", "--config",
+                          self.ini(data_dir, "max_iter = 1"), "--pair", "0,1")
+        assert done.returncode == 7
+        assert "WARNING:ttkm.solver:SMO stopped" in done.stderr
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_zero_tol_is_usage_error(self, data_dir, capsys, command):
         code, _, err = run(capsys, command, "--config", self.ini(data_dir, "tol = 0"),
                            "--pair", "0,1")
@@ -563,17 +589,10 @@ class TestExitCodes:
 
     def test_python_dash_m_runs_from_a_checkout(self, data_dir):
         # src/ on the path, nothing installed: the exit code and output of main
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        ok = subprocess.run([sys.executable, "-m", "ttkm", "tt-svd", "--input",
-                             str(data_dir / "one.ttn"), "--eps", "1e-8"],
-                            capture_output=True, text=True, env=env, timeout=120)
+        ok = run_module("tt-svd", "--input", data_dir / "one.ttn", "--eps", "1e-8")
         assert ok.returncode == 0, ok.stderr
         assert json.loads(ok.stdout)["interior_ranks"] == [1, 1]
-        missing = subprocess.run([sys.executable, "-m", "ttkm", "tt-svd", "--input",
-                                  str(data_dir / "nope.ttn"), "--eps", "1e-8"],
-                                 capture_output=True, text=True, env=env, timeout=120)
+        missing = run_module("tt-svd", "--input", data_dir / "nope.ttn", "--eps", "1e-8")
         assert missing.returncode == 4
         assert missing.stderr.startswith("error:missing-input:")
 

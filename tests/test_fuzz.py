@@ -1,11 +1,15 @@
 """Fuzzed readers: a truncated, bit-flipped or integer-spliced copy of a
 valid ``.ttn``, IDX or ``.ttkm`` file gives a value or DataFormatError,
 and a mutated run INI gives a RunConfig or ConfigError, within a
-per-example deadline; nothing else escapes.  A handful of mutated INIs also
-run through ``ttkm train``, which must never exit 1 ("unexpected")."""
+per-example deadline; nothing else escapes.  The mutated ``.ttkm`` and
+``.ttn`` files also run through ``ttkm predict``, and a handful of mutated
+INIs through ``ttkm train``: neither may exit 1 ("unexpected"), and a
+failure prints one ``error:`` line."""
 
+import contextlib
 import functools
 import gzip
+import io
 import json
 import re
 import struct
@@ -34,6 +38,9 @@ SPLICE_VALUES = (0, 1, 2**31, 2**32 - 1)
 # each header integer kept (None) or overwritten, then the payload kept or cut off
 HEADERS = st.tuples(st.lists(st.sampled_from((None,) + SPLICE_VALUES), min_size=4, max_size=4),
                     st.booleans())
+# the same, or (as often) the header left as it is, so more inputs read and
+# reach the code behind the reader
+KEPT_HEADERS = st.one_of(st.just(([None] * 4, False)), HEADERS)
 OPS = st.lists(st.one_of(
     st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
     st.tuples(st.just("flip"), st.floats(0.0, 1.0, exclude_max=True),
@@ -191,6 +198,56 @@ class TestFuzzedReaders:
     def test_ttkm(self, header, ops, ovo):
         data = mutate(valid_models()[ovo], header, ops, (4, 8), "<I", json_header=True)
         read_or_format_error(load_model, data, ".ttkm")
+
+
+@functools.cache
+def valid_request() -> bytes:
+    """Three samples of the dims (3, 2, 2) of ``valid_models``, as a .ttn dataset."""
+    rng = np.random.default_rng(4)
+    return saved_bytes(write_dataset, [DenseTensor(rng.standard_normal((3, 2, 2)))
+                                       for _ in range(3)], ".ttn")
+
+
+def predict_outcome(model: bytes, request: bytes) -> tuple[int, str]:
+    """``ttkm predict`` on files holding ``model`` and ``request``: its exit
+    code and standard error, after checking that it did not exit 1 and
+    that a failure printed one ``error:`` line and nothing else."""
+    with tempfile.TemporaryDirectory() as d:
+        paths = Path(d) / "model.ttkm", Path(d) / "request.ttn"
+        for path, data in zip(paths, (model, request)):
+            path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["predict", "--model", str(paths[0]), "--input", str(paths[1])])
+    err = err.getvalue()
+    assert code != 1, err
+    assert code == 0 or (err.startswith("error:") and err.count("\n") == 1), err
+    return code, err
+
+
+class TestFuzzedPredict:
+    def test_valid_inputs_predict(self):
+        for model in valid_models():
+            assert predict_outcome(model, valid_request())[0] == 0
+
+    def test_misaligned_pair_blob_is_a_format_error(self):
+        # found by these tests: the first pair's blob_offset (the header's
+        # 7th integer) spliced to 1 read misaligned floats past the checksum,
+        # and predict printed numpy warnings, then "error:usage" from lstsq
+        code, err = predict_outcome(splice_json_int(valid_models()[1], 6, 1), valid_request())
+        assert code == 5 and "'blob_offset'" in err
+
+    @FUZZ
+    @given(KEPT_HEADERS, OPS, st.booleans())
+    def test_ttkm(self, header, ops, ovo):
+        predict_outcome(mutate(valid_models()[ovo], header, ops, (4, 8), "<I",
+                               json_header=True), valid_request())
+
+    @FUZZ
+    @given(KEPT_HEADERS, OPS, st.booleans())
+    def test_ttn(self, header, ops, ovo):
+        predict_outcome(valid_models()[ovo],
+                        mutate(valid_request(), header, ops, (4, 8, 12, 16), "<I"))
 
 
 # A valid run INI, with {train} and {labels} for the data paths.  Every key

@@ -20,7 +20,7 @@ from ttkm.pipeline import (
     train_binary,
     train_multiclass_ovo,
 )
-from ttkm.tensor import DenseTensor
+from ttkm.tensor import DenseTensor, TensorTrain
 from ttkm.ttn import read_dataset, read_tensor, write_dataset, write_tensor
 
 
@@ -415,6 +415,26 @@ class TestModelStore:
         with pytest.raises(DataFormatError, match="checksum"):
             load_model(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["tail", "coef", "bias"])
+    def test_non_finite_blob_value_rejected(self, tmp_path, where, value):
+        # the checksum matches what was written, so the value itself is
+        # refused; a NaN tail core made predict print LAPACK errors to
+        # stdout and exit 2 "usage"
+        _, model = self.train_small()
+        if where == "tail":
+            core = np.array(model.support[0].cores[-1])
+            core.flat[0] = value
+            model.support = tuple(TensorTrain(tt.cores[:-1] + (core,)) for tt in model.support)
+        elif where == "coef":
+            model.coef = np.where(np.arange(model.coef.size) == 0, value, model.coef)
+        else:
+            model.bias = value
+        path = tmp_path / "m.ttkm"
+        save_model(path, model)
+        with pytest.raises(DataFormatError, match="NaN or inf"):
+            load_model(path)
+
     def test_unsupported_version(self, tmp_path):
         _, model = self.train_small()
         path = tmp_path / "m.ttkm"
@@ -523,8 +543,14 @@ class TestModelHeaderValidation:
         lambda h: h.update(models=[]),
         lambda h: h.update(classes=[0], models=[]),
         lambda h: h["models"][2]["model"]["spec"]["per_mode"].pop(),
+        # a pair blob that starts inside another reads misaligned floats the
+        # checksum cannot catch; predict then failed in lstsq (fuzzed CLI)
+        lambda h: h["models"][0].update(blob_offset=1),
+        lambda h: h["models"][1].update(blob_offset=0),
+        lambda h: h["models"][0].update(blob_offset=0.0),
     ], ids=["no-classes", "dict-models", "pair-outside-classes", "str-offset",
-            "no-dims", "no-models", "one-class", "short-per-mode"])
+            "no-dims", "no-models", "one-class", "short-per-mode", "misaligned-offset",
+            "overlapping-offset", "float-offset"])
     def test_ovo(self, saved, tmp_path, edit):
         path = tmp_path / "m.ttkm"
         path.write_bytes((saved / "ovo.ttkm").read_bytes())

@@ -239,8 +239,8 @@ class TestTrainBinary:
 
     def test_one_svd_per_new_rank_prefix(self, monkeypatch):
         # order-4 data at ranks 2 and 4: the sample-mode split and the next
-        # are shared, each rank adds its last two splits, and the refit
-        # reads everything from the cache: 2 + 2 * 2 SVDs (3 * 4 unshared)
+        # are shared, and each rank adds its last two splits: 2 + 2 * 2
+        # SVDs (2 * 4 unshared); the winner's final solve decomposes nothing
         rng = np.random.default_rng(16)
         ds = blob_dataset(rng, dims=(3, 3, 4, 4), noise=0.3)
         calls = []
@@ -316,6 +316,91 @@ class TestTrainBinary:
         ds = blob_dataset(rng, classes=(5, 3))
         model = train_binary(ds, small_grid())
         assert (model.neg_class, model.pos_class) == (3, 5)
+
+
+class TestSeededScan:
+    """Each C of a (ranks, sigma) starts from the previous, smaller C's
+    solution; the winner is solved again from alpha = 0 on the Gram the
+    scan built, so the model is the cold optimum of its grid point."""
+
+    CS = (1.0, 10.0, 100.0, 1000.0)
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        # a winner at C = 1000, which the scan reached from C = 100's solution
+        ds = blob_dataset(np.random.default_rng(66), noise=0.6, n_train=8, n_val=6)
+        grid = small_grid(ranks=(1, 2), cs=self.CS, sigmas=(0.5, 2.0))
+        return ds, grid, train_binary(ds, grid)
+
+    @staticmethod
+    def assert_same_model(a, b):
+        np.testing.assert_array_equal(a.coef, b.coef)
+        assert a.bias == b.bias
+        assert a.grid_point == b.grid_point
+        assert a.validation_accuracy == b.validation_accuracy
+        assert len(a.support) == len(b.support)
+        for sa, sb in zip(a.support, b.support):
+            for ca, cb in zip(sa.cores, sb.cores):
+                np.testing.assert_array_equal(ca, cb)
+
+    def test_model_does_not_depend_on_the_rest_of_the_c_grid(self, case):
+        ds, grid, model = case
+        point = model.grid_point
+        scanned = next(e for e in model.info["grid"]
+                       if (e["ranks"], e["C"], e["sigma"]) ==
+                       (point["ranks"], point["C"], point["sigma"]))
+        assert point["C"] == 1000.0
+        assert scanned["iterations"] != model.info["solver"]["iterations"]  # seeded there
+        alone = train_binary(ds, replace(grid, c_values=(point["C"],),
+                                         rank_values=(tuple(point["ranks"]),),
+                                         sigma_values=(point["sigma"],)))
+        self.assert_same_model(model, alone)
+
+    def test_unsorted_c_values_keep_the_report_order_and_the_model(self, case):
+        ds, grid, model = case
+        unsorted = (100.0, 1.0, 1000.0, 10.0)
+        got = train_binary(ds, replace(grid, c_values=unsorted))
+        assert [e["C"] for e in got.info["grid"]] == list(unsorted) * 4
+        self.assert_same_model(got, model)
+
+    @pytest.mark.parametrize("cs, cold", [
+        (CS, [True, False, False, False]),
+        ((100.0, 1.0, 1000.0, 10.0), [True, True, False, True]),
+    ], ids=["ascending", "unsorted"])
+    def test_one_decomposition_per_rank_one_gram_per_sigma(self, case, monkeypatch, cs, cold):
+        ds, grid, _ = case
+        calls = {name: [] for name in ("stack_and_decompose", "build_gram", "cross_gram")}
+        for name, seen in calls.items():
+            real = getattr(pipeline, name)
+            monkeypatch.setattr(pipeline, name,
+                                lambda *a, _real=real, _seen=seen, **k:
+                                _seen.append(1) or _real(*a, **k))
+        solves = []
+        real_solve = pipeline.solve_dual
+
+        def solve(p, **kwargs):
+            solves.append((p.C, kwargs.get("start")))
+            return real_solve(p, **kwargs)
+
+        monkeypatch.setattr(pipeline, "solve_dual", solve)
+        model = train_binary(ds, replace(grid, c_values=cs))
+        assert len(calls["stack_and_decompose"]) == 2
+        assert len(calls["build_gram"]) == len(calls["cross_gram"]) == 2 * 2
+        assert len(solves) == len(model.info["grid"]) + 1 == 2 * 2 * 4 + 1
+        assert [start is None for _, start in solves[:-1]] == cold * 4
+        assert solves[-1] == (model.grid_point["C"], None)
+
+    def test_seeded_start_scales_the_previous_solution(self):
+        # 11 * (30 / 11) rounds below 30: a bound needs its own rule to stay one
+        assert 11.0 * (30.0 / 11.0) < 30.0
+        alphas = np.array([0.0, 5.5, 11.0, 11.0 * (1 - 2**-52)])
+        start = pipeline._seeded_start((11.0, alphas), 30.0)
+        assert start[0] == 0.0 and start[2] == 30.0
+        np.testing.assert_allclose(start[[1, 3]], [15.0, 30.0], rtol=1e-15)
+        assert np.all(start <= 30.0)
+        assert pipeline._seeded_start((10.0, alphas), 10.0) is None
+        assert pipeline._seeded_start((10.0, alphas), 3.0) is None
+        assert pipeline._seeded_start(None, 3.0) is None
 
 
 class TestPredict:

@@ -22,6 +22,7 @@ from ttkm.solver import (
     DualSolution,
     _bias,
     _objective,
+    _project_feasible,
     brute_force_dual,
     decision_values,
     kkt_report,
@@ -306,6 +307,71 @@ class TestSolveDual:
             solve_dual(two_point_problem(), tol=0.0)
 
 
+def assert_same_solution(got, want):
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert bits(got.alphas) == bits(want.alphas)
+    assert bits(got.bias) == bits(want.bias)
+    assert bits(got.objective) == bits(want.objective)
+
+
+class TestSolveDualStart:
+    """A feasible ``start`` is where the solve begins; alpha = 0 is the
+    cold start itself."""
+
+    @pytest.mark.parametrize("face_every", [None, FACE_EVERY])
+    @pytest.mark.parametrize("problem", [
+        rbf_problem(161, 60, 1000.0, 0.5),
+        rbf_problem(162, 20, 1.0, 0.2),
+        integer_problem(3),
+        random_problem(np.random.default_rng(163), 30, 10.0),
+    ], ids=["rbf-hard", "rbf-skewed", "integer", "random"])
+    def test_zero_start_is_the_cold_solve(self, problem, face_every, monkeypatch):
+        monkeypatch.setattr(solver, "FACE_EVERY", face_every)
+        for debug in (False, True):
+            assert_same_solution(
+                solve_dual(problem, debug=debug, start=np.zeros(problem.size)),
+                solve_dual(problem, debug=debug),
+            )
+
+    def test_optimal_start_returns_at_once(self):
+        p = rbf_problem(164, 40, 100.0, 0.5)
+        optimum = solve_dual(p, tol=1e-9)
+        s = solve_dual(p, tol=1e-6, start=optimum.alphas)
+        assert s.converged and s.iterations == 0
+        assert bits(s.alphas) == bits(optimum.alphas)
+        assert s.bias == pytest.approx(optimum.bias, abs=1e-8)
+
+    def test_seeded_solve_matches_the_cold_optimum(self):
+        # the solution at C = 10, scaled to C = 100: fewer iterations, and
+        # the same optimum within the tolerance
+        p10 = rbf_problem(165, 60, 10.0, 0.5)
+        p100 = labelled_problem(p10.gram.values, p10.labels, 100.0)
+        start = solve_dual(p10, tol=1e-8).alphas * 10.0
+        cold = solve_dual(p100, tol=1e-8)
+        seeded = solve_dual(p100, tol=1e-8, start=start)
+        assert seeded.converged and seeded.iterations < cold.iterations
+        check_feasible(p100, seeded)
+        assert seeded.objective == pytest.approx(cold.objective, rel=1e-8)
+
+    @pytest.mark.parametrize("bad, match", [
+        (lambda a: a[:-1], "shape"),
+        (lambda a: a.reshape(2, -1), "shape"),
+        (lambda a: np.where(np.arange(a.size) == 0, np.nan, a), "non-finite"),
+        (lambda a: np.where(np.arange(a.size) == 0, np.inf, a), "non-finite"),
+        (lambda a: a - 0.6, r"\[0, C\]"),
+        (lambda a: a + 2.0, r"\[0, C\]"),
+        (lambda a: np.where(np.arange(a.size) == 0, a + 1e-3, a), "balanced"),
+    ], ids=["short", "2-d", "nan", "inf", "below-0", "above-C", "unbalanced"])
+    def test_infeasible_start_rejected(self, bad, match):
+        # the feasible start: alpha = 1/2 on every sample of a balanced problem
+        p = rbf_problem(166, 8, 2.0, 0.5)
+        good = np.full(8, 0.5)
+        assert abs(float(p.labels @ good)) == 0.0
+        solve_dual(p, start=good)
+        with pytest.raises(ValueError, match=match):
+            solve_dual(p, start=bad(good))
+
+
 class TestSolveDualTrajectory:
     """With the face step off, solve_dual walks the reference loop's path
     exactly, iteration by iteration."""
@@ -516,6 +582,23 @@ class TestSolveDualProperties:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "FACE_EVERY", face_every)
             s = solve_dual(p, tol=tol, debug=True)
+        assert s.converged
+        check_feasible(p, s)
+        assert kkt_report(p, s, tol).max_violation <= tol
+        o = brute_force_dual(p)
+        assert abs(s.objective - o.objective) <= 1e-5 * max(1.0, abs(o.objective))
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=timedelta(seconds=10))
+    @given(small_problems(), st.sampled_from([1, 2, 5, FACE_EVERY]), st.data())
+    def test_seeded_starts_converge_to_the_oracle_optimum(self, p, face_every, data):
+        # any feasible start: the projection of a random vector around the box
+        v = data.draw(arrays(np.float64, p.size, elements=st.floats(-0.5, 1.5)))
+        start = _project_feasible(p.C * v, p.labels, p.C)
+        tol = 1e-6
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "FACE_EVERY", face_every)
+            s = solve_dual(p, tol=tol, debug=True, start=start)
         assert s.converged
         check_feasible(p, s)
         assert kkt_report(p, s, tol).max_violation <= tol
