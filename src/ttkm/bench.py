@@ -1,8 +1,11 @@
 """Timing harness for the kernel evaluators.
 
-Measures wall time of the fast (polynomial-cost) and naive (all rank
-tuples) evaluators over random TT pairs, with automatic repetition so
-each measurement comfortably exceeds timer resolution.  Used by the
+Measures the CPU time of this process (``time.process_time``) spent in
+the fast (polynomial-cost) and naive (all rank tuples) evaluators over
+random TT pairs, with automatic repetition so each measurement
+comfortably exceeds timer resolution.  CPU time, not wall time, so that
+other processes on the machine do not inflate the ratios the acceptance
+tests bound.  Used by the
 ``bench`` CLI subcommand and the performance acceptance tests: fast
 product evaluation should scale polynomially in the rank, while the
 naive reference blows up with the tensor order.
@@ -33,14 +36,15 @@ def _spec(order, sigma=1.0, combine="prod") -> KernelSpec:
 
 
 def _time_sweep(task, min_seconds=0.05) -> float:
-    """Seconds per execution of ``task``, repeated until stable."""
+    """CPU seconds of this process per execution of ``task``, repeated
+    until stable."""
     task()  # warmup
     reps = 1
     while True:
-        start = time.perf_counter()
+        start = time.process_time()
         for _ in range(reps):
             task()
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
         if elapsed >= min_seconds or reps >= (1 << 20):
             return elapsed / reps
         if elapsed <= 0:
@@ -106,7 +110,7 @@ def bench_naive_orders(
 def bench_compare(
     order=3, dim_size=8, rank=4, pairs=100, seed=0, combine="prod", min_seconds=0.05
 ) -> dict:
-    """Naive vs fast wall time over one shared set of random pairs."""
+    """Naive vs fast CPU time over one shared set of random pairs."""
     rng = np.random.default_rng(seed)
     pair_list = _random_pairs(order, dim_size, rank, pairs, rng)
     spec = _spec(order, combine=combine)

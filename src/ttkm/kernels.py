@@ -229,10 +229,14 @@ def _fibers(cores) -> np.ndarray:
     """Fibers of same-shape cores as rows: n cores (R, I, S) -> (n*R*S, I).
 
     Rows are ordered by (core, r, s), so a kernel matrix between two fiber
-    stacks reshapes to (n, R, S, m, U, T) without copying.
+    stacks reshapes to (n, R, S, m, U, T) without copying.  The result is
+    a C-contiguous copy whatever the cores' strides: the matrix products
+    and sums that read it add in an order set by its layout, so equal
+    cores give bitwise-equal kernel values, whether a model was trained or
+    loaded back from a file.
     """
     c = np.stack(cores)
-    return c.transpose(0, 1, 3, 2).reshape(-1, c.shape[2])
+    return np.ascontiguousarray(c.transpose(0, 1, 3, 2)).reshape(-1, c.shape[2])
 
 
 def _base_kernel_matrix(k: BaseKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:

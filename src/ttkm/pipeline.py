@@ -7,15 +7,18 @@ trains share one rank chain (a requirement for a PSD Gram matrix), then a
 grid over (C, sigma) is scanned on the validation split, each C seeded
 from the previous one's solution, and the winning combination is solved
 once more from a cold start on the Gram the scan built for it.  The
-samples are stacked once per training, and the rank settings share that
-stack's split SVDs, so each split is decomposed once per distinct prefix
-of earlier ranks.  Prediction decomposes each incoming sample at the
+samples are stacked once per training, merged into the first mode, and
+the rank settings share that stack's split SVDs, so each split is
+decomposed once per distinct prefix of earlier ranks; the first split is
+shared by every setting.  Cores are sign-fixed, so a model depends on
+the data and the grid, not on the signs LAPACK picks.  Prediction decomposes each incoming sample at the
 model's rank chain by keeping the support vectors' shared trailing cores
 and fitting a fresh first core by least squares, which keeps new samples
 in the same core representation the kernel values were trained on.  The
 samples of one request are fit together, one least-squares solve per
 chunk, and share one array of first cores, as the trains of a joint
-decomposition do.
+decomposition do.  Decision values that are not finite raise
+``CapacityError``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import CapacityError, ConvergenceError
 from .kernels import (
     CHUNK_VALUES,
     KERNEL_KINDS,
@@ -351,15 +354,28 @@ def _fill_reversed(out: np.ndarray, samples, normalize: bool) -> None:
 
 
 def decision_function(model: SvmModel, samples) -> np.ndarray:
-    """Signed decision values, one per sample."""
+    """Signed decision values, one per sample.
+
+    A value that is not finite, as a huge polynomial degree read from a
+    model file gives, raises ``CapacityError``: the kernel values exceed
+    float64.  The overflow itself raises no numpy warning.
+    """
     samples = list(samples)
     if not samples:
         return np.zeros(0)
     if not model.support:
         return np.full(len(samples), model.bias)
     tts = _prepare_samples(model, samples)
-    rows = cross_gram(model.support, tts, model.spec)
-    return decision_values(model.coef, model.bias, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = cross_gram(model.support, tts, model.spec)
+        values = decision_values(model.coef, model.bias, rows)
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise CapacityError(
+            f"{bad} of {len(values)} decision values are NaN or inf: the model's "
+            "kernel values exceed float64 on these samples"
+        )
+    return values
 
 
 def class_labels(model: SvmModel, values) -> np.ndarray:
@@ -432,9 +448,10 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
     The train and validation samples are stacked once, in one
     ``StackedSamples``, and each rank setting decomposes that holder once.
     Its cache keeps each split's SVD under the ranks kept at the earlier
-    splits: the sample-mode split and the next are computed once for all
-    rank settings, and each setting adds only the splits its ranks reach
-    first.  The holder, and with it the cache, is freed when training
+    splits: the first split, of the samples merged into the first mode,
+    is computed once for all rank settings, and each setting adds only
+    the splits its ranks reach first.  The model's first cores are copies,
+    so it does not keep that cache alive.  The holder, and with it the cache, is freed when training
     returns.
     """
     train_s, train_y = ds.subset("train")

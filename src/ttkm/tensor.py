@@ -1,5 +1,12 @@
 """Dense tensors, tensor trains, and the TT-SVD decomposition.
 
+TT-SVD is Oseledets's sequential truncated SVD (SIAM J. Sci. Comput.
+2011).  ``tt_svd`` decomposes one tensor; ``stack_and_decompose``
+decomposes many same-shape samples jointly, with their first modes
+merged, so that they share one rank chain and one set of trailing cores.
+Both run one sweep, ``_sweep``, and fix the sign of every singular
+vector it takes, so cores depend only on the data.
+
 Conventions used throughout the package:
 
 * A dense tensor of order ``d`` has dims ``(I_1, ..., I_d)`` and is
@@ -218,20 +225,44 @@ class _Splits:
     the cores a sweep returns are views of ``u``.  A private one is read by
     one sweep, which scales each split's ``vt`` in place into the next
     split's matrix and then drops that split's SVD.
+
+    Every SVD stored here has passed ``_fix_signs``, so its singular
+    vectors, and the cores cut from them, depend only on the data, not on
+    the LAPACK build or the route that formed the matrix.
     """
 
     def __init__(self, t: DenseTensor, shared: bool):
         self.dims = t.dims
-        self.size = t.size
         self.norm = t.norm()
         self.values = t.values
         self.shared = shared
         self.svds: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
 
+def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
+    """The sign rule of every split's SVD, applied in place: in each left
+    singular vector the entry of largest magnitude is made positive (on a
+    tie, the first such row decides), negating that ``u`` column and its
+    ``vt`` row together (Bro, Acar & Kolda, J. Chemometrics 2008).
+
+    A column's largest and smallest entries decide it, both reduced along
+    the rows, so no ``u``-sized temporary is made.
+    """
+    hi = u.max(axis=0)
+    lo = u.min(axis=0)
+    flip = -lo > hi
+    for j in np.nonzero(-lo == hi)[0]:
+        flip[j] = np.argmin(u[:, j]) < np.argmax(u[:, j])
+    if flip.any():
+        signs = np.where(flip, -1.0, 1.0)
+        u *= signs
+        vt *= signs[:, None]
+
+
 def _sweep(splits: _Splits, cfg: TtSvdConfig) -> TensorTrain:
     """TT-SVD of the tensor behind ``splits``, reading each split's SVD
-    from its cache and adding the ones it lacks."""
+    from its cache and adding the ones it lacks.  Each new SVD is
+    sign-fixed (``_fix_signs``) before it is cached."""
     dims = splits.dims
     d = len(dims)
     if cfg.max_ranks is not None and len(cfg.max_ranks) != d - 1:
@@ -269,6 +300,7 @@ def _sweep(splits: _Splits, cfg: TtSvdConfig) -> TensorTrain:
                 mat = mat.reshape(r_prev * dims[k], -1, order="F")
             svd = np.linalg.svd(mat, full_matrices=False)
             del mat
+            _fix_signs(svd[0], svd[2])
             if splits.shared:
                 for a in svd:
                     a.flags.writeable = False
@@ -301,8 +333,11 @@ def tt_svd(t: DenseTensor, cfg: TtSvdConfig) -> TensorTrain:
 
     This is the one TT-SVD sweep, run with a fresh cache of split SVDs, so
     nothing is shared with other calls, and each split's SVD is freed once
-    the next split is formed.  ``stack_and_decompose`` runs the same sweep
-    on a cache that a ``StackedSamples`` keeps between calls.
+    the next split is formed.  Every split's SVD is sign-fixed: in each
+    left singular vector the entry of largest magnitude is positive (the
+    first such row on a tie), so the cores depend only on ``t``, not on
+    the signs LAPACK happens to pick.  ``stack_and_decompose`` runs the
+    same sweep on a cache that a ``StackedSamples`` keeps between calls.
     """
     return _sweep(_Splits(t, shared=False), cfg)
 
@@ -334,15 +369,19 @@ def tt_inner_product(a: TensorTrain, b: TensorTrain) -> float:
 
 
 class StackedSamples:
-    """Same-shape samples stacked along a new leading mode, for decomposing
+    """Same-shape samples stacked along their first mode, for decomposing
     them jointly at several rank settings.
 
-    It owns the Fortran-ordered stack and the cache of its TT-SVD split
-    SVDs, keyed by the ranks kept at the earlier splits.  Every
-    ``stack_and_decompose`` of one holder shares that cache, so a split is
-    decomposed once however many rank settings reach it with the same
-    earlier ranks.  The stack is freed after the first split, and the
-    cache lives as long as the holder: drop it to free the SVDs.
+    M samples of dims ``(I_1, ..., I_d)`` are laid out as one order-d
+    tensor of dims ``(M*I_1, I_2, ..., I_d)``, sample index fastest: the
+    Fortran-order view of the ``(M, I_1, ..., I_d)`` stack, so nothing is
+    copied and the first split's unfolding is a view too.  The holder owns
+    that stack and the cache of its TT-SVD split SVDs, keyed by the ranks
+    kept at the earlier splits.  Every ``stack_and_decompose`` of one
+    holder shares that cache, so a split is decomposed once however many
+    rank settings reach it with the same earlier ranks.  The stack is
+    freed after the first split, and the cache lives as long as the
+    holder: drop it to free the SVDs.
     """
 
     def __init__(self, samples):
@@ -354,37 +393,41 @@ class StackedSamples:
             if s.dims != dims:
                 raise ValueError(f"sample {i} has dims {s.dims}, expected {dims}")
         self.count = len(samples)
-        # Fortran order makes the first split's unfolding a view of the stack
         stacked = np.empty((self.count,) + dims, order="F")
         for i, s in enumerate(samples):
             stacked[i] = s.values
-        self.splits = _Splits(DenseTensor(stacked), shared=True)
+        merged = (self.count * dims[0],) + dims[1:]
+        self.splits = _Splits(DenseTensor(stacked.reshape(merged, order="F")), shared=True)
 
 
 def stack_and_decompose(samples, cfg: TtSvdConfig) -> list[TensorTrain]:
     """Jointly decompose same-shape samples so they share a rank chain.
 
-    The samples are stacked along a new leading mode, decomposed once, and
-    split back into one TT per sample by absorbing that sample's row of the
-    leading core into the next core.  All returned trains therefore share
-    identical interior ranks, and their cores for modes 2..d are the same
-    arrays (only the first core is sample-specific).  The stacking rank
-    itself is never truncated by a fixed-rank config.
+    The samples' first modes are merged into one of size ``M*I_1`` (see
+    ``StackedSamples``), and that order-d tensor is decomposed once, at
+    the d-1 interior ranks or the tolerance ``cfg`` names.  Its first core
+    ``(1, M*I_1, R_2)`` holds every sample's first core: reshaped in
+    Fortran order to ``(M, I_1, R_2)`` and copied out of the cached SVD,
+    so that no returned train keeps the cache alive, it gives one first
+    core per sample.  All returned trains therefore share identical
+    interior ranks, and their cores for modes 2..d are the same arrays
+    (only the first core is sample-specific).  The sample index is never
+    truncated, under fixed ranks or a tolerance.  In tolerance mode the
+    budget is ``rel_tol * ||stack||_F / sqrt(d-1)`` per split, so the
+    whole stack is reproduced within ``rel_tol * ||stack||_F``.  The cores
+    carry ``tt_svd``'s sign rule.
 
     ``samples`` is a ``StackedSamples`` or an iterable of ``DenseTensor``,
     which gets a fresh holder.  Calls on one holder share its split SVDs:
-    under fixed ranks the first split (the sample mode) and the second are
-    the same SVDs for every rank setting, and a repeated setting takes no
-    SVD at all.  The result is the same, bit for bit, either way.
+    under fixed ranks the first split is the same SVD for every rank
+    setting, and a repeated setting takes no SVD at all.  The result is
+    the same, bit for bit, either way.
     """
     stack = samples if isinstance(samples, StackedSamples) else StackedSamples(samples)
-    if cfg.max_ranks is not None:
-        cfg = TtSvdConfig(max_ranks=(stack.splits.size,) + cfg.max_ranks,
-                          rel_tol=cfg.rel_tol)
     joint = _sweep(stack.splits, cfg)
-    lead = joint.cores[0]  # (1, M, R)
-    tail = joint.cores[2:]
-    first = np.einsum("mr,ris->mis", lead[0], joint.cores[1])
+    lead = joint.cores[0]
+    first = lead.reshape(stack.count, -1, lead.shape[2], order="F").copy()
+    tail = joint.cores[1:]
     return [TensorTrain((first[i:i + 1],) + tail) for i in range(stack.count)]
 
 

@@ -14,6 +14,7 @@ import json
 import re
 import struct
 import tempfile
+import warnings
 from datetime import timedelta
 from pathlib import Path
 
@@ -236,6 +237,21 @@ class TestFuzzedPredict:
         # and predict printed numpy warnings, then "error:usage" from lstsq
         code, err = predict_outcome(splice_json_int(valid_models()[1], 6, 1), valid_request())
         assert code == 5 and "'blob_offset'" in err
+
+    @pytest.mark.parametrize("ovo, k, degree", [(False, 12, 2**31), (True, 16, 2**32 - 1),
+                                                (True, 31, 2**32 - 1)])
+    def test_huge_poly_degree_is_a_capacity_error(self, ovo, k, degree):
+        # found by these tests: the poly degree (the header's k-th integer)
+        # spliced huge gave NaN decision values; binary predict exited 0
+        # with null values after numpy warnings, one-vs-one exited 2 "usage"
+        # from an empty vote tie, or 0 with labels voted from NaN
+        model = splice_json_int(valid_models()[ovo], k, degree)
+        assert f'"degree": {degree}'.encode() in model
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = predict_outcome(model, valid_request())
+        assert code == 6 and err.startswith("error:capacity:") and "NaN or inf" in err
+        assert not caught
 
     @FUZZ
     @given(KEPT_HEADERS, OPS, st.booleans())

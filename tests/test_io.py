@@ -375,6 +375,28 @@ class TestModelStore:
         )
         assert np.array_equal(loaded.predict(test_s), model.predict(test_s))
 
+    @pytest.mark.parametrize("classes", [(0, 1), (0, 1, 2)])
+    def test_loaded_decision_values_equal_trained_on_4x7x4x7(self, tmp_path, classes):
+        # a loaded model's cores are Fortran-ordered views of the blob, a
+        # trained one's are views of the SVDs; kernel values must not
+        # depend on that layout (they differed by up to 1.5e-10)
+        rng = np.random.default_rng(7)
+        ds = blob_dataset(rng, classes=classes, n_train=12, n_val=6, n_test=8,
+                          dims=(4, 7, 4, 7), noise=0.3)
+        grid = GridConfig(c_values=(10.0,), sigma_values=(0.5,), rank_values=(4,),
+                          mode_kinds=("rbf",) * 4)
+        model = (train_binary if len(classes) == 2 else train_multiclass_ovo)(ds, grid)
+        path = tmp_path / "m.ttkm"
+        save_model(path, model)
+        loaded = load_model(path)
+        pairs = model.models if len(classes) > 2 else {classes: model}
+        back = loaded.models if len(classes) > 2 else {classes: loaded}
+        test_s, _ = ds.subset("test")
+        for pair, trained in pairs.items():
+            want = decision_function(trained, test_s)
+            assert np.all(np.abs(want) > 1e-6)
+            assert np.array_equal(decision_function(back[pair], test_s), want)
+
     def test_trailing_cores_shared_after_load(self, tmp_path):
         _, model = self.train_small()
         path = tmp_path / "m.ttkm"

@@ -238,16 +238,17 @@ class TestTrainBinary:
         assert model.validation_accuracy == matching[0]["validation_accuracy"]
 
     def test_one_svd_per_new_rank_prefix(self, monkeypatch):
-        # order-4 data at ranks 2 and 4: the sample-mode split and the next
-        # are shared, and each rank adds its last two splits: 2 + 2 * 2
-        # SVDs (2 * 4 unshared); the winner's final solve decomposes nothing
+        # order-4 data at ranks 2 and 4: the first split, of the merged
+        # sample and first modes, is shared, and each rank adds its last
+        # two splits: 1 + 2 * 2 SVDs (2 * 3 unshared); the winner's final
+        # solve decomposes nothing
         rng = np.random.default_rng(16)
         ds = blob_dataset(rng, dims=(3, 3, 4, 4), noise=0.3)
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         model = train_binary(ds, small_grid(d=4, ranks=(2, 4), cs=(1.0, 10.0)))
-        assert len(calls) == 6
+        assert len(calls) == 5
         assert len(model.info["grid"]) == 4
 
     def test_stack_is_dropped_when_training_returns(self, monkeypatch):

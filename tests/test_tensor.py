@@ -13,6 +13,7 @@ from ttkm.tensor import (
     StackedSamples,
     TensorTrain,
     TtSvdConfig,
+    _fix_signs,
     random_tensor_train,
     reconstruct,
     stack_and_decompose,
@@ -361,16 +362,15 @@ class TestStackAndDecompose:
         rng = np.random.default_rng(76)
         samples = [DenseTensor(rng.standard_normal((3, 4, 5))) for _ in range(9)]
         got = stack_and_decompose(samples, cfg)
-        # reference: a C-ordered stack, one tt_svd, and the per-sample split
-        stacked = DenseTensor(np.stack([s.values for s in samples], axis=0))
-        inner = cfg
-        if cfg.max_ranks is not None:
-            inner = TtSvdConfig(max_ranks=(stacked.size,) + cfg.max_ranks,
-                                rel_tol=cfg.rel_tol)
-        joint = tt_svd(stacked, inner)
+        # reference: a C-ordered stack with the sample and first modes
+        # merged (sample fastest), one tt_svd, and the first core cut per
+        # sample
+        stacked = np.stack([s.values for s in samples], axis=0)
+        merged = DenseTensor(stacked.reshape((27, 4, 5), order="F"))
+        joint = tt_svd(merged, cfg)
+        lead = joint.cores[0].reshape(9, 3, -1, order="F")
         for i, tt in enumerate(got):
-            first = np.einsum("r,ris->is", joint.cores[0][0, i, :], joint.cores[1])
-            want = (first[None, :, :],) + joint.cores[2:]
+            want = (lead[i:i + 1],) + joint.cores[1:]
             assert len(tt.cores) == len(want)
             for a, b in zip(tt.cores, want):
                 assert np.array_equal(a, b)
@@ -404,19 +404,30 @@ class TestRandomizedInvariants:
                 assert rel_err(t, tt) <= cfg.rel_tol
 
 
+def reference_signs(u, vt):
+    """The sign rule, written plainly: each ``u`` column's first entry of
+    largest magnitude is made positive, with its ``vt`` row."""
+    rows = np.argmax(np.abs(u), axis=0)
+    signs = np.where(u[rows, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    return u * signs, vt * signs[:, None]
+
+
 def reference_tt_svd(t, cfg):
-    """The TT-SVD sweep as it was before split SVDs were shared: it keeps
-    the tensor to the end and scales ``vt`` in place.  The shared sweep
-    must match it bit for bit."""
+    """The TT-SVD sweep as it was before split SVDs were shared, with the
+    sign rule: it keeps the tensor to the end and scales ``vt`` in place.
+    The shared sweep must match it bit for bit."""
     dims, d = t.dims, t.order
     nrm = t.norm()
     if nrm == 0.0:
         return [np.zeros((1, n, 1)) for n in dims]
-    delta = None if cfg.rel_tol is None else cfg.rel_tol * nrm / math.sqrt(d - 1)
+    delta = None
+    if cfg.rel_tol is not None and d > 1:
+        delta = cfg.rel_tol * nrm / math.sqrt(d - 1)
     cores, c, r_prev = [], t.values, 1
     for k in range(d - 1):
         u, s, vt = np.linalg.svd(c.reshape(r_prev * dims[k], -1, order="F"),
                                  full_matrices=False)
+        u, vt = reference_signs(u, vt)
         r = len(s)
         if delta is not None:
             tail = np.concatenate([np.cumsum((s * s)[::-1])[::-1], [0.0]])
@@ -433,20 +444,41 @@ def reference_tt_svd(t, cfg):
     return cores
 
 
-def reference_stack_and_decompose(samples, cfg):
-    """The joint decomposition before split SVDs were shared: a fresh
-    Fortran-ordered stack, ``reference_tt_svd``, and one ``einsum`` per
-    sample for the first cores."""
+def fortran_stack(samples):
+    """The (M, I_1, ..., I_d) stack of ``samples`` in Fortran order."""
     stacked = np.empty((len(samples),) + samples[0].dims, order="F")
     for i, s in enumerate(samples):
         stacked[i] = s.values
+    return stacked
+
+
+def reference_stack_and_decompose(samples, cfg):
+    """The joint decomposition, written plainly: the sample and first modes
+    of a fresh Fortran-ordered stack merged, ``reference_tt_svd``, and the
+    first core cut per sample.  ``stack_and_decompose`` must match it bit
+    for bit."""
+    stacked = fortran_stack(samples)
+    merged = stacked.reshape((stacked.shape[0] * stacked.shape[1],) + stacked.shape[2:],
+                             order="F")
+    joint = reference_tt_svd(DenseTensor(merged), cfg)
+    lead = joint[0].reshape(len(samples), samples[0].dims[0], -1, order="F")
+    return [(lead[i:i + 1],) + tuple(joint[1:]) for i in range(len(samples))]
+
+
+def sample_mode_stack_and_decompose(samples, cfg):
+    """The former joint decomposition, kept as an oracle of the trains'
+    values: the samples on a new leading mode, TT-SVD over d+1 modes with
+    that mode never truncated under fixed ranks, and one ``einsum`` per
+    sample to absorb its row of the leading core.  It differs from
+    ``stack_and_decompose`` only in the gauge of the cores."""
+    stacked = fortran_stack(samples)
     if cfg.max_ranks is not None:
         cfg = TtSvdConfig(max_ranks=(stacked.size,) + cfg.max_ranks, rel_tol=cfg.rel_tol)
     joint = reference_tt_svd(DenseTensor(stacked), cfg)
     out = []
     for i in range(len(samples)):
         first = np.einsum("r,ris->is", joint[0][0, i, :], joint[1])[None, :, :]
-        out.append((first,) + tuple(joint[2:]))
+        out.append(TensorTrain((first,) + tuple(joint[2:])))
     return out
 
 
@@ -493,16 +525,17 @@ SHARED_SWEEP_CONFIGS = (
 )
 
 
+def random_samples(seed, m=9, dims=(3, 4, 2, 5)):
+    rng = np.random.default_rng(seed)
+    return [DenseTensor(rng.standard_normal(dims)) for _ in range(m)]
+
+
 class TestSharedSweep:
     """One ``StackedSamples`` decomposed at many settings gives what a fresh
     plain-list decomposition gives, bit for bit, from fewer SVDs."""
 
-    def samples(self, seed, m=9, dims=(3, 4, 2, 5)):
-        rng = np.random.default_rng(seed)
-        return [DenseTensor(rng.standard_normal(dims)) for _ in range(m)]
-
     def test_one_holder_through_many_settings(self):
-        samples = self.samples(81)
+        samples = random_samples(81)
         stack = StackedSamples(samples)
         for cfg in SHARED_SWEEP_CONFIGS:
             got = stack_and_decompose(stack, cfg)
@@ -515,7 +548,7 @@ class TestSharedSweep:
         if case == "zeros":
             samples = [DenseTensor(np.zeros((3, 4, 2, 5))) for _ in range(4)]
         elif case == "one sample":
-            samples = self.samples(83, m=1)
+            samples = random_samples(83, m=1)
         elif case == "order 2":
             samples = [DenseTensor(rng.standard_normal((4, 6))) for _ in range(7)]
         else:
@@ -553,15 +586,16 @@ class TestSharedSweep:
                                reference_stack_and_decompose(samples, cfg))
 
     def test_one_svd_per_new_rank_prefix(self, monkeypatch):
-        samples = self.samples(85)
+        samples = random_samples(85)
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         stack = StackedSamples(samples)
         seen = 0
-        # (splits whose rank prefix is new, cfg): the sample-mode split
-        # keeps all 9 ranks, so its prefix is (9,) for every fixed setting
-        for new, cfg in ((4, TtSvdConfig.fixed((2, 2, 2))),
+        # (splits whose rank prefix is new, cfg): the first split, of the
+        # merged sample and first modes, has the empty prefix for every
+        # setting
+        for new, cfg in ((3, TtSvdConfig.fixed((2, 2, 2))),
                          (2, TtSvdConfig.fixed((4, 4, 4))),
                          (1, TtSvdConfig.fixed((2, 4, 2))),
                          (0, TtSvdConfig.fixed((2, 2, 2))),
@@ -570,10 +604,10 @@ class TestSharedSweep:
             seen += new
             assert len(calls) == seen
         stack_and_decompose(samples, TtSvdConfig.fixed((2, 2, 2)))
-        assert len(calls) == seen + 4  # a plain list shares nothing
+        assert len(calls) == seen + 3  # a plain list shares nothing
 
     def test_cached_svds_are_read_only(self):
-        stack = StackedSamples(self.samples(86))
+        stack = StackedSamples(random_samples(86))
         tts = stack_and_decompose(stack, TtSvdConfig.fixed((2, 2, 2)))
         with pytest.raises(ValueError):
             tts[0].cores[1][...] = 0.0
@@ -606,3 +640,108 @@ class TestSharedSweep:
             tracemalloc.stop()
         assert_same_trains([tt], [reference_tt_svd(t, cfg)])
         assert peak <= UNCACHED_TT_SVD_PEAK_BYTES
+
+
+def assert_signs_fixed(u):
+    """Every column's first entry of largest magnitude is positive."""
+    rows = np.argmax(np.abs(u), axis=0)
+    assert np.all(u[rows, np.arange(u.shape[1])] > 0)
+
+
+class TestMergedRoute:
+    """``stack_and_decompose`` merges the sample mode into the first mode:
+    the trains it returns hold the values the former sample-mode route
+    gave, in a gauge the sign rule fixes."""
+
+    def assert_same_values(self, samples, cfg):
+        got = stack_and_decompose(samples, cfg)
+        want = sample_mode_stack_and_decompose(samples, cfg)
+        scale = max(float(np.max(np.abs(s.values))) for s in samples)
+        for a, b in zip(got, want):
+            assert a.ranks == b.ranks
+            diff = np.max(np.abs(reconstruct(a).values - reconstruct(b).values))
+            assert diff <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name, per_class", [("pair-rbf-prod", (30, 20)),
+                                                 ("predict-stream", (60, 40))])
+    def test_benchmark_corpora_keep_their_values(self, name, per_class):
+        samples = benchmark_corpus(*per_class)
+        for ranks in ((2, 2, 2), (4, 4, 4), (2, 4, 2)):
+            self.assert_same_values(samples, TtSvdConfig.fixed(ranks))
+
+    @pytest.mark.parametrize("case", ["one sample", "order 2", "order 1", "clamped"])
+    def test_edge_cases_keep_their_values(self, case):
+        rng = np.random.default_rng(87)
+        ranks = 2
+        if case == "one sample":
+            samples = random_samples(88, m=1)
+        elif case == "order 2":
+            samples = [DenseTensor(rng.standard_normal((4, 6))) for _ in range(7)]
+        elif case == "order 1":
+            samples = [DenseTensor(rng.standard_normal(5)) for _ in range(3)]
+        else:
+            # rank 50 is clamped at every split: 27, 10 and 5 are achievable
+            samples, ranks = random_samples(89), 50
+        d = samples[0].order
+        self.assert_same_values(samples, TtSvdConfig.fixed((ranks,) * (d - 1)))
+
+    def test_cores_do_not_depend_on_lapack_signs(self, monkeypatch):
+        samples = random_samples(90)
+        t = DenseTensor(np.random.default_rng(91).standard_normal((5, 4, 6, 3)))
+        configs = (TtSvdConfig.fixed((2, 2, 2)), TtSvdConfig.fixed((4, 3, 2)),
+                   TtSvdConfig.tolerance(0.3))
+        plain = [(stack_and_decompose(samples, cfg), tt_svd(t, cfg)) for cfg in configs]
+
+        svd = np.linalg.svd
+        rng = np.random.default_rng(92)
+        flipped, kept = [], []
+
+        def negating_svd(*args, **kwargs):
+            u, s, vt = svd(*args, **kwargs)
+            cols = rng.random(len(s)) < 0.5
+            u[:, cols] *= -1.0
+            vt[cols] *= -1.0
+            flipped.append(int(cols.sum()))
+            kept.append(u)
+            return u, s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", negating_svd)
+        for cfg, (stacked, single) in zip(configs, plain):
+            assert_same_trains(stack_and_decompose(samples, cfg), [tt.cores for tt in stacked])
+            assert_same_trains([tt_svd(t, cfg)], [single])
+        assert sum(flipped) > 0
+        for u in kept:
+            assert_signs_fixed(u)
+
+    def test_sign_ties_go_to_the_first_row(self):
+        # column 0 ties -0.6 against 0.6 and column 2 ties 0.5 against
+        # -0.5: the first of the tied rows is made positive; column 1's
+        # largest entry is already positive
+        u = np.array([[-0.6, 0.1, 0.5],
+                      [0.6, 0.8, -0.5],
+                      [0.2, -0.3, 0.1]])
+        vt = np.arange(6.0).reshape(3, 2)
+        _fix_signs(u, vt)
+        np.testing.assert_array_equal(u, [[0.6, 0.1, 0.5],
+                                          [-0.6, 0.8, -0.5],
+                                          [-0.2, -0.3, 0.1]])
+        np.testing.assert_array_equal(vt, [[-0.0, -1.0], [2.0, 3.0], [4.0, 5.0]])
+
+    def test_first_cores_share_no_memory_with_the_cache(self):
+        stack = StackedSamples(random_samples(93))
+        tts = stack_and_decompose(stack, TtSvdConfig.fixed((2, 2, 2)))
+        cached = [a for svd in stack.splits.svds.values() for a in svd]
+        for tt in tts:
+            assert not any(np.shares_memory(tt.cores[0], a) for a in cached)
+        # the trailing cores are the cache's own read-only arrays
+        assert any(np.shares_memory(tts[0].cores[1], a) for a in cached)
+
+    @pytest.mark.parametrize("rel_tol", [0.5, 0.2, 0.05, 1e-6])
+    def test_tolerance_stack_meets_its_error_bound(self, rel_tol):
+        samples = random_samples(94, m=12)
+        tts = stack_and_decompose(samples, TtSvdConfig.tolerance(rel_tol))
+        err = math.sqrt(sum(np.sum((s.values - reconstruct(tt).values) ** 2)
+                            for s, tt in zip(samples, tts)))
+        total = math.sqrt(sum(np.sum(s.values ** 2) for s in samples))
+        assert err <= rel_tol * total
+        assert len({tt.ranks for tt in tts}) == 1
