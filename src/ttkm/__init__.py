@@ -59,6 +59,7 @@ from .tensor import (
     DenseTensor,
     StackedSamples,
     TensorTrain,
+    TrainStack,
     TtSvdConfig,
     random_tensor_train,
     reconstruct,
@@ -99,6 +100,7 @@ __all__ = [
     "StackedSamples",
     "SvmModel",
     "TensorTrain",
+    "TrainStack",
     "TtSvdConfig",
     "TtkmError",
     "bench_compare",

@@ -14,13 +14,16 @@ every combination of rank indices on both sides:
 reference.  Everything else goes through one engine, ``_kernel_matrix``,
 which reorganizes the same sums so the cost is polynomial in the ranks: the
 single-pair evaluators are 1x1 calls into it, and ``build_gram`` and
-``cross_gram`` call it directly.  Cores shared by every row and every
-column (the tails of a stacked decomposition) are reduced once.  The
-leading modes, which differ per sample, are evaluated for all pairs at
-once: the fibers of every row and column are stacked, one matrix product
-compares them all, the base kernel is applied elementwise, and the result
-is contracted with the shared tail ("prod") or summed with closed-form
-multipliers ("sum").  Rows are processed in chunks of a fixed size
+``cross_gram`` call it directly.  The engine reads trains only as a
+``TrainStack``: the public entry points take a stack as it is and turn a
+sequence of ``TensorTrain``s into one at the door, which is the one place
+their dims, rank chains and shared tails are checked.  Cores shared by
+every row and every column (the tails of a stacked decomposition) are
+reduced once.  The leading modes, which differ per sample, are evaluated
+for all pairs at once: the fibers of every row and column are stacked, one
+matrix product compares them all, the base kernel is applied elementwise,
+and the result is contracted with the shared tail ("prod") or summed with
+closed-form multipliers ("sum").  Rows are processed in chunks of a fixed size
 (``CHUNK_VALUES``), so temporaries stay around 0.5 MB whatever the sample
 count.  Gram matrices built from samples that share one rank chain are
 positive semidefinite for both combine rules, and ``build_gram`` returns
@@ -31,12 +34,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import CapacityError
-from .tensor import TensorTrain
+from .tensor import TensorTrain, TrainStack
 
 NAIVE_TERM_CAP = 10_000_000
 
@@ -185,7 +188,8 @@ def base_kernel_eval(k: BaseKernel, x, y) -> float:
     raise TypeError(f"not a base kernel: {k!r}")
 
 
-def _check_pair(a: TensorTrain, b: TensorTrain, spec: KernelSpec):
+def _check_pair(a, b, spec: KernelSpec):
+    """Trains or stacks ``a`` and ``b`` of one dims, of the spec's order."""
     if a.dims != b.dims:
         raise ValueError(f"dims mismatch: {a.dims} vs {b.dims}")
     if spec.order != a.order:
@@ -225,18 +229,19 @@ def tt_kernel_naive(
     return total
 
 
-def _fibers(cores) -> np.ndarray:
-    """Fibers of same-shape cores as rows: n cores (R, I, S) -> (n*R*S, I).
+def _fibers(cores: np.ndarray) -> np.ndarray:
+    """Fibers of stacked cores as rows: (n, R, I, S) -> (n*R*S, I).
 
     Rows are ordered by (core, r, s), so a kernel matrix between two fiber
     stacks reshapes to (n, R, S, m, U, T) without copying.  The result is
     a C-contiguous copy whatever the cores' strides: the matrix products
     and sums that read it add in an order set by its layout, so equal
     cores give bitwise-equal kernel values, whether a model was trained or
-    loaded back from a file.
+    loaded back from a file.  It is a copy even when the transposed cores
+    are contiguous already (S = 1): two views of one buffer would make
+    ``x @ y.T`` a symmetric rank-k update, whose sums are not a product's.
     """
-    c = np.stack(cores)
-    return np.ascontiguousarray(c.transpose(0, 1, 3, 2)).reshape(-1, c.shape[2])
+    return np.array(cores.transpose(0, 1, 3, 2), order="C").reshape(-1, cores.shape[2])
 
 
 def _base_kernel_matrix(k: BaseKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -265,14 +270,14 @@ def _fiber_block(k: BaseKernel, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
 
     Returns G with G[r, s, u, t] = k(ca[r, :, s], cb[u, :, t]).
     """
-    g = _base_kernel_matrix(k, _fibers([ca]), _fibers([cb]))
+    g = _base_kernel_matrix(k, _fibers(ca[None]), _fibers(cb[None]))
     return g.reshape(ca.shape[0], ca.shape[2], cb.shape[0], cb.shape[2])
 
 
 def tt_kernel(a: TensorTrain, b: TensorTrain, spec: KernelSpec) -> float:
     """Fast evaluator for the spec's combine rule: a 1x1 kernel matrix."""
     _check_pair(a, b, spec)
-    return float(_kernel_matrix([a], [b], spec)[0, 0])
+    return float(_kernel_matrix(_stack([a], "row"), _stack([b], "column"), spec)[0, 0])
 
 
 def tt_kernel_prod_fast(a: TensorTrain, b: TensorTrain, spec: KernelSpec) -> float:
@@ -301,11 +306,17 @@ def tt_kernel_sum_fast(a: TensorTrain, b: TensorTrain, spec: KernelSpec) -> floa
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric kernel matrix over a sample list, with its spec snapshot."""
+    """Symmetric kernel matrix over a sample list, with its spec snapshot.
+
+    ``values`` is a read-only view, so what ``tables`` holds cannot go
+    stale through it: the tables the solver derives from the values (its
+    pair curvatures), each built once per Gram however many solves read it.
+    """
 
     values: np.ndarray
     spec: KernelSpec
     sample_ids: tuple[int, ...]
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -318,6 +329,8 @@ class GramMatrix:
         asym = float(np.max(np.abs(vals - vals.T))) if vals.size else 0.0
         if asym > 1e-10:
             raise ValueError(f"Gram matrix asymmetric by {asym}")
+        vals = vals.view()
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
 
@@ -326,56 +339,68 @@ class GramMatrix:
         return self.values.shape[0]
 
 
-def _require_shared_chain(tts, what: str) -> None:
-    chains = {tt.ranks for tt in tts}
-    if len(chains) > 1:
-        raise ValueError(
-            f"{what} must share one rank chain, found {sorted(chains)}; "
-            "decompose them jointly (stack_and_decompose) first"
-        )
+def _stack(samples, what: str) -> TrainStack:
+    """``samples`` as a nonempty ``TrainStack``; ``what`` names them in errors.
 
-
-def _shared_mode_start(rows, cols) -> int:
-    """First mode index from which cores are constant within each side.
-
-    From that mode on, every (row, col) pair sees the same pair of cores, so
-    per-mode blocks can be computed once instead of per pair.  Samples
-    produced by stack_and_decompose share all cores except the first.
+    A stack is taken as it is: its shapes were checked when it was built.
+    A sequence of ``TensorTrain``s is checked here, the only place the
+    engine's inputs are: every train has the first one's dims and rank
+    chain.  From the last mode back, each core that is the same array in
+    every train joins the shared tail (samples from ``stack_and_decompose``
+    share all cores but the first); the cores of the modes before it are
+    stacked, one array per mode.  The first mode is always stacked.
     """
-    d = rows[0].order
-    s = d
-    for k in range(d - 1, 0, -1):
-        row_shared = all(t.cores[k] is rows[0].cores[k] for t in rows)
-        col_shared = all(t.cores[k] is cols[0].cores[k] for t in cols)
-        if row_shared and col_shared:
-            s = k
-        else:
-            break
-    return s
+    if not isinstance(samples, TrainStack):
+        trains = list(samples)
+        if not trains:
+            raise ValueError(f"need at least one {what} sample")
+        dims = trains[0].dims
+        for i, t in enumerate(trains):
+            if t.dims != dims:
+                raise ValueError(f"{what} sample {i} has dims {t.dims}, expected {dims}")
+        chains = {t.ranks for t in trains}
+        if len(chains) > 1:
+            raise ValueError(
+                f"{what} samples must share one rank chain, found {sorted(chains)}; "
+                "decompose them jointly (stack_and_decompose) first"
+            )
+        cores = trains[0].cores
+        s = len(cores)
+        while s > 1 and all(t.cores[s - 1] is cores[s - 1] for t in trains):
+            s -= 1
+        samples = TrainStack(
+            tuple(np.stack([t.cores[k] for t in trains]) for k in range(s)), cores[s:]
+        )
+    if not len(samples):
+        raise ValueError(f"need at least one {what} sample")
+    return samples
 
 
-def _kernel_matrix(rows, cols, spec: KernelSpec, symmetric: bool = False) -> np.ndarray:
+def _kernel_matrix(rows: TrainStack, cols: TrainStack, spec: KernelSpec,
+                   symmetric: bool = False) -> np.ndarray:
     """Kernel values between every row and every column train.
 
     This is the only place the TT-kernel arithmetic lives.  Cores constant
     across a whole side (the shared tails of a stacked decomposition, or
     modes 2..d of a single pair) have their blocks reduced once: to one
-    matrix for "prod", to block sums for "sum".  The leading modes are
-    evaluated for all pairs at once: the fibers of a chunk of rows and of
-    all columns are stacked and compared in one matrix product, the base
-    kernel is applied elementwise, and the per-pair blocks are chained
-    (prod) or summed (sum).  Rows share one rank chain, and so do columns.
-    With ``symmetric`` (rows are cols) each chunk skips the columns left of
-    its first row, and the upper triangle is copied into the lower.
+    matrix for "prod", to block sums for "sum".  Where one side's tail
+    starts later than the other's, the modes between are leading modes of
+    both.  The leading modes are evaluated for all pairs at once: the
+    fibers of a chunk of rows and of all columns are compared in one
+    matrix product, the base kernel is applied elementwise, and the
+    per-pair blocks are chained (prod) or summed (sum).  With
+    ``symmetric`` (rows are cols) each chunk skips the columns left of its
+    first row, and the upper triangle is copied into the lower.
     """
     per_mode = spec.per_mode
     prod = spec.combine == "prod"
-    d = rows[0].order
-    s = _shared_mode_start(rows, cols)
-    ra, rb = rows[0].ranks, cols[0].ranks
+    d = rows.order
+    s = max(len(rows.lead), len(cols.lead))  # the first mode shared on both sides
+    row_lead, row_tail = rows.split(s)
+    col_lead, col_tail = cols.split(s)
+    ra, rb = rows.ranks, cols.ranks
     shared_blocks = [
-        _fiber_block(per_mode[k], rows[0].cores[k], cols[0].cores[k])
-        for k in range(s, d)
+        _fiber_block(per_mode[k], a, b) for k, a, b in zip(range(s, d), row_tail, col_tail)
     ]
     if prod:
         # collapse the shared suffix right-to-left into one matrix
@@ -392,10 +417,7 @@ def _kernel_matrix(rows, cols, spec: KernelSpec, symmetric: bool = False) -> np.
         )
 
     n, m = len(rows), len(cols)
-    col_fibers = [
-        _fibers([t.cores[k] for t in cols]).reshape(m, -1, cols[0].dims[k])
-        for k in range(s)
-    ]
+    col_fibers = [_fibers(c).reshape(m, -1, c.shape[2]) for c in col_lead]
     width = max(ra[k] * ra[k + 1] * m * rb[k] * rb[k + 1] for k in range(s))
     step = max(1, CHUNK_VALUES // width)
     out = np.empty((n, m))
@@ -405,7 +427,7 @@ def _kernel_matrix(rows, cols, spec: KernelSpec, symmetric: bool = False) -> np.
         shape = (hi - lo, m - first)
         acc = None if prod else shared_total
         for k in range(s):
-            x = _fibers([t.cores[k] for t in rows[lo:hi]])
+            x = _fibers(row_lead[k][lo:hi])
             y = col_fibers[k][first:].reshape(-1, x.shape[1])
             blk = _base_kernel_matrix(per_mode[k], x, y).reshape(
                 shape[0], ra[k], ra[k + 1], shape[1], rb[k], rb[k + 1]
@@ -425,26 +447,15 @@ def _kernel_matrix(rows, cols, spec: KernelSpec, symmetric: bool = False) -> np.
     return out
 
 
-def _checked_samples(samples, what: str):
-    samples = list(samples)
-    if not samples:
-        raise ValueError(f"need at least one {what} sample")
-    dims = samples[0].dims
-    for i, t in enumerate(samples):
-        if t.dims != dims:
-            raise ValueError(f"{what} sample {i} has dims {t.dims}, expected {dims}")
-    return samples
-
-
 def build_gram(samples, spec: KernelSpec, sample_ids=None) -> GramMatrix:
     """Kernel matrix over samples sharing one rank chain.
 
+    ``samples`` is a ``TrainStack`` or a sequence of ``TensorTrain``s.
     Each pair i <= j is evaluated once by the kernel engine and mirrored
     into the lower triangle, so the matrix is exactly symmetric.
     """
-    samples = _checked_samples(samples, "Gram")
-    _check_pair(samples[0], samples[0], spec)
-    _require_shared_chain(samples, "Gram samples")
+    samples = _stack(samples, "Gram")
+    _check_pair(samples, samples, spec)
     if sample_ids is None:
         sample_ids = tuple(range(len(samples)))
     return GramMatrix(
@@ -457,19 +468,17 @@ def build_gram(samples, spec: KernelSpec, sample_ids=None) -> GramMatrix:
 def cross_gram(train, test, spec: KernelSpec) -> np.ndarray:
     """Rectangular kernel block, rows = test samples, columns = train samples.
 
-    Train samples must share one rank chain, and test samples must carry
-    that same chain.
+    Each side is a ``TrainStack`` or a sequence of ``TensorTrain``s.  Train
+    samples must share one rank chain, and test samples must carry that
+    same chain.
     """
-    train = _checked_samples(train, "train")
-    test = _checked_samples(test, "test")
-    _check_pair(train[0], train[0], spec)
-    if train[0].dims != test[0].dims:
-        raise ValueError(f"dims mismatch: {test[0].dims} vs {train[0].dims}")
-    _require_shared_chain(train, "train samples")
-    chain = train[0].ranks
-    for i, t in enumerate(test):
-        if t.ranks != chain:
-            raise ValueError(
-                f"test sample {i} has rank chain {t.ranks}, training chain is {chain}"
-            )
+    train = _stack(train, "train")
+    test = _stack(test, "test")
+    _check_pair(train, train, spec)
+    if train.dims != test.dims:
+        raise ValueError(f"dims mismatch: {test.dims} vs {train.dims}")
+    if test.ranks != train.ranks:
+        raise ValueError(
+            f"test samples have rank chain {test.ranks}, training chain is {train.ranks}"
+        )
     return _kernel_matrix(test, train, spec)

@@ -16,9 +16,8 @@ model's rank chain by keeping the support vectors' shared trailing cores
 and fitting a fresh first core by least squares, which keeps new samples
 in the same core representation the kernel values were trained on.  The
 samples of one request are fit together, one least-squares solve per
-chunk, and share one array of first cores, as the trains of a joint
-decomposition do.  Decision values that are not finite raise
-``CapacityError``.
+chunk, into one ``TrainStack``, as a joint decomposition returns its
+trains.  Decision values that are not finite raise ``CapacityError``.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .tensor import (
     DenseTensor,
     StackedSamples,
     TensorTrain,
+    TrainStack,
     TtSvdConfig,
     interior_rank_chain,
     stack_and_decompose,
@@ -294,7 +294,7 @@ def _tail_basis(tail) -> np.ndarray:
     return acc[..., 0].reshape(acc.shape[0], -1, order="F")
 
 
-def _prepare_samples(model: SvmModel, samples) -> list[TensorTrain]:
+def _prepare_samples(model: SvmModel, samples) -> TrainStack:
     """Decompose incoming samples at the model's rank chain.
 
     Every support TT carries the same trailing cores (training stacks all
@@ -310,9 +310,9 @@ def _prepare_samples(model: SvmModel, samples) -> list[TensorTrain]:
     The fits share their matrix, so the samples are projected in chunks of
     about ``CHUNK_VALUES`` values: one ``lstsq`` per chunk, whose
     right-hand sides are the mode-1 unfoldings of every sample in it.  The
-    first cores land in one ``(n, I_1, R_2)`` array, and each returned
-    train is a view of its row plus the support vectors' tail arrays, as
-    ``stack_and_decompose`` returns them.
+    first cores land in one ``(n, 1, I_1, R_2)`` array, the leading core
+    of the returned ``TrainStack``, whose tail is the support vectors' tail
+    arrays, as ``stack_and_decompose`` returns its stack.
     """
     dims = tuple(model.dims)
     for sample in samples:
@@ -322,13 +322,13 @@ def _prepare_samples(model: SvmModel, samples) -> list[TensorTrain]:
             )
     if len(dims) == 1:
         # order-1 data has no interior ranks; the single core is the sample
-        first = np.empty((len(samples), dims[0], 1))
-        _fill_reversed(first[:, :, 0], samples, model.normalize)
-        return [TensorTrain((first[i:i + 1],)) for i in range(len(samples))]
+        first = np.empty((len(samples), 1, dims[0], 1))
+        _fill_reversed(first[:, 0, :, 0], samples, model.normalize)
+        return TrainStack((first,))
     tail = tuple(model.support[0].cores[1:])
     basis = _tail_basis(tail)  # (R_2, I_2*...*I_d)
     rank, cols = basis.shape
-    first = np.empty((len(samples), dims[0], rank))
+    first = np.empty((len(samples), 1, dims[0], rank))
     step = max(1, CHUNK_VALUES // (dims[0] * cols))
     for lo in range(0, len(samples), step):
         chunk = samples[lo:lo + step]
@@ -338,8 +338,8 @@ def _prepare_samples(model: SvmModel, samples) -> list[TensorTrain]:
         rhs = np.empty(dims[:0:-1] + (len(chunk), dims[0]))
         _fill_reversed(rhs, chunk, model.normalize)
         fit = np.linalg.lstsq(basis.T, rhs.reshape(cols, -1), rcond=None)[0]
-        first[lo:lo + len(chunk)] = fit.reshape(rank, len(chunk), dims[0]).transpose(1, 2, 0)
-    return [TensorTrain((first[i:i + 1],) + tail) for i in range(len(samples))]
+        first[lo:lo + len(chunk), 0] = fit.reshape(rank, len(chunk), dims[0]).transpose(1, 2, 0)
+    return TrainStack((first,), tail)
 
 
 def _fill_reversed(out: np.ndarray, samples, normalize: bool) -> None:
@@ -450,9 +450,12 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
     Its cache keeps each split's SVD under the ranks kept at the earlier
     splits: the first split, of the samples merged into the first mode,
     is computed once for all rank settings, and each setting adds only
-    the splits its ranks reach first.  The model's first cores are copies,
-    so it does not keep that cache alive.  The holder, and with it the cache, is freed when training
-    returns.
+    the splits its ranks reach first.  Each setting's ``TrainStack`` is
+    sliced into train and validation views, which every Gram, cross-Gram
+    and solve of that setting reads; the layers are reached through this
+    module's globals, which the benchmark's trace wraps.  The model's
+    first cores are copies, so it does not keep that cache alive.  The
+    holder, and with it the cache, is freed when training returns.
     """
     train_s, train_y = ds.subset("train")
     val_s, val_y = ds.subset("validation")
@@ -539,7 +542,7 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
         bias=sol.bias,
         spec=spec,
         dims=ds.dims,
-        interior_ranks=tr_tts[0].interior_ranks,
+        interior_ranks=tr_tts.interior_ranks,
         neg_class=neg_class,
         pos_class=pos_class,
         normalize=grid.normalize,

@@ -82,6 +82,18 @@ def _objective(alphas, q) -> float:
     return float(np.sum(alphas) - 0.5 * alphas @ q @ alphas)
 
 
+def _gram_objective(alphas, k, y) -> float:
+    """``_objective(alphas, _label_products(k, y))`` to the bit, without
+    the n x n table: column j of ``alphas @ Q`` sums the terms
+    alpha_i K_ij y_i y_j, which are y_j times those of ``(alphas * y) @ K``,
+    and negation commutes with rounding, so a product of the same shape
+    and layout (``_label_products`` lays Q out as K) adds them to y_j
+    times the same sum."""
+    w = (0.5 * alphas * y) @ k
+    w *= y
+    return float(np.sum(alphas) - w @ alphas)
+
+
 def _bias(values, y, alphas, c) -> float:
     """Offset from the optimality conditions on the box sets.
 
@@ -264,10 +276,13 @@ def solve_dual(
     The loop's state is ``values`` = y - G (G_i the margin sums), moved by
     ``step * K[:, j] - step * K[:, i]``.  Since y is +-1 and negation
     commutes with rounding, this is bit for bit the gradient update on
-    Q = K * y y^T, so Q is built only for the objective.  Which samples may
-    move up or down is kept as 0/inf masks, updated at the two indices that
-    changed; the second-order denominators max(K_ii + K_jj - 2 K_ij, 1e-12)
-    come from a table built once per solve, in blocks of rows; the box
+    Q = K * y y^T, so Q is built only for debug's objective checks; the
+    final objective is read from K (``_gram_objective``), to the same
+    bits.  Which samples may move up or down is kept as 0/inf masks,
+    updated at the two indices that changed; the second-order denominators
+    max(K_ii + K_jj - 2 K_ij, 1e-12) come from a table built in blocks of
+    rows once per Gram, kept in ``p.gram.tables`` for every later solve
+    on that Gram, such as the other C values of a grid scan; the box
     bookkeeping runs on Python floats.  The partner's gain is taken as
     |diff| * diff / quad: diff^2 / quad where diff > 0 and at most 0
     elsewhere, so while some diff^2 / quad is positive its argmax is that of
@@ -293,7 +308,9 @@ def solve_dual(
     c = p.C
     a = np.zeros(n) if start is None else _feasible_start(start, y, c)
     cols = k.T  # the update reads columns; a Gram may be asymmetric by 1e-10
-    quad = _pair_curvatures(k)
+    quad = p.gram.tables.get("pair_curvatures")
+    if quad is None:
+        quad = p.gram.tables["pair_curvatures"] = _pair_curvatures(k)
 
     signs = [1.0 if v > 0 else -1.0 for v in y]  # two float objects, not n
     alphas = a.tolist()
@@ -369,7 +386,6 @@ def solve_dual(
 
     if not converged:
         logger.warning("SMO stopped at max_iter=%d without converging", max_iter)
-    del quad  # one n x n array at a time: the table, then Q
     alphas = np.array(alphas)
     # The update leaves exact zeros as +0.0; y - G taken as -y * gradient
     # has -0.0 where y = +1.  Keep that sign, so a zero bias keeps its bits.
@@ -377,7 +393,7 @@ def solve_dual(
     return DualSolution(
         alphas=alphas,
         bias=_bias(values, y, alphas, c),
-        objective=_objective(alphas, _label_products(k, y)),
+        objective=_gram_objective(alphas, k, y),
         iterations=iterations,
         converged=converged,
     )

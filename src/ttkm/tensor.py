@@ -16,6 +16,10 @@ Conventions used throughout the package:
   ``(R_k, I_k, R_{k+1})`` with boundary ranks ``R_1 = R_{d+1} = 1``.  The
   tensor entry at ``(i_1, ..., i_d)`` is the product of the matrices
   ``A_1[:, i_1, :] @ ... @ A_d[:, i_d, :]``.
+* Many trains of one rank chain are held as a ``TrainStack``: their
+  leading cores stacked, one array per mode, and the cores they share
+  kept once.  ``stack_and_decompose`` returns one, and the kernel engine
+  reads only this form.
 """
 
 from __future__ import annotations
@@ -49,6 +53,16 @@ class DenseTensor:
             raise ValueError("tensor values must be finite, found NaN or inf")
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray) -> "DenseTensor":
+        """A tensor over ``values`` without checking them again: a float64
+        array of positive dims whose every value is already known to be
+        finite, as a reader that checked its whole payload at once, or a
+        stack of checked samples, holds."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "values", values)
+        return t
+
     @property
     def dims(self) -> tuple[int, ...]:
         return self.values.shape
@@ -80,6 +94,27 @@ class DenseTensor:
         return cls(flat.reshape(dims, order="F"))
 
 
+def _check_chain(shapes) -> None:
+    """Core shapes ``(R_k, I_k, R_{k+1})`` of one train: at least one,
+    each 3-way with no zero dimension, boundary ranks 1, and matching ranks
+    between neighbours."""
+    if len(shapes) == 0:
+        raise ValueError("a tensor train needs at least one core")
+    for k, shape in enumerate(shapes):
+        if len(shape) != 3:
+            raise ValueError(f"core {k} must be 3-way, got shape {shape}")
+        if min(shape) <= 0:
+            raise ValueError(f"core {k} has a zero dimension: {shape}")
+    if shapes[0][0] != 1 or shapes[-1][2] != 1:
+        raise ValueError("boundary ranks R_1 and R_{d+1} must equal 1")
+    for k in range(len(shapes) - 1):
+        if shapes[k][2] != shapes[k + 1][0]:
+            raise ValueError(
+                f"rank mismatch between cores {k} and {k + 1}: "
+                f"{shapes[k][2]} vs {shapes[k + 1][0]}"
+            )
+
+
 @dataclass(frozen=True, slots=True)
 class TensorTrain:
     """A tensor in TT format: order-3 cores with matching rank chain."""
@@ -88,21 +123,7 @@ class TensorTrain:
 
     def __post_init__(self):
         cores = tuple(np.asarray(c, dtype=np.float64) for c in self.cores)
-        if len(cores) == 0:
-            raise ValueError("a tensor train needs at least one core")
-        for k, c in enumerate(cores):
-            if c.ndim != 3:
-                raise ValueError(f"core {k} must be 3-way, got shape {c.shape}")
-            if min(c.shape) <= 0:
-                raise ValueError(f"core {k} has a zero dimension: {c.shape}")
-        if cores[0].shape[0] != 1 or cores[-1].shape[2] != 1:
-            raise ValueError("boundary ranks R_1 and R_{d+1} must equal 1")
-        for k in range(len(cores) - 1):
-            if cores[k].shape[2] != cores[k + 1].shape[0]:
-                raise ValueError(
-                    f"rank mismatch between cores {k} and {k + 1}: "
-                    f"{cores[k].shape[2]} vs {cores[k + 1].shape[0]}"
-                )
+        _check_chain([c.shape for c in cores])
         object.__setattr__(self, "cores", cores)
 
     @property
@@ -130,6 +151,85 @@ class TensorTrain:
         for k in range(1, self.order):
             v = v @ self.cores[k][:, index[k], :]
         return float(v[0, 0])
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class TrainStack:
+    """n tensor trains of one rank chain: their leading cores stacked, and
+    one tail of cores that every train shares.
+
+    ``lead[k]``, for each of the first ``len(lead) >= 1`` modes, has shape
+    ``(n, R_k, I_k, R_{k+1})``, and its row i is train i's core k.  ``tail``
+    holds the cores of the remaining modes, the same arrays for every
+    train.  A joint decomposition (``stack_and_decompose``) and a predict
+    request's projection give one leading core and a tail of d-1.  The
+    shapes are checked once, when a stack is built, so every train of it
+    has one dims and one rank chain.
+
+    A stack reads as a sequence of trains: ``len`` and iteration work, an
+    integer index gives a ``TensorTrain`` of views into the stack, and a
+    slice gives a ``TrainStack`` whose leading cores are views of these,
+    over the same tail.  Indices out of range raise ``IndexError``, and an
+    empty slice is an empty stack, as with a list.
+    """
+
+    lead: tuple[np.ndarray, ...]
+    tail: tuple[np.ndarray, ...] = ()
+
+    def __post_init__(self):
+        lead = tuple(np.asarray(c, dtype=np.float64) for c in self.lead)
+        tail = tuple(np.asarray(c, dtype=np.float64) for c in self.tail)
+        if not lead:
+            raise ValueError("a train stack needs at least one leading core")
+        n = lead[0].shape[0]
+        for k, c in enumerate(lead):
+            if c.ndim != 4 or c.shape[0] != n:
+                raise ValueError(
+                    f"leading core {k} must have shape ({n}, R, I, R'), got {c.shape}"
+                )
+        _check_chain([c.shape[1:] for c in lead] + [c.shape for c in tail])
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "tail", tail)
+
+    def __len__(self) -> int:
+        return self.lead[0].shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TrainStack(tuple(c[index] for c in self.lead), self.tail)
+        i = range(len(self))[index]  # a list's IndexError and TypeError
+        return TensorTrain(tuple(c[i] for c in self.lead) + self.tail)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def order(self) -> int:
+        return len(self.lead) + len(self.tail)
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(c.shape[2] for c in self.lead) + tuple(c.shape[1] for c in self.tail)
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """The full rank chain (R_1, ..., R_{d+1}) of every train."""
+        return (tuple(c.shape[1] for c in self.lead) + tuple(c.shape[0] for c in self.tail)
+                + (1,))
+
+    @property
+    def interior_ranks(self) -> tuple[int, ...]:
+        return self.ranks[1:-1]
+
+    def split(self, s: int):
+        """The stacked cores of modes ``0..s-1`` and the shared cores of
+        the rest, for ``s`` at least ``len(lead)``: a tail core below ``s``
+        is broadcast over the trains, as a view."""
+        m = len(self.lead)
+        lead = self.lead + tuple(
+            np.broadcast_to(c, (len(self),) + c.shape) for c in self.tail[:s - m]
+        )
+        return lead, self.tail[s - m:]
 
 
 @dataclass(frozen=True)
@@ -397,25 +497,28 @@ class StackedSamples:
         for i, s in enumerate(samples):
             stacked[i] = s.values
         merged = (self.count * dims[0],) + dims[1:]
-        self.splits = _Splits(DenseTensor(stacked.reshape(merged, order="F")), shared=True)
+        # the samples are DenseTensors, so every value is already checked
+        self.splits = _Splits(
+            DenseTensor._trusted(stacked.reshape(merged, order="F")), shared=True)
 
 
-def stack_and_decompose(samples, cfg: TtSvdConfig) -> list[TensorTrain]:
+def stack_and_decompose(samples, cfg: TtSvdConfig) -> TrainStack:
     """Jointly decompose same-shape samples so they share a rank chain.
 
     The samples' first modes are merged into one of size ``M*I_1`` (see
     ``StackedSamples``), and that order-d tensor is decomposed once, at
     the d-1 interior ranks or the tolerance ``cfg`` names.  Its first core
     ``(1, M*I_1, R_2)`` holds every sample's first core: reshaped in
-    Fortran order to ``(M, I_1, R_2)`` and copied out of the cached SVD,
-    so that no returned train keeps the cache alive, it gives one first
-    core per sample.  All returned trains therefore share identical
-    interior ranks, and their cores for modes 2..d are the same arrays
-    (only the first core is sample-specific).  The sample index is never
-    truncated, under fixed ranks or a tolerance.  In tolerance mode the
-    budget is ``rel_tol * ||stack||_F / sqrt(d-1)`` per split, so the
-    whole stack is reproduced within ``rel_tol * ||stack||_F``.  The cores
-    carry ``tt_svd``'s sign rule.
+    Fortran order to ``(M, 1, I_1, R_2)`` and copied out of the cached
+    SVD, so that the result does not keep the cache alive, it is the
+    returned ``TrainStack``'s one leading core, with one row per sample.
+    The cores for modes 2..d are its tail, the same arrays for every
+    sample, so all samples share identical interior ranks.  Indexing the
+    stack gives sample i's ``TensorTrain``, a slice a stack of views.  The
+    sample index is never truncated, under fixed ranks or a tolerance.  In
+    tolerance mode the budget is ``rel_tol * ||stack||_F / sqrt(d-1)`` per
+    split, so the whole stack is reproduced within ``rel_tol *
+    ||stack||_F``.  The cores carry ``tt_svd``'s sign rule.
 
     ``samples`` is a ``StackedSamples`` or an iterable of ``DenseTensor``,
     which gets a fresh holder.  Calls on one holder share its split SVDs:
@@ -426,9 +529,8 @@ def stack_and_decompose(samples, cfg: TtSvdConfig) -> list[TensorTrain]:
     stack = samples if isinstance(samples, StackedSamples) else StackedSamples(samples)
     joint = _sweep(stack.splits, cfg)
     lead = joint.cores[0]
-    first = lead.reshape(stack.count, -1, lead.shape[2], order="F").copy()
-    tail = joint.cores[1:]
-    return [TensorTrain((first[i:i + 1],) + tail) for i in range(stack.count)]
+    first = lead.reshape(stack.count, 1, -1, lead.shape[2], order="F").copy()
+    return TrainStack((first,), joint.cores[1:])
 
 
 def random_tensor_train(dims, interior_ranks, rng) -> TensorTrain:

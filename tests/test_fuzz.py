@@ -2,8 +2,9 @@
 valid ``.ttn``, IDX or ``.ttkm`` file gives a value or DataFormatError,
 and a mutated run INI gives a RunConfig or ConfigError, within a
 per-example deadline; nothing else escapes.  The mutated ``.ttkm`` and
-``.ttn`` files also run through ``ttkm predict``, and a handful of mutated
-INIs through ``ttkm train``: neither may exit 1 ("unexpected"), and a
+``.ttn`` files also run through ``ttkm predict``, the mutated IDX files
+through ``ttkm gram``, ``predict`` and ``evaluate``, and a handful of
+mutated INIs through ``ttkm train``: none may exit 1 ("unexpected"), and a
 failure prints one ``error:`` line."""
 
 import contextlib
@@ -209,21 +210,29 @@ def valid_request() -> bytes:
                                        for _ in range(3)], ".ttn")
 
 
-def predict_outcome(model: bytes, request: bytes) -> tuple[int, str]:
-    """``ttkm predict`` on files holding ``model`` and ``request``: its exit
-    code and standard error, after checking that it did not exit 1 and
-    that a failure printed one ``error:`` line and nothing else."""
+def cli_outcome(argv, files: dict) -> tuple[int, str]:
+    """``ttkm`` run with ``argv`` on files holding ``files`` (file name ->
+    bytes; an argument equal to a file name becomes that file's path): its
+    exit code and standard error, after checking that it did not exit 1
+    and that a failure printed one ``error:`` line and nothing else."""
     with tempfile.TemporaryDirectory() as d:
-        paths = Path(d) / "model.ttkm", Path(d) / "request.ttn"
-        for path, data in zip(paths, (model, request)):
-            path.write_bytes(data)
+        paths = {name: Path(d) / name for name in files}
+        for name, data in files.items():
+            paths[name].write_bytes(data)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["predict", "--model", str(paths[0]), "--input", str(paths[1])])
+            code = main([str(paths.get(arg, arg)) for arg in argv])
     err = err.getvalue()
     assert code != 1, err
     assert code == 0 or (err.startswith("error:") and err.count("\n") == 1), err
     return code, err
+
+
+def predict_outcome(model: bytes, request: bytes) -> tuple[int, str]:
+    """``ttkm predict`` on files holding ``model`` and ``request``, as
+    ``cli_outcome`` runs it."""
+    return cli_outcome(["predict", "--model", "model.ttkm", "--input", "request.ttn"],
+                       {"model.ttkm": model, "request.ttn": request})
 
 
 class TestFuzzedPredict:
@@ -264,6 +273,77 @@ class TestFuzzedPredict:
     def test_ttn(self, header, ops, ovo):
         predict_outcome(valid_models()[ovo],
                         mutate(valid_request(), header, ops, (4, 8, 12, 16), "<I"))
+
+
+@functools.cache
+def idx_model() -> bytes:
+    """A binary model of classes 0 and 1 over the (2, 3) images of
+    ``idx_images``, saved as .ttkm bytes."""
+    rng = np.random.default_rng(5)
+    centers = [rng.uniform(0.0, 1.0, (2, 3)) for _ in range(2)]
+    samples, labels, split = [], [], []
+    for c, center in enumerate(centers):
+        for name in ("train",) * 4 + ("validation",) * 2:
+            samples.append(DenseTensor(center + 0.1 * rng.standard_normal((2, 3))))
+            labels.append(c)
+            split.append(name)
+    ds = Dataset(samples=samples, labels=np.array(labels), split=np.array(split, dtype=object))
+    grid = GridConfig(c_values=(10.0,), sigma_values=(1.0,), rank_values=(2,),
+                      mode_kinds=("rbf", "linear"))
+    return saved_bytes(save_model, train_binary(ds, grid), ".ttkm")
+
+
+def idx_test_labels() -> bytes:
+    """Labels of the three images of ``idx_images``, in the model's classes."""
+    return struct.pack(">BBBB", 0, 0, 0x08, 1) + struct.pack(">I", 3) + bytes([0, 1, 1])
+
+
+IDX_GRAM = ["gram", "--input", "images.idx", "--kinds", "rbf,linear", "--sigma", "1",
+            "--ranks", "2"]
+IDX_PREDICT = ["predict", "--model", "model.ttkm", "--input", "images.idx"]
+IDX_EVALUATE = ["evaluate", "--model", "model.ttkm", "--input", "images.idx",
+                "--labels", "labels.idx"]
+
+
+def idx_files(images: bytes = None, labels: bytes = None) -> dict:
+    return {"images.idx": idx_images() if images is None else images,
+            "labels.idx": idx_test_labels() if labels is None else labels,
+            "model.ttkm": idx_model()}
+
+
+class TestFuzzedIdxCommands:
+    """Mutated IDX image and label files through ``ttkm gram``, ``predict``
+    and ``evaluate``: none exits 1, and a failure prints one ``error:``
+    line."""
+
+    def test_valid_inputs_run(self):
+        for argv in (IDX_GRAM, IDX_PREDICT, IDX_EVALUATE):
+            assert cli_outcome(argv, idx_files())[0] == 0
+
+    @FUZZ
+    @given(KEPT_HEADERS, OPS, st.booleans())
+    def test_gram(self, header, ops, compress):
+        data = mutate(idx_images(), header, ops, (0, 4, 8, 12), ">I")
+        argv = IDX_GRAM
+        if compress:
+            data = gzip.compress(data, mtime=0)
+            argv = [a.replace("images.idx", "images.idx.gz") for a in argv]
+        cli_outcome(argv, {"images.idx.gz" if compress else "images.idx": data})
+
+    @FUZZ
+    @given(KEPT_HEADERS, OPS)
+    def test_predict(self, header, ops):
+        images = mutate(idx_images(), header, ops, (0, 4, 8, 12), ">I")
+        cli_outcome(IDX_PREDICT, idx_files(images=images))
+
+    @FUZZ
+    @given(KEPT_HEADERS, OPS, st.booleans())
+    def test_evaluate(self, header, ops, on_labels):
+        if on_labels:
+            files = idx_files(labels=mutate(idx_test_labels(), header, ops, (0, 4), ">I"))
+        else:
+            files = idx_files(images=mutate(idx_images(), header, ops, (0, 4, 8, 12), ">I"))
+        cli_outcome(IDX_EVALUATE, files)
 
 
 # A valid run INI, with {train} and {labels} for the data paths.  Every key

@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import re
 import struct
 
 import numpy as np
@@ -180,6 +181,28 @@ class TestTtnDataset:
         path.write_bytes(bytes(data))
         with pytest.raises(DataFormatError, match="finite"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("at", [0, 5, 11])
+    def test_one_non_finite_value_anywhere_names_the_file(self, tmp_path, at):
+        # the payload is checked once, as a whole, not sample by sample
+        path = tmp_path / "d.ttn"
+        write_dataset(path, [DenseTensor(np.ones((2, 2))) for _ in range(3)])
+        data = bytearray(path.read_bytes())
+        start = len(data) - 12 * 8 + 8 * at
+        data[start:start + 8] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: .*finite"):
+            read_dataset(path)
+
+    def test_samples_read_as_written(self, tmp_path):
+        rng = np.random.default_rng(7)
+        written = [DenseTensor(rng.standard_normal((2, 3, 4))) for _ in range(5)]
+        path = tmp_path / "d.ttn"
+        write_dataset(path, written)
+        for got, want in zip(read_dataset(path), written):
+            assert got.dims == want.dims and got.values.dtype == np.float64
+            assert got.values.flags.f_contiguous and not got.values.flags.writeable
+            assert np.array_equal(got.values, want.values)
 
     def test_samples_are_views_of_one_buffer(self, tmp_path):
         def owner(a):

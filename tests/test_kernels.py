@@ -29,6 +29,7 @@ from ttkm.kernels import (
 from ttkm.tensor import (
     DenseTensor,
     TensorTrain,
+    TrainStack,
     TtSvdConfig,
     random_tensor_train,
     reconstruct,
@@ -481,7 +482,7 @@ class TestBatchedEngine:
         dims, ranks = (3, 4, 2, 3), (2, 3, 2)
         tts = shared_suffix_trains(rng, 6, dims, ranks, prefix)
         probes = shared_suffix_trains(rng, 3, dims, ranks, prefix)
-        assert kernels._shared_mode_start(tts, tts) == prefix
+        assert len(kernels._stack(tts, "Gram").lead) == prefix
         for shift in range(3):
             spec = rotated_spec(4, shift, combine)
             g = build_gram(tts, spec).values
@@ -511,3 +512,152 @@ class TestBatchedEngine:
             tracemalloc.stop()
         # the 400 x 400 result and its symmetry check take about 4 MB
         assert peak < 8e6
+
+
+def copied_lead(trains):
+    """The same trains with their per-sample first cores copied; the tail
+    arrays stay shared, so the engine sees the same shared tail."""
+    return [TensorTrain((tt.cores[0].copy(),) + tt.cores[1:]) for tt in trains]
+
+
+def assert_naive(values, rows, cols, spec, picks):
+    for i, j in picks:
+        want = tt_kernel_naive(rows[i], cols[j], spec)
+        assert values[i, j] == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def all_picks(n, m):
+    return [(i, j) for i in range(n) for j in range(m)]
+
+
+# (sample count, dims, fixed interior ranks) of a joint decomposition
+STACK_CASES = {
+    "order-1": (5, (6,), ()),
+    "singleton": (1, (3, 4, 3), (2, 2)),
+    "order-3": (7, (3, 4, 3), (2, 2)),
+    "order-4": (9, (3, 4, 2, 3), (2, 3, 2)),
+}
+
+
+class TestStackInput:
+    """The engine reads only ``TrainStack``s.  A stack, the same trains as a
+    list and the same trains with copied first cores give the same bits,
+    and every form matches the naive oracle."""
+
+    @staticmethod
+    def stack(case, seed=60):
+        m, dims, ranks = STACK_CASES[case]
+        rng = np.random.default_rng(seed)
+        tensors = [DenseTensor(rng.standard_normal(dims)) for _ in range(m)]
+        return stack_and_decompose(tensors, TtSvdConfig.fixed(ranks))
+
+    @pytest.mark.parametrize("combine", ["prod", "sum"])
+    @pytest.mark.parametrize("case", sorted(STACK_CASES))
+    def test_stack_list_and_copies_give_equal_bits(self, case, combine):
+        stack = self.stack(case)
+        assert isinstance(stack, TrainStack)
+        spec = rotated_spec(stack.order, 1, combine)
+        forms = (stack, list(stack), copied_lead(stack))
+        grams = [build_gram(f, spec).values for f in forms]
+        for g in grams[1:]:
+            assert np.array_equal(g, grams[0])
+        assert np.array_equal(grams[0], grams[0].T)
+        assert_naive(grams[0], stack, stack, spec, all_picks(len(stack), len(stack)))
+        cut = max(1, len(stack) * 2 // 3)
+        train, test = stack[:cut], stack[cut:] if cut < len(stack) else stack
+        crosses = [cross_gram(f(train), f(test), spec)
+                   for f in (lambda x: x, list, copied_lead)]
+        for c in crosses[1:]:
+            assert np.array_equal(c, crosses[0])
+        assert_naive(crosses[0], test, train, spec, all_picks(len(test), len(train)))
+
+    @pytest.mark.parametrize("combine", ["prod", "sum"])
+    def test_independent_trains_have_no_shared_tail(self, combine):
+        rng = np.random.default_rng(61)
+        dims, ranks = (3, 4, 2), (2, 3)
+        trains = [random_tensor_train(dims, ranks, rng) for _ in range(5)]
+        probes = [random_tensor_train(dims, ranks, rng) for _ in range(3)]
+        stacked = kernels._stack(trains, "Gram")
+        assert len(stacked.lead) == 3 and stacked.tail == ()
+        explicit = TrainStack(tuple(np.stack([t.cores[k] for t in trains]) for k in range(3)))
+        spec = rotated_spec(3, 2, combine)
+        g = build_gram(trains, spec).values
+        assert np.array_equal(g, build_gram(explicit, spec).values)
+        assert_naive(g, trains, trains, spec, all_picks(5, 5))
+        rows = cross_gram(trains, probes, spec)
+        assert np.array_equal(rows, cross_gram(explicit, probes, spec))
+        assert_naive(rows, probes, trains, spec, all_picks(3, 5))
+
+    @pytest.mark.parametrize("combine", ["prod", "sum"])
+    def test_stack_against_a_list_whose_tail_starts_later(self, combine):
+        # the stack shares modes 2..4, the list only modes 3..4: mode 2 of
+        # the stack is broadcast over its trains
+        stack = self.stack("order-4", seed=62)
+        rng = np.random.default_rng(63)
+        later = shared_suffix_trains(rng, 4, stack.dims, stack.interior_ranks, 2)
+        assert len(kernels._stack(later, "test").lead) == 2
+        spec = rotated_spec(4, 0, combine)
+        rows = cross_gram(stack, later, spec)
+        assert np.array_equal(rows, cross_gram(list(stack), later, spec))
+        assert_naive(rows, later, stack, spec, all_picks(4, len(stack)))
+        cols = cross_gram(later, stack, spec)
+        assert np.array_equal(cols, cross_gram(later, list(stack), spec))
+        assert_naive(cols, stack, later, spec, all_picks(len(stack), 4))
+
+    @pytest.mark.parametrize("combine", ["prod", "sum"])
+    def test_symmetric_gram_over_several_chunks(self, monkeypatch, combine):
+        # one row of 9 columns at first-bond rank 2 is 36 values, so 48
+        # values a chunk gives 9 chunks of one row
+        monkeypatch.setattr(kernels, "CHUNK_VALUES", 48)
+        stack = self.stack("order-4", seed=64)
+        spec = rotated_spec(4, 1, combine)
+        g = build_gram(stack, spec).values
+        assert np.array_equal(g, g.T)
+        assert np.array_equal(g, build_gram(list(stack), spec).values)
+        assert np.array_equal(g, build_gram(copied_lead(stack), spec).values)
+        assert_naive(g, stack, stack, spec, all_picks(len(stack), len(stack)))
+
+    @pytest.mark.parametrize("case", ["order-1", "independent"])
+    def test_fibers_compared_are_never_one_buffer(self, monkeypatch, case):
+        # the last core's transposed fibers (S = 1) are contiguous already;
+        # were they views of the stack, x @ y.T of a symmetric chunk would
+        # read one buffer twice and numpy would take a rank-k update, whose
+        # sums differ in the last bits from the product's
+        if case == "order-1":
+            trains = self.stack("order-1")
+        else:
+            rng = np.random.default_rng(67)
+            trains = [random_tensor_train((3, 4, 2), (2, 3), rng) for _ in range(5)]
+        seen = []
+        real = kernels._base_kernel_matrix
+
+        def checked(k, x, y):
+            seen.append(np.shares_memory(x, y))
+            return real(k, x, y)
+
+        monkeypatch.setattr(kernels, "_base_kernel_matrix", checked)
+        build_gram(trains, KernelSpec.uniform(LinearKernel(), trains[0].order))
+        assert seen and not any(seen)
+
+    def test_empty_stack_is_refused(self):
+        stack = self.stack("order-3")
+        spec = rotated_spec(3, 0, "prod")
+        with pytest.raises(ValueError, match="at least one Gram sample"):
+            build_gram(stack[3:3], spec)
+        with pytest.raises(ValueError, match="at least one test sample"):
+            cross_gram(stack, stack[:0], spec)
+        with pytest.raises(ValueError, match="at least one train sample"):
+            cross_gram([], stack, spec)
+
+    def test_chain_and_dims_checked_between_stacks(self):
+        a = self.stack("order-3")
+        spec = rotated_spec(3, 0, "prod")
+        m, dims, _ = STACK_CASES["order-3"]
+        rng = np.random.default_rng(66)
+        b = stack_and_decompose([DenseTensor(rng.standard_normal(dims)) for _ in range(m)],
+                                TtSvdConfig.fixed((1, 2)))
+        with pytest.raises(ValueError, match="rank chain"):
+            cross_gram(a, b, spec)
+        c = self.stack("order-4")
+        with pytest.raises(ValueError, match="dims mismatch"):
+            cross_gram(a, c, spec)

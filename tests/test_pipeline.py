@@ -8,9 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ttkm import pipeline
+from ttkm import pipeline, solver
 from ttkm.errors import ConvergenceError
 from ttkm.kernels import (
+    GramMatrix,
     KernelSpec,
     LinearKernel,
     PolynomialKernel,
@@ -37,6 +38,7 @@ from ttkm.pipeline import (
 from ttkm.tensor import (
     DenseTensor,
     TensorTrain,
+    TrainStack,
     TtSvdConfig,
     reconstruct,
     stack_and_decompose,
@@ -565,9 +567,13 @@ class TestBatchedProjection:
         if n > 1:
             samples[-1] = DenseTensor(np.zeros(dims))  # stays zero under normalize
         got = pipeline._prepare_samples(model, samples)
-        assert isinstance(got, list) and len(got) == n
-        stacked = got[0].cores[0].base  # the one (n, I_1, R_2) array
-        assert stacked.shape[0] == n and all(tt.cores[0].base is stacked for tt in got)
+        # the stack contract: the first cores are one (n, 1, I_1, R_2)
+        # array, and the tail is the support vectors' own arrays
+        assert isinstance(got, TrainStack) and len(got) == n
+        (first,) = got.lead
+        assert first.shape == (n, 1, dims[0], model.support[0].ranks[1])
+        assert len(got.tail) == len(dims) - 1
+        assert all(a is b for a, b in zip(got.tail, model.support[0].cores[1:]))
         assert_close_trains(got, reference_prepare_samples(model, samples))
 
     @pytest.mark.parametrize("dims", [(6,), (3, 4, 5), (3, 4, 2, 3)])
@@ -814,3 +820,91 @@ class TestOneRunPerGrid:
             model = train_binary(ds, replace(grid, rank_values=(entry,)))
             self.assert_same_model(winner, model)
             assert row["support_count"] == len(model.support)
+
+
+PIPELINE_LAYERS = ("stack_and_decompose", "build_gram", "cross_gram", "solve_dual",
+                   "decision_function")
+
+
+class TestTraceIntegrity:
+    """The benchmark's traced run (``perfbench/spans.py::traced_api``) swaps
+    wrappers into ``pipeline``'s module globals, and reads the pair count
+    of a Gram from ``len()`` of ``build_gram``'s first argument.  Training
+    and prediction must reach every layer through those globals, or the
+    per-layer metrics read zero without any error."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        calls = {name: [] for name in PIPELINE_LAYERS}
+        for name, log in calls.items():
+            real = getattr(pipeline, name)
+
+            def spy(*args, _real=real, _log=log, **kwargs):
+                result = _real(*args, **kwargs)
+                _log.append((args, result))
+                return result
+
+            monkeypatch.setattr(pipeline, name, spy)
+        return calls
+
+    def test_training_and_prediction_reach_every_layer(self, seen):
+        ds = blob_dataset(np.random.default_rng(68), noise=0.4)
+        model = train_binary(ds, small_grid(ranks=(1, 2), cs=(1.0, 10.0), sigmas=(0.5, 2.0)))
+        n_train = ds.counts()["train"]
+        assert len(seen["stack_and_decompose"]) == 2
+        assert len(seen["build_gram"]) == len(seen["cross_gram"]) == 2 * 2
+        assert [len(args[0]) for args, _ in seen["build_gram"]] == [n_train] * 4
+        assert len(seen["solve_dual"]) == 2 * 2 * 2 + 1
+        assert not seen["decision_function"]
+
+        test_s, _ = ds.subset("test")
+        for run in (lambda: predict(model, test_s), lambda: evaluate(model, ds),
+                    lambda: model.predict(test_s)):
+            for log in seen.values():
+                log.clear()
+            run()
+            assert len(seen["decision_function"]) == len(seen["cross_gram"]) == 1
+            (_, rows), = seen["cross_gram"]
+            assert rows.shape == (len(test_s), len(model.support))
+            assert not (seen["build_gram"] or seen["solve_dual"] or seen["stack_and_decompose"])
+
+
+class TestSolverTablesPerTraining:
+    """A training on the benchmark's pair-rbf-prod grid shape (2 ranks, 4
+    sigmas, 4 Cs) builds one pair-curvature table per Gram, 8 in all, for
+    its 33 solves, and no label-product table; every solution has the bits
+    of a solve on a fresh Gram that caches nothing."""
+
+    def test_eight_tables_for_thirty_three_solves(self, monkeypatch):
+        tables, label_tables = [], []
+        for name, log in (("_pair_curvatures", tables), ("_label_products", label_tables)):
+            real = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *a, _real=real, _log=log:
+                                _log.append(1) or _real(*a))
+        solves = []
+        real_solve = pipeline.solve_dual
+
+        def recording(p, **kwargs):
+            sol = real_solve(p, **kwargs)
+            solves.append((p, kwargs, sol))
+            return sol
+
+        monkeypatch.setattr(pipeline, "solve_dual", recording)
+        ds = blob_dataset(np.random.default_rng(69), noise=0.6, n_train=8, n_val=6)
+        train_binary(ds, small_grid(ranks=(2, 4), cs=(1.0, 10.0, 100.0, 1000.0),
+                                    sigmas=(0.5, 1.0, 2.0, 4.0)))
+        assert len(solves) == 33
+        assert len(tables) == 8 and not label_tables
+        assert len({id(p.gram) for p, _, _ in solves}) == 8
+        for p, kwargs, got in solves:
+            gram = GramMatrix(values=np.array(p.gram.values), spec=p.gram.spec,
+                              sample_ids=p.gram.sample_ids)
+            want = real_solve(replace(p, gram=gram), **kwargs)
+            assert got.iterations == want.iterations and got.converged == want.converged
+            for a, b in ((got.alphas, want.alphas), (got.bias, want.bias),
+                         (got.objective, want.objective)):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            q = solver._label_products(p.gram.values, p.labels)
+            assert np.asarray(got.objective).tobytes() == np.asarray(
+                solver._objective(got.alphas, q)).tobytes()
+        assert len(tables) == 8 + 33

@@ -512,7 +512,8 @@ class TestBlockedTables:
             mp.setattr(solver, "_pair_curvatures", reference_pair_curvatures)
             mp.setattr(solver, "_label_products", reference_label_products)
             mp.setattr(solver, "_face_products", reference_face_products)
-            want = solve_dual(p, debug=debug)
+            # a fresh Gram: p's holds the pair table its first solve built
+            want = solve_dual(rbf_problem(*problem), debug=debug)
         assert got.converged and sum(pivots) > 0  # the face step ran
         assert got.iterations == want.iterations
         assert bits(got.alphas) == bits(want.alphas)
@@ -783,3 +784,54 @@ class TestKktReport:
         assert rep.counts["at_C"] == 2
         assert rep.counts["zero"] == 0
         assert rep.counts["interior"] == 0
+
+
+class TestTablesPerGram:
+    """The pair-curvature table is built once per Gram and kept in
+    ``gram.tables`` for every later solve on it; the objective is read from
+    K with no label-product table.  Neither changes a bit of a solution."""
+
+    @staticmethod
+    def fresh(p, c=None):
+        """``p`` on a new Gram of the same values, so no table is cached."""
+        values = np.array(p.gram.values)
+        return labelled_problem(values, p.labels, p.C if c is None else c)
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        real = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    def test_one_curvature_table_for_every_c(self, monkeypatch):
+        tables = self.spy(monkeypatch, "_pair_curvatures")
+        label_tables = self.spy(monkeypatch, "_label_products")
+        p = rbf_problem(0, 60, 1.0, 0.5)
+        sols = [solve_dual(DualProblem(gram=p.gram, labels=p.labels, C=c))
+                for c in (1.0, 10.0, 100.0, 1000.0)]
+        assert len(tables) == 1 and not label_tables
+        assert "pair_curvatures" in p.gram.tables
+        for c, got in zip((1.0, 10.0, 100.0, 1000.0), sols):
+            want = solve_dual(self.fresh(p, c))
+            assert got.iterations == want.iterations and got.converged == want.converged
+            assert bits(got.alphas) == bits(want.alphas)
+            assert bits(got.bias) == bits(want.bias)
+            assert bits(got.objective) == bits(want.objective)
+        assert len(tables) == 5
+
+    def test_gram_values_are_read_only(self):
+        p = rbf_problem(0, 10, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            p.gram.values[0, 0] = 2.0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 60, 61, 200, 400])
+    def test_objective_from_the_gram_has_the_bits_of_the_q_form(self, n, order):
+        k, y = table_gram(n, n + 7)
+        k = np.asarray(k, order=order)
+        rng = np.random.default_rng(n)
+        for alphas in (np.zeros(n), rng.uniform(0.0, 10.0, n),
+                       rng.uniform(0.0, 1e3, n) * (rng.random(n) < 0.3)):
+            want = _objective(alphas, reference_label_products(k, y))
+            assert bits(solver._gram_objective(alphas, k, y)) == bits(want)

@@ -12,6 +12,7 @@ from ttkm.tensor import (
     DenseTensor,
     StackedSamples,
     TensorTrain,
+    TrainStack,
     TtSvdConfig,
     _fix_signs,
     random_tensor_train,
@@ -745,3 +746,69 @@ class TestMergedRoute:
         total = math.sqrt(sum(np.sum(s.values ** 2) for s in samples))
         assert err <= rel_tol * total
         assert len({tt.ranks for tt in tts}) == 1
+
+
+class TestTrainStack:
+    """A ``TrainStack`` reads as the list of its trains: indexing gives a
+    ``TensorTrain``, slicing a stack of views, and out-of-range indices fail
+    as a list's do."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        return stack_and_decompose(random_samples(95, m=7), TtSvdConfig.fixed((2, 3, 2)))
+
+    def test_indexing_and_slicing_behave_as_a_list(self, stack):
+        trains = list(stack)
+        assert len(stack) == len(trains) == 7
+        assert all(isinstance(tt, TensorTrain) for tt in trains)
+        for i in (0, 3, 6, -1, -7, np.int64(2)):
+            assert_same_trains([stack[i]], [trains[i]])
+        for sl in (slice(2, 5), slice(-3, None), slice(None, None, 2),
+                   slice(None, None, -1), slice(5, 2), slice(100, 200), slice(0, 0)):
+            got = stack[sl]
+            assert isinstance(got, TrainStack)
+            assert len(got) == len(trains[sl])
+            assert_same_trains(got, trains[sl])
+        for i in (7, -8, 100):
+            with pytest.raises(IndexError):
+                trains[i]
+            with pytest.raises(IndexError):
+                stack[i]
+        with pytest.raises(TypeError):
+            stack["1"]
+
+    def test_views_of_one_first_core_array_over_one_tail(self, stack):
+        (first,) = stack.lead
+        assert first.shape == (7, 1, 3, 2)
+        assert stack.dims == (3, 4, 2, 5) and stack.ranks == (1, 2, 3, 2, 1)
+        assert stack.interior_ranks == stack[0].interior_ranks == (2, 3, 2)
+        part = stack[2:5]
+        assert np.shares_memory(part.lead[0], first)
+        assert all(a is b for a, b in zip(part.tail, stack.tail))
+        tt = stack[4]
+        assert np.shares_memory(tt.cores[0], first)
+        assert all(a is b for a, b in zip(tt.cores[1:], stack.tail))
+        assert tt.ranks == stack.ranks and tt.dims == stack.dims
+
+    def test_shapes_checked_when_built(self):
+        with pytest.raises(ValueError, match="leading core"):
+            TrainStack(())
+        with pytest.raises(ValueError, match="leading core 1"):
+            TrainStack((np.zeros((3, 1, 4, 2)), np.zeros((2, 2, 5, 1))))
+        with pytest.raises(ValueError, match="leading core 0"):
+            TrainStack((np.zeros((3, 4, 2)),), (np.zeros((2, 5, 1)),))
+        with pytest.raises(ValueError, match="rank mismatch"):
+            TrainStack((np.zeros((3, 1, 4, 2)),), (np.zeros((3, 5, 1)),))
+        with pytest.raises(ValueError, match="boundary"):
+            TrainStack((np.zeros((3, 2, 4, 2)),), (np.zeros((2, 5, 1)),))
+        with pytest.raises(ValueError, match="zero dimension"):
+            TrainStack((np.zeros((3, 1, 0, 2)),), (np.zeros((2, 5, 1)),))
+        empty = TrainStack((np.zeros((0, 1, 4, 2)),), (np.zeros((2, 5, 1)),))
+        assert len(empty) == 0 and list(empty) == [] and empty.dims == (4, 5)
+
+    def test_order_one(self):
+        samples = [DenseTensor(np.arange(5.0) + i) for i in range(3)]
+        stack = stack_and_decompose(samples, TtSvdConfig.fixed(()))
+        assert stack.tail == () and stack.ranks == (1, 1) and stack.interior_ranks == ()
+        for tt, s in zip(stack, samples):
+            np.testing.assert_array_equal(reconstruct(tt).values, s.values)
