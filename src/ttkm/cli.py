@@ -433,6 +433,9 @@ def cmd_evaluate(args) -> int:
             f"{len(samples)} samples but {len(labels)} labels"
         )
     keep = np.isin(labels, list(model.classes))
+    if not keep.any():
+        raise ValueError(f"none of the {len(labels)} labels is one of the model's "
+                         f"classes {list(model.classes)}")
     ds = Dataset(
         samples=[samples[i] for i in np.nonzero(keep)[0]],
         labels=np.asarray(labels)[keep],

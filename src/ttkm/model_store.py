@@ -6,11 +6,12 @@ Layout::
 
 The header is human-readable JSON carrying the kernel settings, dims,
 rank chain, class ids, grid metadata, and a CRC-32 of the blob; the blob
-carries the exact float64 payload (little-endian): the support vectors'
-shared trailing cores stored once, one first core per support vector,
-the coefficient array (alpha_i * y_i), and the bias.  Keeping floats out
-of the header preserves bit-identical predictions across a round trip;
-keeping structure out of the blob keeps diffs reviewable.
+carries the exact float64 payload (little-endian): the support set as one
+``kernels._stack`` stack (its shared trailing cores once, then all first
+cores as one Fortran-order block), coef (alpha_i * y_i), and the bias.
+Keeping floats out of the header preserves bit-identical predictions
+across a round trip; keeping structure out of the blob keeps diffs
+reviewable.
 
 A file holds either one binary model (``kind: "binary"``) or a
 one-vs-one ensemble (``kind: "ovo"``) whose per-pair blobs are
@@ -33,9 +34,9 @@ import zlib
 import numpy as np
 
 from .errors import DataFormatError
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _stack
 from .pipeline import OvoModel, SvmModel
-from .tensor import TensorTrain
+from .tensor import TrainStack
 from .ttn import read_bytes
 
 MAGIC = b"TTKM"
@@ -49,20 +50,6 @@ def _core_shapes(dims, interior_ranks):
 
 def _f64_bytes(arr: np.ndarray) -> bytes:
     return np.asarray(arr, dtype=np.float64).ravel(order="F").astype("<f8").tobytes()
-
-
-def _shared_tail(model: SvmModel):
-    """The trailing cores common to every support TT (training guarantees
-    this; hand-built models with ragged tails are rejected)."""
-    tail = model.support[0].cores[1:]
-    for j, tt in enumerate(model.support[1:], start=1):
-        for k, core in enumerate(tt.cores[1:]):
-            if core is not tail[k] and not np.array_equal(core, tail[k]):
-                raise ValueError(
-                    f"support vector {j} does not share trailing core {k + 1}; "
-                    "only models with a common trailing chain can be saved"
-                )
-    return tail
 
 
 def _model_header(model: SvmModel, meta) -> dict:
@@ -81,15 +68,19 @@ def _model_header(model: SvmModel, meta) -> dict:
 
 
 def _model_blob(model: SvmModel) -> bytes:
-    parts = []
+    arrays = []
     if model.support:
-        for core in _shared_tail(model):
-            parts.append(_f64_bytes(core))
-        for tt in model.support:
-            parts.append(_f64_bytes(tt.cores[0]))
-    parts.append(_f64_bytes(model.coef))
-    parts.append(struct.pack("<d", float(model.bias)))
-    return b"".join(parts)
+        stack = _stack(model.support, "support")
+        k = len(stack.lead) - 1  # the last core the trains do not share
+        if k:
+            j = next(j for j, tt in enumerate(model.support)
+                     if tt.cores[k] is not model.support[0].cores[k])
+            raise ValueError(f"support vector {j} does not share trailing core {k}; "
+                             "only models with a common trailing chain can be saved")
+        # the first cores, one after another, are one (1, I1, R2, n) block
+        arrays = [*stack.tail, stack.lead[0].transpose(1, 2, 3, 0)]
+    arrays.append(model.coef)
+    return b"".join(map(_f64_bytes, arrays)) + struct.pack("<d", float(model.bias))
 
 
 def _is_int(v) -> bool:
@@ -140,13 +131,12 @@ def _model_from_parts(header: dict, blob: bytes, path) -> SvmModel:
         pos += 8 * n
         return arr.reshape(shape, order="F")
 
-    support = []
+    support = ()
     if count:
         tail = tuple(take(s) for s in shapes[1:])
-        for _ in range(count):
-            support.append(TensorTrain(cores=(take(shapes[0]),) + tail))
-    coef = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).astype(np.float64)
-    pos += 8 * count
+        first = take(shapes[0] + (count,)).transpose(3, 0, 1, 2)
+        support = tuple(TrainStack((first,), tail))
+    coef = take((count,)).astype(np.float64)
     bias = struct.unpack_from("<d", blob, pos)[0]
     try:
         spec = KernelSpec.from_dict(header["spec"])
@@ -158,7 +148,7 @@ def _model_from_parts(header: dict, blob: bytes, path) -> SvmModel:
             f"{len(dims)} modes"
         )
     return SvmModel(
-        support=tuple(support),
+        support=support,
         coef=coef,
         bias=float(bias),
         spec=spec,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ttkm import pipeline
-from ttkm.cli import _parse_kinds, dump_json, format_float, main
+from ttkm.cli import _CATEGORIES, _parse_kinds, dump_json, format_float, main
 from ttkm.model_store import load_model
 from ttkm.tensor import DenseTensor
 from ttkm.ttn import read_dataset, write_dataset, write_tensor
@@ -349,6 +349,15 @@ class TestPredictEvaluateCommands:
         assert code == 0
         assert json.loads(out)["evaluated"] == 12
 
+    def test_evaluate_labels_of_no_model_class(self, data_dir, model_path, capsys):
+        # the message names the cause, not the empty internal split
+        labels = data_dir / "sevens.json"
+        labels.write_text(json.dumps([7] * 18))
+        code, out, err = run(capsys, "evaluate", "--model", model_path,
+                             "--input", data_dir / "test.ttn", "--labels", labels)
+        assert (code, out) == (2, "")
+        assert err == "error:usage: none of the 18 labels is one of the model's classes [0, 1]\n"
+
     def test_predict_missing_model(self, data_dir, capsys):
         code, _, err = run(capsys, "predict", "--model", data_dir / "no.ttkm",
                            "--input", data_dir / "test.ttn")
@@ -604,3 +613,12 @@ class TestExitCodes:
         category, message = line.split(":", 2)[:2], line.split(": ", 1)[1]
         assert category[0] == "error" and category[1] == "missing-input"
         assert message
+
+    def test_readme_exit_code_table_lists_every_category(self):
+        # a new error category cannot ship without its row in the README
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Exit codes", 1)[1].split("\n\n", 2)[1]
+        codes = [int(row.split("|")[1]) for row in table.splitlines()
+                 if row.startswith("|") and row.split("|")[1].strip().isdigit()]
+        assert codes == list(range(8))
+        assert {code for _, _, code in _CATEGORIES} <= set(codes)

@@ -1,5 +1,6 @@
 """File formats: .ttn tensors, IDX images/labels, .ttkm models, INI configs."""
 
+import dataclasses
 import gzip
 import json
 import re
@@ -437,6 +438,70 @@ class TestModelStore:
         save_model(a, model, meta={"seed": 5})
         save_model(b, model, meta={"seed": 5})
         assert a.read_bytes() == b.read_bytes()
+
+    def test_blob_layout_decoded_independently(self, tmp_path):
+        # the README's v1 layout, read with struct and numpy alone: tail
+        # cores, then each support vector's first core, all in Fortran
+        # order, then coef, then bias
+        _, model = self.train_small()
+        path = tmp_path / "m.ttkm"
+        save_model(path, model)
+        data = path.read_bytes()
+        assert data[:4] == b"TTKM"
+        version, header_len = struct.unpack("<II", data[4:12])
+        assert version == 1
+        header = json.loads(data[12:12 + header_len])["model"]
+        blob = data[12 + header_len:]
+        chain = [1] + header["interior_ranks"] + [1]
+        shapes = [(chain[k], n, chain[k + 1]) for k, n in enumerate(header["dims"])]
+        count = header["support_count"]
+        assert count == len(model.support) >= 2
+        pos = 0
+
+        def read(shape):
+            nonlocal pos
+            n = int(np.prod(shape))
+            arr = np.frombuffer(blob, "<f8", n, pos).reshape(shape, order="F")
+            pos += 8 * n
+            return arr
+
+        def same_bits(a, b):
+            return a.shape == b.shape and a.tobytes() == np.asarray(b, np.float64).tobytes()
+
+        for k, shape in enumerate(shapes[1:], start=1):
+            assert same_bits(read(shape), model.support[0].cores[k])
+        for tt in model.support:
+            assert same_bits(read(shapes[0]), tt.cores[0])
+        assert same_bits(read((count,)), model.coef)
+        assert struct.unpack_from("<d", blob, pos) == (model.bias,)
+        assert pos + 8 == len(blob)
+
+    @pytest.mark.parametrize("kind", ["binary", "ovo", "bias-only"])
+    def test_load_then_save_reproduces_the_file(self, tmp_path, kind):
+        if kind == "ovo":
+            ds = blob_dataset(np.random.default_rng(6), classes=(0, 1, 2))
+            model = train_multiclass_ovo(ds, tiny_grid())
+        else:
+            _, model = self.train_small()
+            if kind == "bias-only":
+                model = dataclasses.replace(model, support=(), coef=np.zeros(0))
+        first, again = tmp_path / "a.ttkm", tmp_path / "b.ttkm"
+        save_model(first, model, meta={"seed": 5})
+        loaded = load_model(first)
+        save_model(again, loaded, meta={"seed": 5})
+        assert again.read_bytes() == first.read_bytes()
+        if kind == "bias-only":
+            assert loaded.support == () and loaded.bias == model.bias
+
+    def test_support_without_shared_tail_objects_refused(self, tmp_path):
+        # equal tail values are not enough: the trains must hold the same
+        # tail arrays, as training, loading and copying leave them
+        _, model = self.train_small()
+        copied = TensorTrain(tuple(c.copy() for c in model.support[1].cores))
+        support = (model.support[0], copied) + model.support[2:]
+        with pytest.raises(ValueError, match="support vector 1 does not share trailing core"):
+            save_model(tmp_path / "m.ttkm", dataclasses.replace(model, support=support))
+        assert not (tmp_path / "m.ttkm").exists()
 
     def test_ovo_round_trip_predictions(self, tmp_path):
         rng = np.random.default_rng(6)
