@@ -8,7 +8,9 @@ other processes on the machine do not inflate the ratios the acceptance
 tests bound.  Used by the
 ``bench`` CLI subcommand and the performance acceptance tests: fast
 product evaluation should scale polynomially in the rank, while the
-naive reference blows up with the tensor order.
+naive reference blows up with the tensor order.  ``bench_decompose``
+times the decomposition layer on its own: one cold joint decomposition
+of a seeded stack the size of the benchmark's predict-stream corpus.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import time
 import numpy as np
 
 from .kernels import KernelSpec, RbfKernel, tt_kernel_naive, tt_kernel_prod_fast, tt_kernel_sum_fast
-from .tensor import random_tensor_train
+from .tensor import DenseTensor, TtSvdConfig, random_tensor_train, stack_and_decompose
 
 
 def _random_pairs(order, dim_size, rank, pairs, rng):
@@ -135,4 +137,21 @@ def bench_compare(
         "naive_seconds": naive_seconds,
         "fast_seconds": fast_seconds,
         "speedup": naive_seconds / fast_seconds if fast_seconds > 0 else float("inf"),
+    }
+
+
+def bench_decompose(seed=0) -> dict:
+    """CPU milliseconds of one cold ``stack_and_decompose`` of 200 seeded
+    Gaussian samples of dims (4, 7, 4, 7), as many as the benchmark's
+    predict-stream corpus holds, at rank 4 at every split; each call
+    stacks a plain list afresh, so no split is cached between calls."""
+    rng = np.random.default_rng(seed)
+    tensors = [DenseTensor(x) for x in rng.standard_normal((200, 4, 7, 4, 7))]
+    cfg = TtSvdConfig.fixed((4, 4, 4))
+    seconds = _time_sweep(lambda: stack_and_decompose(tensors, cfg))
+    return {
+        "samples": len(tensors),
+        "dims": list(tensors[0].dims),
+        "ranks": list(cfg.max_ranks),
+        "cpu_ms": 1e3 * seconds,
     }

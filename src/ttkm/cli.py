@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bench import bench_compare, bench_fast_prod_ranks, bench_naive_orders
+from .bench import bench_compare, bench_decompose, bench_fast_prod_ranks, bench_naive_orders
 from .config import RunConfig, _kinds, _ranks, load_config, load_labels, load_samples
 from .errors import (
     CapacityError,
@@ -476,6 +476,7 @@ def cmd_bench(args) -> int:
                 pairs=args.pairs, seed=args.seed or 0, combine=args.combine,
             ),
         }
+    result["decompose"] = bench_decompose(seed=args.seed or 0)
     result["seed"] = args.seed
     emit_json(result, args.output)
     return 0
@@ -551,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="INI with test paths")
     p.add_argument("--reshape", default=None, help="per-sample dims")
 
-    p = add("bench", cmd_bench, "time naive vs fast kernel evaluation")
+    p = add("bench", cmd_bench, "time naive vs fast kernel evaluation and one decomposition")
     p.add_argument("--d", type=int, default=3, help="tensor order")
     p.add_argument("--dims", type=int, default=8, help="size of every mode")
     p.add_argument("--ranks", default=None, help="TT rank(s)")

@@ -408,7 +408,7 @@ def _kernel_matrix(rows: TrainStack, cols: TrainStack, spec: KernelSpec,
         # collapse the shared suffix right-to-left into one matrix
         tail = np.ones((1, 1))
         for blk in reversed(shared_blocks):
-            tail = np.einsum("rsut,st->ru", blk, tail, optimize=True)
+            tail = np.tensordot(blk, tail, axes=((1, 3), (0, 1)))
     else:
         # mode k's block sum counts once per free rank choice at every
         # bond other than k and k+1

@@ -447,15 +447,19 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
 
     The train and validation samples are stacked once, in one
     ``StackedSamples``, and each rank setting decomposes that holder once.
-    Its cache keeps each split's SVD under the ranks kept at the earlier
-    splits: the first split, of the samples merged into the first mode,
-    is computed once for all rank settings, and each setting adds only
-    the splits its ranks reach first.  Each setting's ``TrainStack`` is
-    sliced into train and validation views, which every Gram, cross-Gram
-    and solve of that setting reads; the layers are reached through this
-    module's globals, which the benchmark's trace wraps.  The model's
-    first cores are copies, so it does not keep that cache alive.  The
-    holder, and with it the cache, is freed when training returns.
+    Its cache keeps each split's factorization under the ranks kept at
+    the earlier splits: the first split, of the samples merged into the
+    first mode, is factored once for all rank settings (from its Gram's
+    eigenproblem when it is tall, at least 32 columns wide and has as
+    many well-conditioned terms as the first rank keeps, as
+    ``stack_and_decompose`` says; by the SVD otherwise),
+    and each setting adds only the splits its ranks reach first.  Each
+    setting's ``TrainStack`` is sliced into train and validation views,
+    which every Gram, cross-Gram and solve of that setting reads; the
+    layers are reached through this module's globals, which the
+    benchmark's trace wraps.  The model's first cores are copies, so it
+    does not keep that cache alive.  The holder, and with it the cache
+    and the stack, is freed when training returns.
     """
     train_s, train_y = ds.subset("train")
     val_s, val_y = ds.subset("validation")

@@ -5,7 +5,13 @@ TT-SVD is Oseledets's sequential truncated SVD (SIAM J. Sci. Comput.
 decomposes many same-shape samples jointly, with their first modes
 merged, so that they share one rank chain and one set of trailing cores.
 Both run one sweep, ``_sweep``, and fix the sign of every singular
-vector it takes, so cores depend only on the data.
+vector it takes, so cores depend only on the data.  Under fixed ranks a
+tall first split of at least ``_GRAM_MIN_COLS`` columns, as a joint
+decomposition's first split of many samples is, is factored from the
+eigenproblem of its small Gram matrix (the method of snapshots,
+Sirovich 1987) instead of by a tall SVD, whenever the Gram has as many
+well-conditioned eigenpairs as the first rank keeps; every other split,
+and tolerance mode throughout, keeps the SVD.
 
 Conventions used throughout the package:
 
@@ -313,22 +319,45 @@ def _zero_tt(dims) -> TensorTrain:
     return TensorTrain(tuple(np.zeros((1, n, 1)) for n in dims))
 
 
+# A fixed-rank sweep takes its first split, the one that reads the data,
+# from the eigenproblem of its Gram A^T A when A is tall and at least this
+# wide (the method of snapshots, Sirovich, Q. Appl. Math. 1987)
+_GRAM_MIN_COLS = 32
+# Of that Gram's eigenpairs only those above TAU**2 times the largest are
+# kept, i.e. the singular values above TAU times the largest: each is
+# formed to a relative error of about cols * eps / TAU**2, and so is each
+# column of u = A V / s.  A first rank that asks for more takes the SVD
+_GRAM_TAU = 1e-3
+
+
 class _Splits:
-    """The SVDs of one tensor's TT-SVD splits, each computed at most once.
+    """The factorizations of one tensor's TT-SVD splits, each computed at
+    most once.
 
-    TT-SVD sweeps left to right, so the SVD at split k depends only on the
-    ranks kept at splits 1..k-1.  That rank prefix is the key of its
-    ``(u, s, vt)`` here, and every sweep that reaches split k with the same
-    prefix reads the same SVD.  The tensor itself is read by the first
-    split only, so it is dropped once a split has been taken.  A
-    ``shared`` cache is read by many sweeps, so its arrays are read-only:
-    the cores a sweep returns are views of ``u``.  A private one is read by
-    one sweep, which scales each split's ``vt`` in place into the next
-    split's matrix and then drops that split's SVD.
+    TT-SVD sweeps left to right, so the factorization at split k depends
+    only on how the first split was factored and on the ranks kept at
+    splits 1..k-1.  The first split is factored by one of two routes: a
+    fixed-rank sweep takes a tall, wide enough one from its Gram
+    (``_gram_split``) when that Gram has as many well-conditioned
+    eigenpairs as the first rank asks for, and by ``np.linalg.svd``
+    otherwise, as a tolerance sweep always does; every later split takes
+    the SVD.  The first split's route and that rank prefix are the key of
+    a split's ``(u, s, vt)`` here, and every sweep that reaches split k by
+    the same key reads the same factorization, so a holder that serves
+    many settings gives each the bits a fresh holder would.  A ``shared``
+    cache is read by many sweeps, so its arrays are read-only: the cores a
+    sweep returns are views of ``u``.  A private one is read by one sweep,
+    which scales each split's ``vt`` in place into the next split's matrix
+    and then drops that split's factorization.
 
-    Every SVD stored here has passed ``_fix_signs``, so its singular
-    vectors, and the cores cut from them, depend only on the data, not on
-    the LAPACK build or the route that formed the matrix.
+    The tensor itself is read by the first split only.  A private cache
+    drops it once the sweep has taken that split; a shared one once the
+    first split is cached under every route it can take, since the SVD
+    cannot be recovered bit for bit from the Gram route's factors.
+
+    Every factorization stored here has passed ``_fix_signs``, so its
+    singular vectors, and the cores cut from them, depend only on the data,
+    not on the LAPACK build or the route that formed the matrix.
     """
 
     def __init__(self, t: DenseTensor, shared: bool):
@@ -336,7 +365,7 @@ class _Splits:
         self.norm = t.norm()
         self.values = t.values
         self.shared = shared
-        self.svds: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+        self.svds: dict[tuple[str, tuple[int, ...]], tuple[np.ndarray, ...]] = {}
 
 
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
@@ -359,10 +388,74 @@ def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
         vt *= signs[:, None]
 
 
+def _route(fixed: bool, dims) -> str:
+    """How the first split of a tensor of ``dims`` is tried: ``"gram"`` in
+    a fixed-rank sweep when its unfolding is tall and has at least
+    ``_GRAM_MIN_COLS`` columns, ``"svd"`` otherwise.  A tolerance sweep
+    reads the small singular values, whose digits below ~sqrt(eps) * s_max
+    the Gram route loses."""
+    rows, cols = dims[0], math.prod(dims[1:])
+    return "gram" if fixed and rows >= cols >= _GRAM_MIN_COLS else "svd"
+
+
+def _gram_split(mat: np.ndarray):
+    """The leading terms ``(u, s, vt)`` of the thin SVD of a tall ``mat``
+    from the eigenproblem of its Gram: every singular value above
+    ``_GRAM_TAU`` times the largest, with its singular vectors.
+
+    With ``G = mat^T mat = V diag(lambda) V^T``, the singular values are
+    ``s = sqrt(lambda)`` in descending order, ``vt = V^T`` and
+    ``u = mat V / s``.  How many terms are kept depends on ``mat`` alone,
+    and their columns of ``u`` are formed in one product, so a column's
+    bits do not depend on how many of them a caller keeps.  The Gram and
+    the unordered ``V`` are freed before ``u`` is formed, so at most
+    ``mat``, ``u`` and one ``V``-sized array are held at once, as the SVD
+    holds ``mat``, ``u`` and ``vt``.
+    """
+    gram = mat.T @ mat
+    w, v = np.linalg.eigh(gram)
+    del gram
+    w = w[::-1]
+    m = int(np.count_nonzero(w > _GRAM_TAU * _GRAM_TAU * w[0]))
+    s = np.sqrt(w[:m])
+    v = np.ascontiguousarray(v[:, ::-1][:, :m])
+    u = mat @ v
+    u /= s
+    return u, s, v.T
+
+
+def _cache(splits: _Splits, key, split):
+    """Sign-fix a new factorization (``_fix_signs``), make it read-only
+    if ``splits`` is shared, and cache it under ``key``."""
+    _fix_signs(split[0], split[2])
+    if splits.shared:
+        for a in split:
+            a.flags.writeable = False
+    splits.svds[key] = split
+    return split
+
+
+def _first_split(splits: _Splits, route: str):
+    """The factorization of the first split by ``route``, from the cache or
+    newly cached."""
+    split = splits.svds.get((route, ()))
+    if split is None:
+        # a view, not a copy, of a Fortran-ordered tensor, as
+        # StackedSamples lays out its stack
+        mat = splits.values.reshape(splits.dims[0], -1, order="F")
+        split = _gram_split(mat) if route == "gram" else np.linalg.svd(mat, full_matrices=False)
+        split = _cache(splits, (route, ()), split)
+    return split
+
+
 def _sweep(splits: _Splits, cfg: TtSvdConfig) -> TensorTrain:
-    """TT-SVD of the tensor behind ``splits``, reading each split's SVD
-    from its cache and adding the ones it lacks.  Each new SVD is
-    sign-fixed (``_fix_signs``) before it is cached."""
+    """TT-SVD of the tensor behind ``splits``, reading each split's
+    factorization from its cache and adding the ones it lacks.  Under
+    fixed ranks a tall first split of at least ``_GRAM_MIN_COLS`` columns
+    is factored from its Gram's eigenproblem (``_gram_split``) when that
+    keeps at least the first rank's count of terms; every other split,
+    and every split in tolerance mode, by the SVD.  Each new
+    factorization is sign-fixed (``_fix_signs``) before it is cached."""
     dims = splits.dims
     d = len(dims)
     if cfg.max_ranks is not None and len(cfg.max_ranks) != d - 1:
@@ -374,21 +467,30 @@ def _sweep(splits: _Splits, cfg: TtSvdConfig) -> TensorTrain:
     if d == 1:
         return TensorTrain((splits.values.reshape(1, dims[0], 1),))
 
+    fixed = cfg.rel_tol is None
     delta = None
-    if cfg.rel_tol is not None:
+    if not fixed:
         delta = cfg.rel_tol * splits.norm / math.sqrt(d - 1)
 
+    # the route of the first split; the later ones take the SVD
+    route = _route(fixed, dims)
+    if route == "gram" and cfg.max_ranks[0] > len(_first_split(splits, route)[1]):
+        # the Gram has fewer well-conditioned terms than the first rank asks for
+        route = "svd"
     cores = []
-    kept = ()  # the ranks kept so far: the key of the next split
+    kept = ()  # the ranks kept so far: with the route, the key of the next split
     r_prev = 1
     for k in range(d - 1):
-        svd = splits.svds.get(kept)
-        if svd is None:
-            if k == 0:
-                # a view, not a copy, of a Fortran-ordered tensor, as
-                # StackedSamples lays out its stack
-                mat = splits.values.reshape(dims[0], -1, order="F")
-            elif splits.shared:
+        if k == 0:
+            split = _first_split(splits, route)
+            # a later sweep that takes the first split by another route
+            # reads the stack again
+            if not splits.shared or {("svd", ()), (_route(True, dims), ())} <= splits.svds.keys():
+                splits.values = None
+        else:
+            split = splits.svds.get((route, kept))
+        if split is None:
+            if splits.shared:
                 mat = (vt[:r_prev] * s[:r_prev, None]).reshape(
                     r_prev * dims[k], -1, order="F")
             else:
@@ -396,17 +498,12 @@ def _sweep(splits: _Splits, cfg: TtSvdConfig) -> TensorTrain:
                 # place, and free it once the next matrix is formed
                 mat = vt[:r_prev]
                 mat *= s[:r_prev, None]
-                del splits.svds[kept[:-1]], s, vt
+                del splits.svds[route, kept[:-1]], s, vt
                 mat = mat.reshape(r_prev * dims[k], -1, order="F")
-            svd = np.linalg.svd(mat, full_matrices=False)
+            split = np.linalg.svd(mat, full_matrices=False)
             del mat
-            _fix_signs(svd[0], svd[2])
-            if splits.shared:
-                for a in svd:
-                    a.flags.writeable = False
-            splits.svds[kept] = svd
-            splits.values = None
-        u, s, vt = svd
+            split = _cache(splits, (route, kept), split)
+        u, s, vt = split
         cap = cfg.max_ranks[k] if cfg.max_ranks is not None else None
         r = _pick_rank(s, delta, cap)
         if cap is not None and cap > len(s):
@@ -431,13 +528,19 @@ def tt_svd(t: DenseTensor, cfg: TtSvdConfig) -> TensorTrain:
     achievable rank is the smaller dimension of the unfolding being split;
     clamping is logged.  A zero tensor returns an all-zero rank-1 train.
 
-    This is the one TT-SVD sweep, run with a fresh cache of split SVDs, so
-    nothing is shared with other calls, and each split's SVD is freed once
-    the next split is formed.  Every split's SVD is sign-fixed: in each
-    left singular vector the entry of largest magnitude is positive (the
-    first such row on a tie), so the cores depend only on ``t``, not on
-    the signs LAPACK happens to pick.  ``stack_and_decompose`` runs the
-    same sweep on a cache that a ``StackedSamples`` keeps between calls.
+    This is the one TT-SVD sweep, run with a fresh cache of split
+    factorizations, so nothing is shared with other calls, and each
+    split's factorization is freed once the next split is formed.  In
+    fixed-rank mode a first split that is tall and at least
+    ``_GRAM_MIN_COLS`` columns wide is factored from its Gram's
+    eigenproblem when every singular value the first rank keeps is above
+    ``_GRAM_TAU`` times the largest; those singular values and vectors
+    agree with the SVD's to roundoff.  Every other split, and every split
+    in tolerance mode, is an SVD.  Every split is sign-fixed: in each left
+    singular vector the entry of largest magnitude is positive (the first
+    such row on a tie), so the cores depend only on ``t``, not on the
+    signs LAPACK happens to pick.  ``stack_and_decompose`` runs the same
+    sweep on a cache that a ``StackedSamples`` keeps between calls.
     """
     return _sweep(_Splits(t, shared=False), cfg)
 
@@ -476,12 +579,17 @@ class StackedSamples:
     tensor of dims ``(M*I_1, I_2, ..., I_d)``, sample index fastest: the
     Fortran-order view of the ``(M, I_1, ..., I_d)`` stack, so nothing is
     copied and the first split's unfolding is a view too.  The holder owns
-    that stack and the cache of its TT-SVD split SVDs, keyed by the ranks
-    kept at the earlier splits.  Every ``stack_and_decompose`` of one
-    holder shares that cache, so a split is decomposed once however many
-    rank settings reach it with the same earlier ranks.  The stack is
-    freed after the first split, and the cache lives as long as the
-    holder: drop it to free the SVDs.
+    that stack and the cache of its TT-SVD split factorizations, keyed by
+    the first split's route and the ranks kept at the earlier splits.
+    Every ``stack_and_decompose`` of one holder shares that cache, so a
+    split is factored once however many rank settings reach it with the
+    same earlier ranks.  The stack is freed after the first split when
+    every setting takes it by the SVD.  When fixed ranks can take it from
+    its Gram, the stack stays until the first split's SVD is cached too,
+    for a tolerance call or a first rank beyond the Gram's
+    well-conditioned terms, since the Gram's factors cannot give that SVD
+    bit for bit.  The cache lives as long as the holder: drop it to free
+    the stack and the factorizations.
     """
 
     def __init__(self, samples):
@@ -510,7 +618,7 @@ def stack_and_decompose(samples, cfg: TtSvdConfig) -> TrainStack:
     the d-1 interior ranks or the tolerance ``cfg`` names.  Its first core
     ``(1, M*I_1, R_2)`` holds every sample's first core: reshaped in
     Fortran order to ``(M, 1, I_1, R_2)`` and copied out of the cached
-    SVD, so that the result does not keep the cache alive, it is the
+    factorization, so that the result does not keep the cache alive, it is the
     returned ``TrainStack``'s one leading core, with one row per sample.
     The cores for modes 2..d are its tail, the same arrays for every
     sample, so all samples share identical interior ranks.  Indexing the
@@ -520,11 +628,22 @@ def stack_and_decompose(samples, cfg: TtSvdConfig) -> TrainStack:
     split, so the whole stack is reproduced within ``rel_tol *
     ||stack||_F``.  The cores carry ``tt_svd``'s sign rule.
 
+    Under fixed ranks the first split, ``M*I_1`` rows by ``I_2...I_d``
+    columns, is factored from its Gram's eigenproblem when it is tall and
+    at least ``_GRAM_MIN_COLS`` columns wide (both benchmark corpora's
+    are: 400 x 196 and 800 x 196), and the Gram has at least the first
+    rank's count of singular values above ``_GRAM_TAU`` times the largest
+    (zero or near-zero pixels only lower that count); otherwise, and in
+    tolerance mode, by the SVD, as every later split is.
+
     ``samples`` is a ``StackedSamples`` or an iterable of ``DenseTensor``,
-    which gets a fresh holder.  Calls on one holder share its split SVDs:
-    under fixed ranks the first split is the same SVD for every rank
-    setting, and a repeated setting takes no SVD at all.  The result is
-    the same, bit for bit, either way.
+    which gets a fresh holder.  Calls on one holder share its split
+    factorizations: under fixed ranks the first split is factored once
+    for every rank setting that takes one route, and a repeated setting
+    factors nothing.  Every column a split keeps is formed at once, and
+    the route depends only on the data, the mode and the requested ranks,
+    so the result is the same, bit for bit, either way, whatever settings
+    or modes the holder served before.
     """
     stack = samples if isinstance(samples, StackedSamples) else StackedSamples(samples)
     joint = _sweep(stack.splits, cfg)

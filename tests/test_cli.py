@@ -495,6 +495,9 @@ class TestBenchCommand:
         assert report["speedup"] == pytest.approx(
             report["naive_seconds"] / report["fast_seconds"]
         )
+        assert report["decompose"]["cpu_ms"] > 0
+        assert {k: v for k, v in report["decompose"].items() if k != "cpu_ms"} == {
+            "samples": 200, "dims": [4, 7, 4, 7], "ranks": [4, 4, 4]}
 
     def test_rank_sweep_mode(self, capsys):
         code, out, _ = run(capsys, "bench", "--sweep", "ranks", "--d", "3",
@@ -504,6 +507,7 @@ class TestBenchCommand:
         report = json.loads(out)
         assert report["mode"] == "fast-prod-ranks"
         assert [row["rank"] for row in report["rows"]] == [2, 4]
+        assert report["decompose"]["cpu_ms"] > 0
 
 
 class TestUnreadablePaths:

@@ -18,6 +18,7 @@ from ttkm.kernels import (
     RbfKernel,
     build_gram,
     cross_gram,
+    tt_kernel,
     tt_kernel_naive,
 )
 from ttkm.pipeline import (
@@ -42,6 +43,7 @@ from ttkm.tensor import (
     TtSvdConfig,
     reconstruct,
     stack_and_decompose,
+    tt_svd,
 )
 
 
@@ -242,15 +244,19 @@ class TestTrainBinary:
     def test_one_svd_per_new_rank_prefix(self, monkeypatch):
         # order-4 data at ranks 2 and 4: the first split, of the merged
         # sample and first modes, is shared, and each rank adds its last
-        # two splits: 1 + 2 * 2 SVDs (2 * 3 unshared); the winner's final
-        # solve decomposes nothing
+        # two splits: 1 + 2 * 2 factorizations (2 * 3 unshared); the
+        # winner's final solve decomposes nothing.  The first split (60 x
+        # 48) is tall and 48 columns wide, so it is the one taken from its
+        # Gram's eigenproblem
         rng = np.random.default_rng(16)
         ds = blob_dataset(rng, dims=(3, 3, 4, 4), noise=0.3)
         calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for name in ("svd", "eigh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
         model = train_binary(ds, small_grid(d=4, ranks=(2, 4), cs=(1.0, 10.0)))
-        assert len(calls) == 5
+        assert calls == ["eigh"] + ["svd"] * 4
         assert len(model.info["grid"]) == 4
 
     def test_stack_is_dropped_when_training_returns(self, monkeypatch):
@@ -493,6 +499,24 @@ class TestPredict:
         model = train_binary(ds, grid)
         m = evaluate(model, ds, split="test")
         assert m.accuracy >= 0.9
+
+    def test_projection_beats_an_independent_decomposition(self):
+        # what the truncated-ranks test above is for: on the same data and
+        # support set, decomposing each test sample on its own, at the
+        # model's ranks, scores at chance (0.50), while the projection onto
+        # the support vectors' tail scores 0.9375
+        rng = np.random.default_rng(25)
+        ds = blob_dataset(rng, n_train=10, n_val=6, n_test=8, noise=0.3)
+        model = train_binary(ds, small_grid(ranks=(2,), cs=(1.0, 10.0), sigmas=(0.5, 1.0, 2.0)))
+        test_s, test_y = ds.subset("test")
+        projected = np.mean(predict(model, test_s) == test_y)
+        cfg = TtSvdConfig.fixed(model.interior_ranks)
+        own = [tt_svd(x, cfg) for x in (pipeline._normalized(test_s) if model.normalize
+                                        else test_s)]
+        values = [sum(c * tt_kernel(sv, tt, model.spec) for sv, c in zip(model.support, model.coef))
+                  + model.bias for tt in own]
+        independent = np.mean(pipeline.class_labels(model, values) == test_y)
+        assert projected > independent
 
 
 def reference_prepare_samples(model, samples):

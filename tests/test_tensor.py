@@ -14,7 +14,9 @@ from ttkm.tensor import (
     TensorTrain,
     TrainStack,
     TtSvdConfig,
+    _GRAM_TAU,
     _fix_signs,
+    _gram_split,
     random_tensor_train,
     reconstruct,
     stack_and_decompose,
@@ -413,10 +415,26 @@ def reference_signs(u, vt):
     return u * signs, vt * signs[:, None]
 
 
-def reference_tt_svd(t, cfg):
+def reference_gram_split(a):
+    """The leading thin-SVD terms of a tall ``a`` from its Gram's
+    eigenproblem, written plainly: eigenpairs of ``a^T a`` in descending
+    order, those above ``_GRAM_TAU**2`` times the largest kept, ``s``
+    their square roots, ``u = a V / s``."""
+    w, v = np.linalg.eigh(a.T @ a)
+    w, v = w[::-1], v[:, ::-1]
+    keep = w > _GRAM_TAU ** 2 * w[0]
+    s = np.sqrt(w[keep])
+    v = np.ascontiguousarray(v[:, keep])
+    return a @ v / s, s, v.T
+
+
+def reference_tt_svd(t, cfg, gram=True):
     """The TT-SVD sweep as it was before split SVDs were shared, with the
     sign rule: it keeps the tensor to the end and scales ``vt`` in place.
-    The shared sweep must match it bit for bit."""
+    Under fixed ranks a tall first split of at least 32 columns is
+    factored by ``reference_gram_split`` when that keeps at least the
+    first rank's count of terms (with ``gram``; without, every split takes
+    the SVD).  The shared sweep must match it bit for bit."""
     dims, d = t.dims, t.order
     nrm = t.norm()
     if nrm == 0.0:
@@ -426,8 +444,15 @@ def reference_tt_svd(t, cfg):
         delta = cfg.rel_tol * nrm / math.sqrt(d - 1)
     cores, c, r_prev = [], t.values, 1
     for k in range(d - 1):
-        u, s, vt = np.linalg.svd(c.reshape(r_prev * dims[k], -1, order="F"),
-                                 full_matrices=False)
+        a = c.reshape(r_prev * dims[k], -1, order="F")
+        factors = None
+        if gram and k == 0 and cfg.rel_tol is None and a.shape[0] >= a.shape[1] >= 32:
+            factors = reference_gram_split(a)
+            if len(factors[1]) < cfg.max_ranks[0]:
+                factors = None
+        if factors is None:
+            factors = np.linalg.svd(a, full_matrices=False)
+        u, s, vt = factors
         u, vt = reference_signs(u, vt)
         r = len(s)
         if delta is not None:
@@ -453,15 +478,20 @@ def fortran_stack(samples):
     return stacked
 
 
-def reference_stack_and_decompose(samples, cfg):
+def merged_stack(samples):
+    """The samples' Fortran-ordered stack with its sample and first modes
+    merged, sample index fastest, as ``StackedSamples`` lays it out."""
+    stacked = fortran_stack(samples)
+    return stacked.reshape((stacked.shape[0] * stacked.shape[1],) + stacked.shape[2:],
+                           order="F")
+
+
+def reference_stack_and_decompose(samples, cfg, gram=True):
     """The joint decomposition, written plainly: the sample and first modes
     of a fresh Fortran-ordered stack merged, ``reference_tt_svd``, and the
     first core cut per sample.  ``stack_and_decompose`` must match it bit
     for bit."""
-    stacked = fortran_stack(samples)
-    merged = stacked.reshape((stacked.shape[0] * stacked.shape[1],) + stacked.shape[2:],
-                             order="F")
-    joint = reference_tt_svd(DenseTensor(merged), cfg)
+    joint = reference_tt_svd(DenseTensor(merged_stack(samples)), cfg, gram)
     lead = joint[0].reshape(len(samples), samples[0].dims[0], -1, order="F")
     return [(lead[i:i + 1],) + tuple(joint[1:]) for i in range(len(samples))]
 
@@ -531,6 +561,17 @@ def random_samples(seed, m=9, dims=(3, 4, 2, 5)):
     return [DenseTensor(rng.standard_normal(dims)) for _ in range(m)]
 
 
+def count_factorizations(monkeypatch):
+    """A list that records ``"svd"`` or ``"eigh"`` for every call of
+    ``np.linalg.svd`` or ``np.linalg.eigh``, in order."""
+    calls = []
+    for name in ("svd", "eigh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    return calls
+
+
 class TestSharedSweep:
     """One ``StackedSamples`` decomposed at many settings gives what a fresh
     plain-list decomposition gives, bit for bit, from fewer SVDs."""
@@ -579,18 +620,19 @@ class TestSharedSweep:
     @pytest.mark.parametrize("name, per_class", [("pair-rbf-prod", (30, 20)),
                                                  ("predict-stream", (60, 40))])
     def test_benchmark_corpora_match_the_reference(self, name, per_class):
+        # the first split of both corpora takes the Gram route: the
+        # reference forms it from the eigenpairs of its Gram, written plainly
         samples = benchmark_corpus(*per_class)
         stack = StackedSamples(samples)
         for ranks in ((2, 2, 2), (4, 4, 4), (2, 2, 2)):
             cfg = TtSvdConfig.fixed(ranks)
             assert_same_trains(stack_and_decompose(stack, cfg),
                                reference_stack_and_decompose(samples, cfg))
+        assert list(stack.splits.svds)[0] == ("gram", ())
 
     def test_one_svd_per_new_rank_prefix(self, monkeypatch):
         samples = random_samples(85)
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        calls = count_factorizations(monkeypatch)
         stack = StackedSamples(samples)
         seen = 0
         # (splits whose rank prefix is new, cfg): the first split, of the
@@ -746,6 +788,182 @@ class TestMergedRoute:
         total = math.sqrt(sum(np.sum(s.values ** 2) for s in samples))
         assert err <= rel_tol * total
         assert len({tt.ranks for tt in tts}) == 1
+
+
+EPS = np.finfo(float).eps
+
+
+def gram_route_cases():
+    """Tall first-split unfoldings: both benchmark corpora and random
+    Gaussian stacks, each at least 32 columns wide."""
+    cases = [merged_stack(benchmark_corpus(30, 20)), merged_stack(benchmark_corpus(60, 40))]
+    cases += [merged_stack(random_samples(seed, m=40)) for seed in (96, 97, 98)]
+    return [t.reshape(t.shape[0], -1, order="F") for t in cases]
+
+
+class TestGramRoute:
+    """Under fixed ranks a tall first split of at least 32 columns is
+    factored from its Gram's eigenproblem when the Gram keeps as many
+    well-conditioned terms as the first rank asks for.  ``np.linalg.svd``
+    is its oracle; every other split keeps the SVD."""
+
+    @pytest.mark.parametrize("a", gram_route_cases(),
+                             ids=["pair-rbf-prod", "predict-stream", "random-96",
+                                  "random-97", "random-98"])
+    def test_factors_agree_with_the_svd(self, a):
+        u, s, vt = _gram_split(a)
+        want = np.linalg.svd(a, full_matrices=False)
+        rows, cols = a.shape
+        assert u.shape == (rows, cols) and s.shape == vt.shape[:1] == (cols,)
+        # squared singular values within the rounding of forming and
+        # diagonalising the Gram
+        assert np.max(np.abs(s ** 2 - want.S ** 2)) <= cols * EPS * want.S[0] ** 2
+        scale = np.max(np.abs(a))
+        assert np.max(np.abs((u * s) @ vt - a)) <= cols * EPS * scale
+        # every column orthonormal to within the conditioning it was let in at
+        gap = np.max(np.abs(u.T @ u - np.eye(cols)))
+        assert gap <= cols * EPS * (s[0] / s[-1]) ** 2
+        # the leading terms a fixed rank keeps reconstruct as the SVD's do
+        for r in (2, 4, 8):
+            got = (u[:, :r] * s[:r]) @ vt[:r]
+            ref = (want.U[:, :r] * want.S[:r]) @ want.Vh[:r]
+            assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name, per_class", [("pair-rbf-prod", (30, 20)),
+                                                 ("predict-stream", (60, 40))])
+    def test_trains_reconstruct_as_the_svd_route_does(self, name, per_class):
+        samples = benchmark_corpus(*per_class)
+        scale = max(float(np.max(np.abs(s.values))) for s in samples)
+        for ranks in ((2, 2, 2), (4, 4, 4), (8, 4, 2)):
+            cfg = TtSvdConfig.fixed(ranks)
+            got = stack_and_decompose(samples, cfg)
+            want = reference_stack_and_decompose(samples, cfg, gram=False)
+            for tt, cores in zip(got, want):
+                diff = reconstruct(tt).values - reconstruct(TensorTrain(cores)).values
+                assert np.max(np.abs(diff)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("order", [(4, 2), (2, 4)])
+    def test_holder_serving_two_ranks_matches_fresh_lists(self, order):
+        # every column of u is formed at once, so a rank-2 setting read
+        # before or after a rank-4 one gets the bits a fresh list gets
+        samples = benchmark_corpus(30, 20)
+        stack = StackedSamples(samples)
+        for r in order:
+            cfg = TtSvdConfig.fixed((r, r, r))
+            assert_same_trains(stack_and_decompose(stack, cfg),
+                               stack_and_decompose(samples, cfg))
+
+    def test_holder_serving_both_modes_matches_fresh_lists(self, monkeypatch):
+        samples = benchmark_corpus(30, 20)
+        configs = (TtSvdConfig.fixed((4, 4, 4)), TtSvdConfig.tolerance(0.3),
+                   TtSvdConfig.fixed((2, 2, 2)), TtSvdConfig(max_ranks=(4, 4, 4), rel_tol=0.1))
+        wants = [(stack_and_decompose(samples, cfg), reference_stack_and_decompose(samples, cfg))
+                 for cfg in configs]
+        calls = count_factorizations(monkeypatch)
+        stack = StackedSamples(samples)
+        for cfg, (fresh, reference) in zip(configs, wants):
+            got = stack_and_decompose(stack, cfg)
+            assert_same_trains(got, fresh)
+            assert_same_trains(got, reference)
+        # the first split is factored once per route: the Gram's
+        # eigenproblem for both fixed settings, one SVD for both tolerance
+        # ones; the stack is freed once both routes have read it
+        assert calls[:3] == ["eigh", "svd", "svd"] and calls.count("eigh") == 1
+        assert {key for key in stack.splits.svds if not key[1]} == {("gram", ()), ("svd", ())}
+        assert stack.splits.values is None
+
+    def test_tolerance_mode_keeps_the_svd(self, monkeypatch):
+        samples = benchmark_corpus(30, 20)
+        t = DenseTensor(merged_stack(samples))
+        calls = count_factorizations(monkeypatch)
+        for cfg in (TtSvdConfig.tolerance(0.3), TtSvdConfig.tolerance(1e-3),
+                    TtSvdConfig(max_ranks=(4, 4, 4), rel_tol=0.1)):
+            assert_same_trains(stack_and_decompose(samples, cfg),
+                               reference_stack_and_decompose(samples, cfg, gram=False))
+            assert_same_trains([tt_svd(t, cfg)], [reference_tt_svd(t, cfg, gram=False)])
+        assert "eigh" not in calls
+
+    @pytest.mark.parametrize("case", ["zero pixels", "duplicated samples"])
+    def test_rank_deficient_stack_keeps_the_gram_route(self, case, monkeypatch):
+        samples = benchmark_corpus(30, 20)
+        if case == "zero pixels":
+            # a 4-pixel border is zero in every image, as in MNIST: 56 of
+            # the first split's 196 columns are zero, and more are zero
+            # in some rows
+            for s in samples:
+                img = s.values.reshape(28, 28)
+                img[:4] = img[-4:] = img[:, :4] = img[:, -4:] = 0.0
+        else:
+            # 20 rows of 5 distinct samples span less than 196 columns
+            samples = samples[:5] * 20
+        a = merged_stack(samples).reshape(4 * len(samples), -1, order="F")
+        want = np.linalg.svd(a, full_matrices=False)
+        calls = count_factorizations(monkeypatch)
+        u, s, vt = _gram_split(a)
+        # only the singular values above _GRAM_TAU of the largest are kept,
+        # and they agree with the SVD's
+        assert len(s) == np.count_nonzero(want.S > _GRAM_TAU * want.S[0]) < a.shape[1]
+        assert np.max(np.abs(s ** 2 - want.S[:len(s)] ** 2)) <= a.shape[1] * EPS * want.S[0] ** 2
+        assert np.max(np.abs(u.T @ u - np.eye(len(s)))) <= a.shape[1] * EPS / _GRAM_TAU ** 2
+        cfg = TtSvdConfig.fixed((4, 4, 4))
+        got = stack_and_decompose(samples, cfg)
+        # the first split takes no SVD; the two later splits do
+        assert calls == ["eigh", "eigh", "svd", "svd"]
+        assert_same_trains(got, reference_stack_and_decompose(samples, cfg))
+        scale = np.max(np.abs(a))
+        for tt, cores in zip(got, reference_stack_and_decompose(samples, cfg, gram=False)):
+            diff = reconstruct(tt).values - reconstruct(TensorTrain(cores)).values
+            assert np.max(np.abs(diff)) <= 1e-12 * scale
+
+    @staticmethod
+    def five_term_samples():
+        """40 samples whose first split (80 x 64) has rank 5: the Gram keeps
+        5 terms."""
+        rng = np.random.default_rng(100)
+        x = np.zeros((40, 2, 8, 8))
+        x.reshape(40, 2, 64)[:, :, :5] = rng.standard_normal((40, 2, 5))
+        return [DenseTensor(v) for v in x]
+
+    def test_first_rank_beyond_the_gram_takes_the_svd(self, monkeypatch):
+        samples = self.five_term_samples()
+        calls = count_factorizations(monkeypatch)
+        for r, route in ((5, ["eigh", "svd"]), (6, ["eigh", "svd", "svd"])):
+            calls.clear()
+            cfg = TtSvdConfig.fixed((r, 2))
+            got = stack_and_decompose(samples, cfg)
+            assert calls == route
+            assert_same_trains(got, reference_stack_and_decompose(samples, cfg))
+        # the reference takes the SVD at rank 6 too
+        cfg = TtSvdConfig.fixed((6, 2))
+        assert_same_trains(stack_and_decompose(samples, cfg),
+                           reference_stack_and_decompose(samples, cfg, gram=False))
+
+    @pytest.mark.parametrize("order", [(2, 8, 2), (8, 2, 8)])
+    def test_holder_serving_both_routes_matches_fresh_lists(self, order, monkeypatch):
+        samples = self.five_term_samples()
+        fresh = {r: stack_and_decompose(samples, TtSvdConfig.fixed((r, 2))) for r in order}
+        calls = count_factorizations(monkeypatch)
+        stack = StackedSamples(samples)
+        for r in order:
+            assert_same_trains(stack_and_decompose(stack, TtSvdConfig.fixed((r, 2))), fresh[r])
+        # the first split is factored once by each route, and the stack is
+        # freed once both have read it
+        assert calls.count("eigh") == 1 and calls.count("svd") == 3
+        assert {key for key in stack.splits.svds if not key[1]} == {("gram", ()), ("svd", ())}
+        assert stack.splits.values is None
+
+    @pytest.mark.parametrize("dims, route", [((2, 31), "svd"), ((2, 32), "gram"),
+                                             ((2, 4, 8), "gram"), ((1, 40), "svd")])
+    def test_narrow_or_wide_splits_take_the_svd(self, dims, route, monkeypatch):
+        # 20 samples: 40 rows (20 for dims (1, 40), wider than tall)
+        samples = [DenseTensor(x) for x in
+                   np.random.default_rng(99).standard_normal((20,) + dims)]
+        calls = count_factorizations(monkeypatch)
+        cfg = TtSvdConfig.fixed((2,) * (len(dims) - 1))
+        got = stack_and_decompose(samples, cfg)
+        assert ("eigh" in calls) == (route == "gram")
+        assert_same_trains(got, reference_stack_and_decompose(samples, cfg,
+                                                              gram=route == "gram"))
 
 
 class TestTrainStack:
