@@ -109,9 +109,7 @@ def bench_naive_orders(
     return rows
 
 
-def bench_compare(
-    order=3, dim_size=8, rank=4, pairs=100, seed=0, combine="prod", min_seconds=0.05
-) -> dict:
+def bench_compare(order=3, dim_size=8, rank=4, pairs=100, seed=0, combine="prod") -> dict:
     """Naive vs fast CPU time over one shared set of random pairs."""
     rng = np.random.default_rng(seed)
     pair_list = _random_pairs(order, dim_size, rank, pairs, rng)
@@ -126,8 +124,8 @@ def bench_compare(
         for a, b in pair_list:
             fast_fn(a, b, spec)
 
-    naive_seconds = _time_sweep(naive_task, min_seconds)
-    fast_seconds = _time_sweep(fast_task, min_seconds)
+    naive_seconds = _time_sweep(naive_task)
+    fast_seconds = _time_sweep(fast_task)
     return {
         "order": int(order),
         "dim_size": int(dim_size),
@@ -144,7 +142,7 @@ def bench_decompose(seed=0) -> dict:
     """CPU milliseconds of one cold ``stack_and_decompose`` of 200 seeded
     Gaussian samples of dims (4, 7, 4, 7), as many as the benchmark's
     predict-stream corpus holds, at rank 4 at every split; each call
-    stacks a plain list afresh, so no split is cached between calls."""
+    stacks a plain list afresh, so nothing is kept between calls."""
     rng = np.random.default_rng(seed)
     tensors = [DenseTensor(x) for x in rng.standard_normal((200, 4, 7, 4, 7))]
     cfg = TtSvdConfig.fixed((4, 4, 4))

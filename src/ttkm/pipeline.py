@@ -7,17 +7,17 @@ trains share one rank chain (a requirement for a PSD Gram matrix), then a
 grid over (C, sigma) is scanned on the validation split, each C seeded
 from the previous one's solution, and the winning combination is solved
 once more from a cold start on the Gram the scan built for it.  The
-samples are stacked once per training, merged into the first mode, and
-the rank settings share that stack's split SVDs, so each split is
-decomposed once per distinct prefix of earlier ranks; the first split is
-shared by every setting.  Cores are sign-fixed, so a model depends on
-the data and the grid, not on the signs LAPACK picks.  Prediction decomposes each incoming sample at the
-model's rank chain by keeping the support vectors' shared trailing cores
-and fitting a fresh first core by least squares, which keeps new samples
-in the same core representation the kernel values were trained on.  The
-samples of one request are fit together, one least-squares solve per
-chunk, into one ``TrainStack``, as a joint decomposition returns its
-trains.  Decision values that are not finite raise ``CapacityError``.
+samples are stacked once per training, merged into the first mode, in one
+holder that keeps the stack's first split for every rank setting; each
+setting factors its later splits itself.  Cores are sign-fixed, so a
+model depends on the data and the grid, not on the signs LAPACK picks.
+Prediction decomposes each incoming sample at the model's rank chain by
+keeping the support vectors' shared trailing cores and fitting a fresh
+first core by least squares, which keeps new samples in the same core
+representation the kernel values were trained on.  The samples of one
+request are fit together, one least-squares solve per chunk, into one
+``TrainStack``, as a joint decomposition returns its trains.  Decision
+values that are not finite raise ``CapacityError``.
 """
 
 from __future__ import annotations
@@ -447,19 +447,18 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
 
     The train and validation samples are stacked once, in one
     ``StackedSamples``, and each rank setting decomposes that holder once.
-    Its cache keeps each split's factorization under the ranks kept at
-    the earlier splits: the first split, of the samples merged into the
-    first mode, is factored once for all rank settings (from its Gram's
-    eigenproblem when it is tall, at least 32 columns wide and has as
-    many well-conditioned terms as the first rank keeps, as
-    ``stack_and_decompose`` says; by the SVD otherwise),
-    and each setting adds only the splits its ranks reach first.  Each
-    setting's ``TrainStack`` is sliced into train and validation views,
-    which every Gram, cross-Gram and solve of that setting reads; the
-    layers are reached through this module's globals, which the
-    benchmark's trace wraps.  The model's first cores are copies, so it
-    does not keep that cache alive.  The holder, and with it the cache
-    and the stack, is freed when training returns.
+    The holder keeps the stack and its first split, of the samples merged
+    into the first mode, factored once for all rank settings (from its
+    Gram's eigenproblem when it is tall, at least 32 columns wide and has
+    as many well-conditioned terms as the first rank keeps, as
+    ``stack_and_decompose`` says; by the SVD otherwise); each setting
+    factors its later splits itself.  Each setting's ``TrainStack`` is
+    sliced into train and validation views, which every Gram, cross-Gram
+    and solve of that setting reads; the layers are reached through this
+    module's globals, which the benchmark's trace wraps.  The model's
+    first cores are copies, so it does not keep the holder's arrays
+    alive.  The holder, and with it the stack and its first split, is
+    freed when training returns.
     """
     train_s, train_y = ds.subset("train")
     val_s, val_y = ds.subset("validation")
@@ -485,7 +484,7 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
     y_train = _signed_labels(train_y, pos_class)
     y_val = _signed_labels(val_y, pos_class)
     n_train = len(train_s)
-    # every rank setting reads the split SVDs of this one stack
+    # every rank setting reads the first split of this one stack
     stack = StackedSamples(train_s + val_s)
 
     def solve_and_score(gram, rows, c_value, start=None):

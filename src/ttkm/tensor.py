@@ -11,7 +11,9 @@ decomposition's first split of many samples is, is factored from the
 eigenproblem of its small Gram matrix (the method of snapshots,
 Sirovich 1987) instead of by a tall SVD, whenever the Gram has as many
 well-conditioned eigenpairs as the first rank keeps; every other split,
-and tolerance mode throughout, keeps the SVD.
+and tolerance mode throughout, keeps the SVD.  A ``StackedSamples``
+holder keeps its stack and its first split, factored once per route, for
+every decomposition of it; each sweep factors its later splits itself.
 
 Conventions used throughout the package:
 
@@ -330,44 +332,6 @@ _GRAM_MIN_COLS = 32
 _GRAM_TAU = 1e-3
 
 
-class _Splits:
-    """The factorizations of one tensor's TT-SVD splits, each computed at
-    most once.
-
-    TT-SVD sweeps left to right, so the factorization at split k depends
-    only on how the first split was factored and on the ranks kept at
-    splits 1..k-1.  The first split is factored by one of two routes: a
-    fixed-rank sweep takes a tall, wide enough one from its Gram
-    (``_gram_split``) when that Gram has as many well-conditioned
-    eigenpairs as the first rank asks for, and by ``np.linalg.svd``
-    otherwise, as a tolerance sweep always does; every later split takes
-    the SVD.  The first split's route and that rank prefix are the key of
-    a split's ``(u, s, vt)`` here, and every sweep that reaches split k by
-    the same key reads the same factorization, so a holder that serves
-    many settings gives each the bits a fresh holder would.  A ``shared``
-    cache is read by many sweeps, so its arrays are read-only: the cores a
-    sweep returns are views of ``u``.  A private one is read by one sweep,
-    which scales each split's ``vt`` in place into the next split's matrix
-    and then drops that split's factorization.
-
-    The tensor itself is read by the first split only.  A private cache
-    drops it once the sweep has taken that split; a shared one once the
-    first split is cached under every route it can take, since the SVD
-    cannot be recovered bit for bit from the Gram route's factors.
-
-    Every factorization stored here has passed ``_fix_signs``, so its
-    singular vectors, and the cores cut from them, depend only on the data,
-    not on the LAPACK build or the route that formed the matrix.
-    """
-
-    def __init__(self, t: DenseTensor, shared: bool):
-        self.dims = t.dims
-        self.norm = t.norm()
-        self.values = t.values
-        self.shared = shared
-        self.svds: dict[tuple[str, tuple[int, ...]], tuple[np.ndarray, ...]] = {}
-
-
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
     """The sign rule of every split's SVD, applied in place: in each left
     singular vector the entry of largest magnitude is made positive (on a
@@ -424,86 +388,67 @@ def _gram_split(mat: np.ndarray):
     return u, s, v.T
 
 
-def _cache(splits: _Splits, key, split):
-    """Sign-fix a new factorization (``_fix_signs``), make it read-only
-    if ``splits`` is shared, and cache it under ``key``."""
+def _factor_first(t: DenseTensor, route: str):
+    """The sign-fixed factorization ``(u, s, vt)`` of the first split of
+    ``t`` by ``route``: ``_gram_split`` for ``"gram"``, the thin SVD for
+    ``"svd"``."""
+    # a view, not a copy, of a Fortran-ordered tensor, as StackedSamples
+    # lays out its stack
+    mat = unfold(t, 1)
+    split = _gram_split(mat) if route == "gram" else np.linalg.svd(mat, full_matrices=False)
+    # a copied matrix is freed before the sign fix's temporaries are made
+    del mat
     _fix_signs(split[0], split[2])
-    if splits.shared:
-        for a in split:
-            a.flags.writeable = False
-    splits.svds[key] = split
     return split
 
 
-def _first_split(splits: _Splits, route: str):
-    """The factorization of the first split by ``route``, from the cache or
-    newly cached."""
-    split = splits.svds.get((route, ()))
-    if split is None:
-        # a view, not a copy, of a Fortran-ordered tensor, as
-        # StackedSamples lays out its stack
-        mat = splits.values.reshape(splits.dims[0], -1, order="F")
-        split = _gram_split(mat) if route == "gram" else np.linalg.svd(mat, full_matrices=False)
-        split = _cache(splits, (route, ()), split)
-    return split
+def _sweep(t: DenseTensor, norm: float, cfg: TtSvdConfig, first) -> TensorTrain:
+    """TT-SVD of ``t``, whose Frobenius norm is ``norm``.
 
-
-def _sweep(splits: _Splits, cfg: TtSvdConfig) -> TensorTrain:
-    """TT-SVD of the tensor behind ``splits``, reading each split's
-    factorization from its cache and adding the ones it lacks.  Under
-    fixed ranks a tall first split of at least ``_GRAM_MIN_COLS`` columns
-    is factored from its Gram's eigenproblem (``_gram_split``) when that
-    keeps at least the first rank's count of terms; every other split,
-    and every split in tolerance mode, by the SVD.  Each new
-    factorization is sign-fixed (``_fix_signs``) before it is cached."""
-    dims = splits.dims
+    ``first(route)`` gives the sign-fixed factorization ``(u, s, vt)`` of
+    the first split by ``"gram"`` or ``"svd"``, which the sweep only
+    reads.  Under fixed ranks a tall first split of at least
+    ``_GRAM_MIN_COLS`` columns takes the Gram route when that keeps at
+    least the first rank's count of terms, and the SVD otherwise, as every
+    split in tolerance mode does.  Each later split is the sweep's own: an
+    SVD of a new matrix formed from the previous split, sign-fixed
+    (``_fix_signs``), and freed once the next matrix is formed."""
+    dims = t.dims
     d = len(dims)
     if cfg.max_ranks is not None and len(cfg.max_ranks) != d - 1:
         raise ValueError(
             f"max_ranks has {len(cfg.max_ranks)} entries; order-{d} tensor needs {d - 1}"
         )
-    if splits.norm == 0.0:
+    if norm == 0.0:
         return _zero_tt(dims)
     if d == 1:
-        return TensorTrain((splits.values.reshape(1, dims[0], 1),))
+        return TensorTrain((t.values.reshape(1, dims[0], 1),))
 
     fixed = cfg.rel_tol is None
     delta = None
     if not fixed:
-        delta = cfg.rel_tol * splits.norm / math.sqrt(d - 1)
+        delta = cfg.rel_tol * norm / math.sqrt(d - 1)
 
-    # the route of the first split; the later ones take the SVD
     route = _route(fixed, dims)
-    if route == "gram" and cfg.max_ranks[0] > len(_first_split(splits, route)[1]):
+    u, s, vt = first(route)
+    if route == "gram" and cfg.max_ranks[0] > len(s):
         # the Gram has fewer well-conditioned terms than the first rank asks for
-        route = "svd"
+        u, s, vt = first("svd")
     cores = []
-    kept = ()  # the ranks kept so far: with the route, the key of the next split
     r_prev = 1
     for k in range(d - 1):
-        if k == 0:
-            split = _first_split(splits, route)
-            # a later sweep that takes the first split by another route
-            # reads the stack again
-            if not splits.shared or {("svd", ()), (_route(True, dims), ())} <= splits.svds.keys():
-                splits.values = None
-        else:
-            split = splits.svds.get((route, kept))
-        if split is None:
-            if splits.shared:
-                mat = (vt[:r_prev] * s[:r_prev, None]).reshape(
-                    r_prev * dims[k], -1, order="F")
-            else:
-                # no later sweep reads the previous split: scale its vt in
-                # place, and free it once the next matrix is formed
-                mat = vt[:r_prev]
-                mat *= s[:r_prev, None]
-                del splits.svds[route, kept[:-1]], s, vt
-                mat = mat.reshape(r_prev * dims[k], -1, order="F")
-            split = np.linalg.svd(mat, full_matrices=False)
+        if k:
+            # the kept rows of s * vt as one new array, laid out so that
+            # the next split's matrix is a view of it: the first split,
+            # which a holder keeps, is never written
+            mat = np.multiply(vt[:r_prev].reshape(r_prev, dims[k], -1, order="F"),
+                              s[:r_prev, None, None], order="F")
+            del u, s, vt
+            u, s, vt = np.linalg.svd(mat.reshape(r_prev * dims[k], -1, order="F"),
+                                     full_matrices=False)
+            # freed before the sign fix's temporaries are made
             del mat
-            split = _cache(splits, (route, kept), split)
-        u, s, vt = split
+            _fix_signs(u, vt)
         cap = cfg.max_ranks[k] if cfg.max_ranks is not None else None
         r = _pick_rank(s, delta, cap)
         if cap is not None and cap > len(s):
@@ -512,7 +457,6 @@ def _sweep(splits: _Splits, cfg: TtSvdConfig) -> TensorTrain:
                 cap, k + 1, len(s),
             )
         cores.append(u[:, :r].reshape(r_prev, dims[k], r, order="F"))
-        kept += (r,)
         r_prev = r
     cores.append((vt[:r_prev] * s[:r_prev, None]).reshape(r_prev, dims[-1], 1, order="F"))
     return TensorTrain(tuple(cores))
@@ -528,21 +472,20 @@ def tt_svd(t: DenseTensor, cfg: TtSvdConfig) -> TensorTrain:
     achievable rank is the smaller dimension of the unfolding being split;
     clamping is logged.  A zero tensor returns an all-zero rank-1 train.
 
-    This is the one TT-SVD sweep, run with a fresh cache of split
-    factorizations, so nothing is shared with other calls, and each
-    split's factorization is freed once the next split is formed.  In
-    fixed-rank mode a first split that is tall and at least
-    ``_GRAM_MIN_COLS`` columns wide is factored from its Gram's
-    eigenproblem when every singular value the first rank keeps is above
-    ``_GRAM_TAU`` times the largest; those singular values and vectors
-    agree with the SVD's to roundoff.  Every other split, and every split
-    in tolerance mode, is an SVD.  Every split is sign-fixed: in each left
-    singular vector the entry of largest magnitude is positive (the first
-    such row on a tie), so the cores depend only on ``t``, not on the
-    signs LAPACK happens to pick.  ``stack_and_decompose`` runs the same
-    sweep on a cache that a ``StackedSamples`` keeps between calls.
+    This is the one TT-SVD sweep, with the first split factored afresh, so
+    nothing is kept between calls, and each split's factorization is freed
+    once the next split is formed.  In fixed-rank mode a first split that
+    is tall and at least ``_GRAM_MIN_COLS`` columns wide is factored from
+    its Gram's eigenproblem when every singular value the first rank keeps
+    is above ``_GRAM_TAU`` times the largest; those singular values and
+    vectors agree with the SVD's to roundoff.  Every other split, and
+    every split in tolerance mode, is an SVD.  Every split is sign-fixed:
+    in each left singular vector the entry of largest magnitude is
+    positive (the first such row on a tie), so the cores depend only on
+    ``t``, not on the signs LAPACK happens to pick.  ``stack_and_decompose``
+    runs the same sweep on the first split a ``StackedSamples`` keeps.
     """
-    return _sweep(_Splits(t, shared=False), cfg)
+    return _sweep(t, t.norm(), cfg, lambda route: _factor_first(t, route))
 
 
 def reconstruct(tt: TensorTrain) -> DenseTensor:
@@ -578,18 +521,12 @@ class StackedSamples:
     M samples of dims ``(I_1, ..., I_d)`` are laid out as one order-d
     tensor of dims ``(M*I_1, I_2, ..., I_d)``, sample index fastest: the
     Fortran-order view of the ``(M, I_1, ..., I_d)`` stack, so nothing is
-    copied and the first split's unfolding is a view too.  The holder owns
-    that stack and the cache of its TT-SVD split factorizations, keyed by
-    the first split's route and the ranks kept at the earlier splits.
-    Every ``stack_and_decompose`` of one holder shares that cache, so a
-    split is factored once however many rank settings reach it with the
-    same earlier ranks.  The stack is freed after the first split when
-    every setting takes it by the SVD.  When fixed ranks can take it from
-    its Gram, the stack stays until the first split's SVD is cached too,
-    for a tolerance call or a first rank beyond the Gram's
-    well-conditioned terms, since the Gram's factors cannot give that SVD
-    bit for bit.  The cache lives as long as the holder: drop it to free
-    the stack and the factorizations.
+    copied and the first split's unfolding is a view too.  The holder
+    keeps that stack and its norm, and the first split's factorization by
+    each route (the Gram's or the SVD), made read-only on first use: at
+    most two, shared by every ``stack_and_decompose`` of the holder.  Each
+    call factors the later splits itself.  All of it lives as long as the
+    holder: drop it to free the stack and the factorizations.
     """
 
     def __init__(self, samples):
@@ -606,8 +543,20 @@ class StackedSamples:
             stacked[i] = s.values
         merged = (self.count * dims[0],) + dims[1:]
         # the samples are DenseTensors, so every value is already checked
-        self.splits = _Splits(
-            DenseTensor._trusted(stacked.reshape(merged, order="F")), shared=True)
+        self._stack = DenseTensor._trusted(stacked.reshape(merged, order="F"))
+        self._norm = self._stack.norm()
+        self._firsts = {}
+
+    def _first(self, route: str):
+        """The first split's factorization by ``route``, made read-only
+        on first use and kept."""
+        split = self._firsts.get(route)
+        if split is None:
+            split = _factor_first(self._stack, route)
+            for a in split:
+                a.flags.writeable = False
+            self._firsts[route] = split
+        return split
 
 
 def stack_and_decompose(samples, cfg: TtSvdConfig) -> TrainStack:
@@ -617,16 +566,16 @@ def stack_and_decompose(samples, cfg: TtSvdConfig) -> TrainStack:
     ``StackedSamples``), and that order-d tensor is decomposed once, at
     the d-1 interior ranks or the tolerance ``cfg`` names.  Its first core
     ``(1, M*I_1, R_2)`` holds every sample's first core: reshaped in
-    Fortran order to ``(M, 1, I_1, R_2)`` and copied out of the cached
-    factorization, so that the result does not keep the cache alive, it is the
-    returned ``TrainStack``'s one leading core, with one row per sample.
-    The cores for modes 2..d are its tail, the same arrays for every
-    sample, so all samples share identical interior ranks.  Indexing the
-    stack gives sample i's ``TensorTrain``, a slice a stack of views.  The
-    sample index is never truncated, under fixed ranks or a tolerance.  In
-    tolerance mode the budget is ``rel_tol * ||stack||_F / sqrt(d-1)`` per
-    split, so the whole stack is reproduced within ``rel_tol *
-    ||stack||_F``.  The cores carry ``tt_svd``'s sign rule.
+    Fortran order to ``(M, 1, I_1, R_2)`` and copied out of the holder's
+    first split, so that the result does not keep the holder's arrays
+    alive, it is the returned ``TrainStack``'s one leading core, with one
+    row per sample.  The cores for modes 2..d are its tail, the same arrays
+    for every sample, so all samples share identical interior ranks.
+    Indexing the stack gives sample i's ``TensorTrain``, a slice a stack
+    of views.  The sample index is never truncated, under fixed ranks or a
+    tolerance.  In tolerance mode the budget is ``rel_tol * ||stack||_F /
+    sqrt(d-1)`` per split, so the whole stack is reproduced within
+    ``rel_tol * ||stack||_F``.  The cores carry ``tt_svd``'s sign rule.
 
     Under fixed ranks the first split, ``M*I_1`` rows by ``I_2...I_d``
     columns, is factored from its Gram's eigenproblem when it is tall and
@@ -637,16 +586,15 @@ def stack_and_decompose(samples, cfg: TtSvdConfig) -> TrainStack:
     tolerance mode, by the SVD, as every later split is.
 
     ``samples`` is a ``StackedSamples`` or an iterable of ``DenseTensor``,
-    which gets a fresh holder.  Calls on one holder share its split
-    factorizations: under fixed ranks the first split is factored once
-    for every rank setting that takes one route, and a repeated setting
-    factors nothing.  Every column a split keeps is formed at once, and
-    the route depends only on the data, the mode and the requested ranks,
-    so the result is the same, bit for bit, either way, whatever settings
-    or modes the holder served before.
+    which gets a fresh holder.  Calls on one holder share its first split,
+    factored once per route, and each call factors its later splits
+    afresh.  Every column a split keeps is formed at once, and the route
+    depends only on the data, the mode and the requested ranks, so the
+    result is the same, bit for bit, either way, whatever settings or
+    modes the holder served before.
     """
     stack = samples if isinstance(samples, StackedSamples) else StackedSamples(samples)
-    joint = _sweep(stack.splits, cfg)
+    joint = _sweep(stack._stack, stack._norm, cfg, stack._first)
     lead = joint.cores[0]
     first = lead.reshape(stack.count, 1, -1, lead.shape[2], order="F").copy()
     return TrainStack((first,), joint.cores[1:])

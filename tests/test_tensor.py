@@ -544,6 +544,10 @@ UNSHARED_SWEEP_PEAK_BYTES = 4_398_320
 # pytest, numpy 2.4); a cache that kept each split's vt to the end of the
 # sweep peaked at 4,397,147 B
 UNCACHED_TT_SVD_PEAK_BYTES = 3_141_864
+# tracemalloc peak of a StackedSamples of the predict-stream corpus and
+# its stack_and_decompose at ranks (2,2,2) then (4,4,4), with the split
+# cache that kept every split a holder factored (under pytest, numpy 2.4)
+SPLIT_CACHE_HOLDER_PEAK_BYTES = 2_889_868
 
 
 SHARED_SWEEP_CONFIGS = (
@@ -619,30 +623,32 @@ class TestSharedSweep:
 
     @pytest.mark.parametrize("name, per_class", [("pair-rbf-prod", (30, 20)),
                                                  ("predict-stream", (60, 40))])
-    def test_benchmark_corpora_match_the_reference(self, name, per_class):
+    def test_benchmark_corpora_match_the_reference(self, name, per_class, monkeypatch):
         # the first split of both corpora takes the Gram route: the
         # reference forms it from the eigenpairs of its Gram, written plainly
         samples = benchmark_corpus(*per_class)
+        configs = [TtSvdConfig.fixed(ranks) for ranks in ((2, 2, 2), (4, 4, 4), (2, 2, 2))]
+        wants = [reference_stack_and_decompose(samples, cfg) for cfg in configs]
+        calls = count_factorizations(monkeypatch)
         stack = StackedSamples(samples)
-        for ranks in ((2, 2, 2), (4, 4, 4), (2, 2, 2)):
-            cfg = TtSvdConfig.fixed(ranks)
-            assert_same_trains(stack_and_decompose(stack, cfg),
-                               reference_stack_and_decompose(samples, cfg))
-        assert list(stack.splits.svds)[0] == ("gram", ())
+        for cfg, want in zip(configs, wants):
+            assert_same_trains(stack_and_decompose(stack, cfg), want)
+        # the holder's first split from one eigh; two later SVDs per call
+        assert calls == ["eigh"] + ["svd"] * 6
 
-    def test_one_svd_per_new_rank_prefix(self, monkeypatch):
+    def test_first_split_factored_once_per_holder(self, monkeypatch):
         samples = random_samples(85)
         calls = count_factorizations(monkeypatch)
         stack = StackedSamples(samples)
         seen = 0
-        # (splits whose rank prefix is new, cfg): the first split, of the
-        # merged sample and first modes, has the empty prefix for every
-        # setting
+        # (factorizations, cfg): the first split, of the merged sample and
+        # first modes (27 x 40, so by the SVD), is factored by the first
+        # call only; every call factors its two later splits
         for new, cfg in ((3, TtSvdConfig.fixed((2, 2, 2))),
                          (2, TtSvdConfig.fixed((4, 4, 4))),
-                         (1, TtSvdConfig.fixed((2, 4, 2))),
-                         (0, TtSvdConfig.fixed((2, 2, 2))),
-                         (0, TtSvdConfig.fixed((4, 4, 4)))):
+                         (2, TtSvdConfig.fixed((2, 4, 2))),
+                         (2, TtSvdConfig.fixed((2, 2, 2))),
+                         (2, TtSvdConfig.fixed((4, 4, 4)))):
             stack_and_decompose(stack, cfg)
             seen += new
             assert len(calls) == seen
@@ -650,16 +656,23 @@ class TestSharedSweep:
         assert len(calls) == seen + 3  # a plain list shares nothing
 
     def test_cached_svds_are_read_only(self):
-        stack = StackedSamples(random_samples(86))
-        tts = stack_and_decompose(stack, TtSvdConfig.fixed((2, 2, 2)))
-        with pytest.raises(ValueError):
-            tts[0].cores[1][...] = 0.0
-        again = stack_and_decompose(stack, TtSvdConfig.fixed((2, 2, 2)))
-        assert_same_trains(again, [tt.cores for tt in tts])
+        samples = random_samples(86)
+        cfg = TtSvdConfig.fixed((2, 2, 2))
+        stack = StackedSamples(samples)
+        tts = stack_and_decompose(stack, cfg)
+        (first,) = stack._firsts.values()
+        for a in first:
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        # the returned cores are the caller's: writing them changes no
+        # later result of the holder
+        for core in tts.lead + tts.tail:
+            core[...] = 0.0
+        assert_same_trains(stack_and_decompose(stack, cfg), stack_and_decompose(samples, cfg))
 
     def test_peak_memory_not_above_the_unshared_sweep(self):
-        # the cache keeps vt of the first split, but the stack, as large,
-        # is freed once that split is taken
+        # the fresh holder keeps the stack and the first split to the end
+        # of the call, and each later split is freed once the next is formed
         samples = benchmark_corpus(60, 40)
         cfg = TtSvdConfig.fixed((4, 4, 4))
         tracemalloc.start()
@@ -670,8 +683,22 @@ class TestSharedSweep:
             tracemalloc.stop()
         assert peak <= UNSHARED_SWEEP_PEAK_BYTES
 
+    def test_holder_peak_memory_not_above_the_split_cache(self):
+        # the holder keeps the stack and its first split; each call frees
+        # its later splits as it goes
+        samples = benchmark_corpus(60, 40)
+        tracemalloc.start()
+        try:
+            stack = StackedSamples(samples)
+            for r in (2, 4):
+                stack_and_decompose(stack, TtSvdConfig.fixed((r, r, r)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= SPLIT_CACHE_HOLDER_PEAK_BYTES
+
     def test_tt_svd_peak_memory_not_above_the_uncached_sweep(self):
-        # tt_svd's cache is private to the call: each split's SVD is freed
+        # tt_svd keeps nothing between calls: each split's SVD is freed
         # once the next split's matrix is formed from it
         t = DenseTensor(np.random.default_rng(0).standard_normal((200, 4, 7, 4, 7)))
         cfg = TtSvdConfig.fixed((200, 4, 4, 4))
@@ -773,11 +800,12 @@ class TestMergedRoute:
     def test_first_cores_share_no_memory_with_the_cache(self):
         stack = StackedSamples(random_samples(93))
         tts = stack_and_decompose(stack, TtSvdConfig.fixed((2, 2, 2)))
-        cached = [a for svd in stack.splits.svds.values() for a in svd]
+        cached = [a for split in stack._firsts.values() for a in split]
+        assert cached
+        # neither the first cores, copied out of the holder's first split,
+        # nor the trailing cores, the sweep's own, share its memory
         for tt in tts:
-            assert not any(np.shares_memory(tt.cores[0], a) for a in cached)
-        # the trailing cores are the cache's own read-only arrays
-        assert any(np.shares_memory(tts[0].cores[1], a) for a in cached)
+            assert not any(np.shares_memory(core, a) for core in tt.cores for a in cached)
 
     @pytest.mark.parametrize("rel_tol", [0.5, 0.2, 0.05, 1e-6])
     def test_tolerance_stack_meets_its_error_bound(self, rel_tol):
@@ -867,10 +895,8 @@ class TestGramRoute:
             assert_same_trains(got, reference)
         # the first split is factored once per route: the Gram's
         # eigenproblem for both fixed settings, one SVD for both tolerance
-        # ones; the stack is freed once both routes have read it
+        # ones
         assert calls[:3] == ["eigh", "svd", "svd"] and calls.count("eigh") == 1
-        assert {key for key in stack.splits.svds if not key[1]} == {("gram", ()), ("svd", ())}
-        assert stack.splits.values is None
 
     def test_tolerance_mode_keeps_the_svd(self, monkeypatch):
         samples = benchmark_corpus(30, 20)
@@ -946,11 +972,9 @@ class TestGramRoute:
         stack = StackedSamples(samples)
         for r in order:
             assert_same_trains(stack_and_decompose(stack, TtSvdConfig.fixed((r, 2))), fresh[r])
-        # the first split is factored once by each route, and the stack is
-        # freed once both have read it
-        assert calls.count("eigh") == 1 and calls.count("svd") == 3
-        assert {key for key in stack.splits.svds if not key[1]} == {("gram", ()), ("svd", ())}
-        assert stack.splits.values is None
+        # the first split is factored once by each route, and every call
+        # factors its later split
+        assert calls.count("eigh") == 1 and calls.count("svd") == 4
 
     @pytest.mark.parametrize("dims, route", [((2, 31), "svd"), ((2, 32), "gram"),
                                              ((2, 4, 8), "gram"), ((1, 40), "svd")])
