@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bench import bench_compare, bench_decompose, bench_fast_prod_ranks, bench_naive_orders
+from .bench import bench_compare, bench_fast_prod_ranks, bench_naive_orders
 from .config import RunConfig, _kinds, _ranks, load_config, load_labels, load_samples
 from .errors import (
     CapacityError,
@@ -181,26 +181,23 @@ def _parse_kinds(text: str, sigma) -> tuple:
 def _load_run_config(args) -> RunConfig:
     """Config file values with command-line flags layered on top."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for name in ("train_per_class", "val_per_class", "combine"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
+    overrides, grid_keys = {}, {}
+    for name in ("train_per_class", "val_per_class", "seed"):
+        if getattr(args, name, None) is not None:
+            overrides[name] = getattr(args, name)
     if getattr(args, "reshape", None) is not None:
         overrides["reshape"] = _parse_ints(args.reshape)
+    if getattr(args, "combine", None) is not None:
+        grid_keys["combine"] = args.combine
     try:
         if getattr(args, "ranks", None) is not None:
-            overrides["rank_values"] = _ranks(args.ranks, "--ranks")
+            grid_keys["rank_values"] = _ranks(args.ranks, "--ranks")
         if getattr(args, "kinds", None) is not None:
-            # bare kind names, any case; the grid sets their parameters
-            overrides["mode_kinds"] = _kinds(args.kinds.lower(), "--kinds")
+            # bare kind names; the grid sets their parameters
+            grid_keys["mode_kinds"] = _kinds(args.kinds, "--kinds")
     except ConfigError as exc:  # a bad flag is a usage error
         raise ValueError(str(exc)) from None
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return replace(cfg, **overrides, grid_keys={**cfg.grid_keys, **grid_keys})
 
 
 def _require(value, flag: str):
@@ -476,7 +473,6 @@ def cmd_bench(args) -> int:
                 pairs=args.pairs, seed=args.seed or 0, combine=args.combine,
             ),
         }
-    result["decompose"] = bench_decompose(seed=args.seed or 0)
     result["seed"] = args.seed
     emit_json(result, args.output)
     return 0
@@ -552,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="INI with test paths")
     p.add_argument("--reshape", default=None, help="per-sample dims")
 
-    p = add("bench", cmd_bench, "time naive vs fast kernel evaluation and one decomposition")
+    p = add("bench", cmd_bench, "time naive vs fast kernel evaluation")
     p.add_argument("--d", type=int, default=3, help="tensor order")
     p.add_argument("--dims", type=int, default=8, help="size of every mode")
     p.add_argument("--ranks", default=None, help="TT rank(s)")

@@ -11,6 +11,11 @@ Sections and keys (all optional unless a command needs them)::
     [kernel]  mode_kinds (comma of linear|poly|rbf), poly_c, poly_degree
     [solver]  tol, max_iter
 
+The keys of [grid], [kernel] and [solver], and [data] normalize, set
+``GridConfig`` fields: ``RunConfig.grid`` lays them over ``PAPER_GRID``,
+and a field set nowhere keeps ``GridConfig``'s default.  Kernel kind
+names are case-insensitive.
+
 The scalar keys (train_per_class, val_per_class, seed, poly_c,
 poly_degree, tol, max_iter) take exactly one value; ``seed = 1, 2`` is a
 ConfigError, not seed 1.  An empty value leaves the default in place.
@@ -30,7 +35,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,49 +49,43 @@ from .ttn import read_bytes, read_dataset
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
+# The search space of the paper's experiments: sigma and C in
+# {1, 10, 100, 1000}, interior ranks 2 to 8.
+PAPER_GRID = {
+    "c_values": (1.0, 10.0, 100.0, 1000.0),
+    "sigma_values": (1.0, 10.0, 100.0, 1000.0),
+    "rank_values": (2, 3, 4, 5, 6, 7, 8),
+}
+
+_GRID_FIELDS = frozenset(f.name for f in fields(GridConfig))
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration for the training commands."""
+    """Where a run's data is, how it is split, and ``grid_keys``: the
+    ``GridConfig`` fields that the INI file or a flag set."""
 
     train_images: str | None = None
     train_labels: str | None = None
     test_images: str | None = None
     test_labels: str | None = None
     reshape: tuple[int, ...] | None = None
-    normalize: bool = False
     train_per_class: int = 50
     val_per_class: int = 50
     seed: int = 0
-    c_values: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
-    sigma_values: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
-    rank_values: tuple = (2, 3, 4, 5, 6, 7, 8)
-    combine: str = "prod"
-    mode_kinds: tuple[str, ...] | None = None
-    poly_c: float = 1.0
-    poly_degree: int = 2
-    solver_tol: float = 1e-3
-    solver_max_iter: int | None = None
+    grid_keys: dict = field(default_factory=dict)
 
     def grid(self, order: int) -> GridConfig:
-        """The whole training run, for data of the given tensor order."""
-        kinds = self.mode_kinds if self.mode_kinds is not None else ("rbf",) * order
+        """The whole training run, for data of the given tensor order: the
+        paper's grid over all-RBF modes, with ``grid_keys`` on top."""
+        keys = {**PAPER_GRID, "mode_kinds": ("rbf",) * order, **self.grid_keys}
+        kinds = keys["mode_kinds"]
         if len(kinds) != order:
             raise ConfigError(
                 f"mode_kinds names {len(kinds)} modes but the data has order {order}"
             )
         try:
-            return GridConfig(
-                c_values=self.c_values,
-                sigma_values=self.sigma_values,
-                rank_values=self.rank_values,
-                mode_kinds=kinds,
-                combine=self.combine,
-                poly_c=self.poly_c,
-                poly_degree=self.poly_degree,
-                normalize=self.normalize,
-                solver_tol=self.solver_tol,
-                solver_max_iter=self.solver_max_iter,
-            )
+            return GridConfig(**keys)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -149,15 +148,15 @@ def _combine(text: str, key: str) -> str:
 
 
 def _kinds(text: str, key: str) -> tuple[str, ...]:
-    kinds = tuple(p.strip() for p in text.split(",") if p.strip())
+    kinds = tuple(p.strip().lower() for p in text.split(",") if p.strip())
     for kind in kinds:
         if kind not in KERNEL_KINDS:
             raise ConfigError(f"{key}: unknown kernel kind {kind!r}")
     return kinds
 
 
-# section -> key -> (RunConfig field, parser).  These are the accepted keys,
-# parsed in this order.
+# section -> key -> (field, parser).  These are the accepted keys, parsed in
+# this order; a GridConfig field goes into RunConfig.grid_keys.
 _KEYS = {
     "data": {
         "train_images": ("train_images", _text),
@@ -208,24 +207,22 @@ def load_config(path) -> RunConfig:
             if key not in _KEYS[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
 
-    kwargs = {}
+    kwargs, grid_keys = {}, {}
     for section, keys in _KEYS.items():
-        for key, (field, parse) in keys.items():
+        for key, (name, parse) in keys.items():
             try:
                 text = parser.get(section, key, fallback="").strip()
             except configparser.Error as exc:  # e.g. a bare '%' in a value
                 raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
             if text:
-                kwargs[field] = parse(text, key)
+                (grid_keys if name in _GRID_FIELDS else kwargs)[name] = parse(text, key)
 
-    cfg = RunConfig(**kwargs)
-    if cfg.reshape is not None and cfg.mode_kinds is not None:
-        if len(cfg.reshape) != len(cfg.mode_kinds):
-            raise ConfigError(
-                f"reshape has {len(cfg.reshape)} modes but mode_kinds names "
-                f"{len(cfg.mode_kinds)}"
-            )
-    return cfg
+    reshape, kinds = kwargs.get("reshape"), grid_keys.get("mode_kinds")
+    if reshape is not None and kinds is not None and len(reshape) != len(kinds):
+        raise ConfigError(
+            f"reshape has {len(reshape)} modes but mode_kinds names {len(kinds)}"
+        )
+    return RunConfig(**kwargs, grid_keys=grid_keys)
 
 
 def load_samples(path, reshape=None):

@@ -139,13 +139,9 @@ def _pair_curvatures(k) -> np.ndarray:
 
 
 def _label_products(k, y) -> np.ndarray:
-    """Q = K * y y^T in blocks of rows like ``_pair_curvatures``: each entry
-    is K_ij * (y_i y_j), with y_i y_j written into Q first."""
-    q = np.empty_like(k)
-    for b in _row_blocks(len(k), len(k), TABLE_BLOCK_VALUES):
-        np.multiply(y[b, None], y, out=q[b])
-        np.multiply(k[b], q[b], out=q[b])
-    return q
+    """Q = K * y y^T, each entry K_ij * (y_i y_j), laid out as K.  Only
+    ``debug`` solves and ``brute_force_dual`` build it."""
+    return np.multiply(k, np.outer(y, y), out=np.empty_like(k))
 
 
 def _face_products(k, y, free, out) -> None:
@@ -449,7 +445,7 @@ def brute_force_dual(p: DualProblem, max_iter: int = 1_000_000) -> DualSolution:
     k = p.gram.values
     y = p.labels
     c = p.C
-    q = k * np.outer(y, y)
+    q = _label_products(k, y)
     lips = float(np.max(np.linalg.eigvalsh(q)))
     step = 1.0 / (max(lips, 0.0) + 1.0)
 

@@ -402,7 +402,8 @@ class TestGridCommand:
 
 
 class TestTrainingKinds:
-    """``--kinds`` of train, grid and rank-sweep: bare kind names, any case."""
+    """``--kinds`` of train, grid and rank-sweep, and ``[kernel] mode_kinds``:
+    bare kind names, any case."""
 
     COMMANDS = ["train", "grid", "rank-sweep"]
 
@@ -415,6 +416,19 @@ class TestTrainingKinds:
             assert code == 0, err
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_ini_names_are_case_insensitive(self, data_dir, capsys):
+        models = []
+        for kinds in ("RBF, rbf, Rbf", "rbf, rbf, rbf"):
+            path = data_dir / "kinds.ini"
+            path.write_text((data_dir / "run.ini").read_text()
+                            + f"\n[kernel]\nmode_kinds = {kinds}\n")
+            model = data_dir / "kinds.ttkm"
+            code, _, err = run(capsys, "train", "--config", path, "--pair", "0,1",
+                               "--output", model)
+            assert code == 0, err
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
 
     @pytest.mark.parametrize("kinds", [
         "rbf:sigma=2,rbf,rbf",  # the grid sets sigma
@@ -495,9 +509,6 @@ class TestBenchCommand:
         assert report["speedup"] == pytest.approx(
             report["naive_seconds"] / report["fast_seconds"]
         )
-        assert report["decompose"]["cpu_ms"] > 0
-        assert {k: v for k, v in report["decompose"].items() if k != "cpu_ms"} == {
-            "samples": 200, "dims": [4, 7, 4, 7], "ranks": [4, 4, 4]}
 
     def test_rank_sweep_mode(self, capsys):
         code, out, _ = run(capsys, "bench", "--sweep", "ranks", "--d", "3",
@@ -507,7 +518,6 @@ class TestBenchCommand:
         report = json.loads(out)
         assert report["mode"] == "fast-prod-ranks"
         assert [row["rank"] for row in report["rows"]] == [2, 4]
-        assert report["decompose"]["cpu_ms"] > 0
 
 
 class TestUnreadablePaths:

@@ -471,7 +471,7 @@ CLI_INI_CASES = {
 class TestFuzzedConfig:
     def test_valid_ini_loads(self, tmp_path):
         cfg = config_or_error(valid_ini(tmp_path), tmp_path / "run.ini")
-        assert cfg is not None and cfg.mode_kinds == ("rbf", "linear", "poly")
+        assert cfg is not None and cfg.grid(3).mode_kinds == ("rbf", "linear", "poly")
 
     @FUZZ
     @given(INI_OPS)

@@ -9,8 +9,9 @@ import struct
 import numpy as np
 import pytest
 
-from ttkm.cli import main
-from ttkm.config import RunConfig, load_config, load_labels, load_samples
+from ttkm import config
+from ttkm.cli import _load_run_config, build_parser, main
+from ttkm.config import PAPER_GRID, RunConfig, load_config, load_labels, load_samples
 from ttkm.errors import ConfigError, DataFormatError
 from ttkm.idx import load_idx_images, load_idx_labels, load_idx_pair
 from ttkm.kernels import RbfKernel
@@ -734,9 +735,11 @@ class TestConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.train_per_class == 50 and cfg.val_per_class == 50
-        assert cfg.c_values == (1.0, 10.0, 100.0, 1000.0)
-        assert cfg.rank_values == (2, 3, 4, 5, 6, 7, 8)
-        assert cfg.combine == "prod"
+        grid = cfg.grid(3)
+        assert grid.c_values == (1.0, 10.0, 100.0, 1000.0)
+        assert grid.sigma_values == (1.0, 10.0, 100.0, 1000.0)
+        assert grid.rank_values == (2, 3, 4, 5, 6, 7, 8)
+        assert grid.combine == "prod"
 
     def test_full_file(self, tmp_path):
         path = self.write(tmp_path, """
@@ -767,16 +770,17 @@ tol = 1e-4
 max_iter = 5000
 """)
         cfg = load_config(path)
+        grid = cfg.grid(4)
         assert cfg.train_images == "a.ttn"
         assert cfg.reshape == (4, 7, 4, 7)
-        assert cfg.normalize is True
+        assert grid.normalize is True
         assert cfg.train_per_class == 10 and cfg.val_per_class == 20
         assert cfg.seed == 42
-        assert cfg.c_values == (1.0, 10.0)
-        assert cfg.rank_values == (2, (3, 4))
-        assert cfg.combine == "sum"
-        assert cfg.mode_kinds == ("rbf", "rbf", "linear", "rbf")
-        assert cfg.solver_tol == 1e-4 and cfg.solver_max_iter == 5000
+        assert grid.c_values == (1.0, 10.0)
+        assert grid.rank_values == (2, (3, 4))
+        assert grid.combine == "sum"
+        assert grid.mode_kinds == ("rbf", "rbf", "linear", "rbf")
+        assert grid.solver_tol == 1e-4 and grid.solver_max_iter == 5000
 
     def test_unknown_key(self, tmp_path):
         path = self.write(tmp_path, "[grid]\nc_valuess = 1\n")
@@ -859,9 +863,70 @@ max_iter = 5000
         assert all(isinstance(k, RbfKernel) for k in spec.per_mode)
 
     def test_grid_rejects_wrong_mode_count(self):
-        cfg = RunConfig(mode_kinds=("rbf", "linear"))
+        cfg = RunConfig(grid_keys={"mode_kinds": ("rbf", "linear")})
         with pytest.raises(ConfigError):
             cfg.grid(3)
+
+    # one INI value per [section] key that sets a GridConfig field, and the
+    # (field, value) it gives the grid; none is that field's default
+    GRID_KEYS = {
+        ("data", "normalize"): ("true", "normalize", True),
+        ("grid", "c_values"): ("2, 20", "c_values", (2.0, 20.0)),
+        ("grid", "sigma_values"): ("0.5, 5", "sigma_values", (0.5, 5.0)),
+        ("grid", "rank_values"): ("3, 2x4", "rank_values", (3, (2, 4))),
+        ("grid", "combine"): ("sum", "combine", "sum"),
+        ("kernel", "mode_kinds"): ("rbf, linear, poly", "mode_kinds", ("rbf", "linear", "poly")),
+        ("kernel", "poly_c"): ("2.5", "poly_c", 2.5),
+        ("kernel", "poly_degree"): ("3", "poly_degree", 3),
+        ("solver", "tol"): ("1e-5", "solver_tol", 1e-5),
+        ("solver", "max_iter"): ("77", "solver_max_iter", 77),
+    }
+
+    @staticmethod
+    def default_grid(order):
+        """Every GridConfig field as RunConfig.grid fills it when nothing
+        sets it: the paper's grid, all-RBF modes, else GridConfig's default."""
+        out = {**PAPER_GRID, "mode_kinds": ("rbf",) * order}
+        for f in dataclasses.fields(GridConfig):
+            out.setdefault(f.name, f.default)
+        return out
+
+    def test_grid_keys_table_covers_every_grid_key(self):
+        grid_fields = {f.name for f in dataclasses.fields(GridConfig)}
+        keys = {(section, key) for section, entries in config._KEYS.items()
+                for key, (name, _) in entries.items() if name in grid_fields}
+        assert keys == set(self.GRID_KEYS)
+        assert {name for _, name, _ in self.GRID_KEYS.values()} == grid_fields
+
+    @pytest.mark.parametrize("section,key", sorted(GRID_KEYS))
+    def test_grid_key_reaches_the_grid(self, tmp_path, section, key):
+        text, name, value = self.GRID_KEYS[section, key]
+        cfg = load_config(self.write(tmp_path, f"[{section}]\n{key} = {text}\n"))
+        assert cfg.grid_keys == {name: value}
+        got = dataclasses.asdict(cfg.grid(3))
+        want = self.default_grid(3)
+        assert value != want[name]
+        assert got == {**want, name: value}
+
+    def test_flags_override_the_file(self, tmp_path):
+        path = self.write(tmp_path, """
+[grid]
+rank_values = 2
+combine = sum
+
+[kernel]
+mode_kinds = rbf, linear
+poly_c = 3
+""")
+        args = build_parser().parse_args(
+            ["train", "--config", str(path), "--combine", "prod", "--ranks", "3,4x5",
+             "--kinds", "LINEAR, Poly"])
+        grid = _load_run_config(args).grid(2)
+        assert grid.combine == "prod"
+        assert grid.rank_values == (3, (4, 5))
+        assert grid.mode_kinds == ("linear", "poly")
+        assert grid.poly_c == 3.0  # set by the file, not by a flag
+        assert load_config(path).grid(2).combine == "sum"
 
     def test_load_samples_ttn(self, tmp_path):
         rng = np.random.default_rng(7)
