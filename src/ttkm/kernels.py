@@ -67,9 +67,12 @@ class PolynomialKernel:
     degree: int = 2
 
     def __post_init__(self):
-        if int(self.degree) != self.degree or self.degree < 1:
-            raise ValueError(f"degree must be a positive integer, got {self.degree}")
-        object.__setattr__(self, "degree", int(self.degree))
+        degree = self.degree
+        # a float is a whole number only if finite: int(inf) would overflow
+        whole = degree.is_integer() if isinstance(degree, float) else int(degree) == degree
+        if not whole or degree < 1:
+            raise ValueError(f"degree must be a positive integer, got {degree}")
+        object.__setattr__(self, "degree", int(degree))
         object.__setattr__(self, "c", float(self.c))
 
 
@@ -127,8 +130,6 @@ def parse_kernel(text: str) -> BaseKernel:
         raise ValueError(f"unknown kernel {text!r}")
     if name == "rbf" and "sigma" not in args:
         raise ValueError(f"rbf kernel needs a sigma, got {text!r}")
-    if name == "poly" and "degree" in args:
-        args["degree"] = int(args["degree"])  # "poly:degree=2.5" means degree 2
     return kernel_from_dict({**args, "kind": name})
 
 

@@ -5,8 +5,8 @@ that samples are decomposed jointly: for every candidate rank setting, the
 train and validation samples are stacked and decomposed together so all
 trains share one rank chain (a requirement for a PSD Gram matrix), then a
 grid over (C, sigma) is scanned on the validation split, each C seeded
-from the previous one's solution, and the winning combination is solved
-once more from a cold start on the Gram the scan built for it.  The
+from the previous one's solution, and the winning combination's final
+solve starts from its scan solution on the Gram the scan built for it.  The
 samples are stacked once per training, merged into the first mode, in one
 holder that keeps the stack's first split for every rank setting; each
 setting factors its later splits itself.  Cores are sign-fixed, so a
@@ -437,11 +437,15 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
     toward smaller ranks, then smaller C, then smaller sigma.  Each C of a
     (ranks, sigma) starts from the previous C's solution when that C is
     smaller (``_seeded_start``), so an ascending C grid pays for one cold
-    solve per Gram; the report keeps the grid's order.  The winner is then
-    solved once more from alpha = 0 on the Gram and validation cross-Gram
-    the scan built for it, so the model is the cold optimum of its grid
-    point whatever the rest of the grid holds, and it is returned with the
-    full scan attached under ``info["grid"]``.  The grid's ``normalize``,
+    solve per Gram; the report keeps the grid's order.  The winner's final
+    solve starts from its scan solution, on the Gram and validation
+    cross-Gram the scan built for it: it rebuilds the margins from those
+    alphas and checks the gap, so a converged scan solution keeps its
+    alphas (0 iterations) and takes its bias from the rebuilt margins.
+    That solve is reported under ``info["solver"]``, and the full scan
+    under ``info["grid"]``.  The model is an optimum of its grid
+    point to the solver's tolerance; which one, within that tolerance, can
+    depend on the C values scanned before it.  The grid's ``normalize``,
     ``solver_tol`` and ``solver_max_iter`` hold for every solve, and an
     unconverged winner raises ``ConvergenceError``.
 
@@ -498,7 +502,7 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
         return sol, float(np.mean(predict_labels(vals) == y_val))
 
     report = []
-    kept = None  # the best entry so far, with its trains, spec, Gram and cross-Gram
+    kept = None  # the best entry so far: its trains, spec, Gram, cross-Gram and alphas
     for ranks in grid.rank_settings(d):
         tts = stack_and_decompose(stack, TtSvdConfig(max_ranks=ranks))
         tr_tts, va_tts = tts[:n_train], tts[n_train:]
@@ -521,11 +525,11 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
                 }
                 report.append(entry)
                 if kept is None or _grid_key(entry) < _grid_key(kept[0]):
-                    kept = (entry, tr_tts, spec, gram, rows)
+                    kept = (entry, tr_tts, spec, gram, rows, sol.alphas)
 
-    best, tr_tts, spec, gram, rows = kept
+    best, tr_tts, spec, gram, rows, alphas = kept
     ranks = tuple(best["ranks"])
-    sol, acc = solve_and_score(gram, rows, best["C"])
+    sol, acc = solve_and_score(gram, rows, best["C"], alphas)
     if not sol.converged:
         raise ConvergenceError(
             f"solver did not converge at the selected grid point "
@@ -534,7 +538,7 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
         )
     if acc != best["validation_accuracy"]:
         logger.warning(
-            "cold-start validation accuracy %.6f of the winner differs from scan %.6f",
+            "final-solve validation accuracy %.6f of the winner differs from scan %.6f",
             acc, best["validation_accuracy"],
         )
 

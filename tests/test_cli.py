@@ -185,6 +185,8 @@ class TestGramCommand:
         "rbf:sigma=3,linear,degree=3",  # a parameter after a kernel without any
         "degree=3,rbf,rbf",
         "RBF,RBF,RBF",  # no --sigma
+        "poly:degree=inf,linear,rbf:1",  # a degree is a finite whole number
+        "poly:degree=2.5,linear,rbf:1",
     ])
     def test_bad_kinds_are_usage_errors(self, data_dir, capsys, kinds):
         code, _, err = run(capsys, "gram", "--input", data_dir / "test.ttn",

@@ -108,6 +108,7 @@ class TestBaseKernels:
         for text, want in [
             ("linear", LinearKernel()),
             ("poly:c=2,degree=3", PolynomialKernel(c=2.0, degree=3)),
+            ("poly:degree=3.0", PolynomialKernel(degree=3)),
             ("rbf:sigma=1.5", RbfKernel(sigma=1.5)),
             ("rbf:1.5", RbfKernel(sigma=1.5)),
         ]:
@@ -118,6 +119,14 @@ class TestBaseKernels:
             parse_kernel("sigmoid")
         with pytest.raises(ValueError):
             parse_kernel("rbf")
+
+    @pytest.mark.parametrize("degree", ["inf", "-inf", "nan", "2.5", "0"])
+    def test_parse_refuses_a_degree_that_is_not_a_positive_integer(self, degree):
+        # refused, neither overflowed in int() nor truncated to a whole number
+        with pytest.raises(ValueError, match="degree"):
+            parse_kernel(f"poly:degree={degree}")
+        with pytest.raises(ValueError, match="degree"):
+            PolynomialKernel(degree=float(degree))
 
 
 class TestKernelSpec:

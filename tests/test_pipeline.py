@@ -327,10 +327,34 @@ class TestTrainBinary:
         assert (model.neg_class, model.pos_class) == (3, 5)
 
 
+def record_solves(monkeypatch):
+    """Swap a spy into ``pipeline.solve_dual``; it appends (problem,
+    keyword arguments, solution) for every solve to the list it returns."""
+    solves = []
+    real_solve = pipeline.solve_dual
+
+    def recording(p, **kwargs):
+        sol = real_solve(p, **kwargs)
+        solves.append((p, kwargs, sol))
+        return sol
+
+    monkeypatch.setattr(pipeline, "solve_dual", recording)
+    return solves
+
+
+def scan_index(model) -> int:
+    """The winner's position in the report, which is its scan solve's."""
+    point = model.grid_point
+    return next(i for i, e in enumerate(model.info["grid"])
+                if (e["ranks"], e["C"], e["sigma"]) ==
+                (point["ranks"], point["C"], point["sigma"]))
+
+
 class TestSeededScan:
     """Each C of a (ranks, sigma) starts from the previous, smaller C's
-    solution; the winner is solved again from alpha = 0 on the Gram the
-    scan built, so the model is the cold optimum of its grid point."""
+    solution, and the winner's final solve starts from its scan solution on
+    the Gram the scan built.  So the model is an optimum of its grid point
+    to the solver's tolerance, not the bits of one cold solve there."""
 
     CS = (1.0, 10.0, 100.0, 1000.0)
 
@@ -341,36 +365,37 @@ class TestSeededScan:
         grid = small_grid(ranks=(1, 2), cs=self.CS, sigmas=(0.5, 2.0))
         return ds, grid, train_binary(ds, grid)
 
-    @staticmethod
-    def assert_same_model(a, b):
-        np.testing.assert_array_equal(a.coef, b.coef)
-        assert a.bias == b.bias
-        assert a.grid_point == b.grid_point
-        assert a.validation_accuracy == b.validation_accuracy
-        assert len(a.support) == len(b.support)
-        for sa, sb in zip(a.support, b.support):
-            for ca, cb in zip(sa.cores, sb.cores):
-                np.testing.assert_array_equal(ca, cb)
-
-    def test_model_does_not_depend_on_the_rest_of_the_c_grid(self, case):
+    def test_model_is_an_optimum_of_its_grid_point(self, case, monkeypatch):
         ds, grid, model = case
-        point = model.grid_point
-        scanned = next(e for e in model.info["grid"]
-                       if (e["ranks"], e["C"], e["sigma"]) ==
-                       (point["ranks"], point["C"], point["sigma"]))
-        assert point["C"] == 1000.0
-        assert scanned["iterations"] != model.info["solver"]["iterations"]  # seeded there
-        alone = train_binary(ds, replace(grid, c_values=(point["C"],),
-                                         rank_values=(tuple(point["ranks"]),),
-                                         sigma_values=(point["sigma"],)))
-        self.assert_same_model(model, alone)
+        assert model.grid_point["C"] == 1000.0
+        solves = record_solves(monkeypatch)
+        again = train_binary(ds, grid)
+        np.testing.assert_array_equal(again.coef, model.coef)
+        assert again.bias == model.bias
+        p, _, final = solves[-1]
+        assert solves[scan_index(model)][1]["start"] is not None  # seeded from C = 100
+        assert model.info["solver"]["iterations"] == final.iterations == 0
+        report = solver.kkt_report(p, final, grid.solver_tol)
+        assert report.max_violation <= grid.solver_tol
+        cold = solver.solve_dual(p, tol=grid.solver_tol)
+        assert cold.converged and cold.iterations > 0
+        assert final.objective == pytest.approx(cold.objective, rel=grid.solver_tol)
 
     def test_unsorted_c_values_keep_the_report_order_and_the_model(self, case):
         ds, grid, model = case
         unsorted = (100.0, 1.0, 1000.0, 10.0)
         got = train_binary(ds, replace(grid, c_values=unsorted))
         assert [e["C"] for e in got.info["grid"]] == list(unsorted) * 4
-        self.assert_same_model(got, model)
+        assert got.grid_point == model.grid_point
+        assert got.validation_accuracy == model.validation_accuracy
+        assert len(got.support) == len(model.support)
+        for sa, sb in zip(got.support, model.support):
+            for ca, cb in zip(sa.cores, sb.cores):
+                np.testing.assert_array_equal(ca, cb)
+        # two optima to the solver's tolerance: 5e-9 apart at C = 1000
+        scale = np.max(np.abs(model.coef))
+        np.testing.assert_allclose(got.coef, model.coef, rtol=0, atol=1e-6 * scale)
+        assert got.bias == pytest.approx(model.bias, rel=1e-6)
 
     @pytest.mark.parametrize("cs, cold", [
         (CS, [True, False, False, False]),
@@ -384,20 +409,31 @@ class TestSeededScan:
             monkeypatch.setattr(pipeline, name,
                                 lambda *a, _real=real, _seen=seen, **k:
                                 _seen.append(1) or _real(*a, **k))
-        solves = []
-        real_solve = pipeline.solve_dual
-
-        def solve(p, **kwargs):
-            solves.append((p.C, kwargs.get("start")))
-            return real_solve(p, **kwargs)
-
-        monkeypatch.setattr(pipeline, "solve_dual", solve)
+        solves = record_solves(monkeypatch)
         model = train_binary(ds, replace(grid, c_values=cs))
         assert len(calls["stack_and_decompose"]) == 2
         assert len(calls["build_gram"]) == len(calls["cross_gram"]) == 2 * 2
         assert len(solves) == len(model.info["grid"]) + 1 == 2 * 2 * 4 + 1
-        assert [start is None for _, start in solves[:-1]] == cold * 4
-        assert solves[-1] == (model.grid_point["C"], None)
+        assert [kw.get("start") is None for _, kw, _ in solves[:-1]] == cold * 4
+        (p, kwargs, _), scan = solves[-1], solves[scan_index(model)][2]
+        assert p.C == model.grid_point["C"]
+        assert kwargs["start"] is scan.alphas
+
+    def test_single_point_grid_pays_for_one_solve(self, case, monkeypatch):
+        # the final solve starts where the scan's cold solve stopped, so it
+        # checks the gap and returns that solution: no second SMO run
+        ds, _, _ = case
+        solves = record_solves(monkeypatch)
+        model = train_binary(ds, small_grid(ranks=(2,), cs=(100.0,), sigmas=(0.5,)))
+        assert len(solves) == 2
+        (_, scan_kwargs, scan), (_, final_kwargs, final) = solves
+        assert scan_kwargs["start"] is None and final_kwargs["start"] is scan.alphas
+        assert scan.iterations > 0
+        assert model.info["solver"]["iterations"] == final.iterations == 0
+        sv = scan.support_indices
+        assert model.coef.tobytes() == (scan.alphas * solves[0][0].labels)[sv].tobytes()
+        assert sum(sol.iterations for _, _, sol in solves) == sum(
+            e["iterations"] for e in model.info["grid"])
 
     def test_seeded_start_scales_the_previous_solution(self):
         # 11 * (30 / 11) rounds below 30: a bound needs its own rule to stay one
@@ -905,15 +941,7 @@ class TestSolverTablesPerTraining:
             real = getattr(solver, name)
             monkeypatch.setattr(solver, name, lambda *a, _real=real, _log=log:
                                 _log.append(1) or _real(*a))
-        solves = []
-        real_solve = pipeline.solve_dual
-
-        def recording(p, **kwargs):
-            sol = real_solve(p, **kwargs)
-            solves.append((p, kwargs, sol))
-            return sol
-
-        monkeypatch.setattr(pipeline, "solve_dual", recording)
+        solves = record_solves(monkeypatch)
         ds = blob_dataset(np.random.default_rng(69), noise=0.6, n_train=8, n_val=6)
         train_binary(ds, small_grid(ranks=(2, 4), cs=(1.0, 10.0, 100.0, 1000.0),
                                     sigmas=(0.5, 1.0, 2.0, 4.0)))
@@ -923,7 +951,7 @@ class TestSolverTablesPerTraining:
         for p, kwargs, got in solves:
             gram = GramMatrix(values=np.array(p.gram.values), spec=p.gram.spec,
                               sample_ids=p.gram.sample_ids)
-            want = real_solve(replace(p, gram=gram), **kwargs)
+            want = solver.solve_dual(replace(p, gram=gram), **kwargs)
             assert got.iterations == want.iterations and got.converged == want.converged
             for a, b in ((got.alphas, want.alphas), (got.bias, want.bias),
                          (got.objective, want.objective)):
