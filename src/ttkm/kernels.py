@@ -74,6 +74,8 @@ class PolynomialKernel:
             raise ValueError(f"degree must be a positive integer, got {degree}")
         object.__setattr__(self, "degree", int(degree))
         object.__setattr__(self, "c", float(self.c))
+        if not math.isfinite(self.c):
+            raise ValueError(f"c must be finite, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,8 @@ class RbfKernel:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         object.__setattr__(self, "sigma", float(self.sigma))
 
 
@@ -379,6 +381,7 @@ def _stack(samples, what: str) -> TrainStack:
     return samples
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _kernel_matrix(rows: TrainStack, cols: TrainStack, spec: KernelSpec,
                    symmetric: bool = False) -> np.ndarray:
     """Kernel values between every row and every column train.
@@ -393,7 +396,9 @@ def _kernel_matrix(rows: TrainStack, cols: TrainStack, spec: KernelSpec,
     matrix product, the base kernel is applied elementwise, and the
     per-pair blocks are chained (prod) or summed (sum).  With
     ``symmetric`` (rows are cols) each chunk skips the columns left of its
-    first row, and the upper triangle is copied into the lower.
+    first row, and the upper triangle is copied into the lower.  A value
+    that is not finite, as a huge polynomial degree gives, raises
+    ``CapacityError`` with no numpy warning: it exceeds float64.
     """
     per_mode = spec.per_mode
     prod = spec.combine == "prod"
@@ -447,6 +452,11 @@ def _kernel_matrix(rows: TrainStack, cols: TrainStack, spec: KernelSpec,
     if symmetric:
         for i in range(n):
             out[i + 1:, i] = out[i, i + 1:]
+    bad = int(np.count_nonzero(~np.isfinite(out)))
+    if bad:
+        raise CapacityError(
+            f"{bad} of {out.size} kernel values are NaN or inf: they exceed float64"
+        )
     return out
 
 

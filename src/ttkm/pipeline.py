@@ -15,9 +15,9 @@ Prediction decomposes each incoming sample at the model's rank chain by
 keeping the support vectors' shared trailing cores and fitting a fresh
 first core by least squares, which keeps new samples in the same core
 representation the kernel values were trained on.  The samples of one
-request are fit together, one least-squares solve per chunk, into one
-``TrainStack``, as a joint decomposition returns its trains.  Decision
-values that are not finite raise ``CapacityError``.
+request are stacked as training stacks its own and fit together, one
+least-squares solve per chunk, into one ``TrainStack``.  Kernel and
+decision values that are not finite raise ``CapacityError``.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .tensor import (
     TtSvdConfig,
     interior_rank_chain,
     stack_and_decompose,
+    stack_samples,
 )
 
 logger = logging.getLogger(__name__)
@@ -286,9 +287,10 @@ def _tail_basis(tail) -> np.ndarray:
 
     Any tensor X representable with these trailing cores factors as
     X_(1) = A @ basis for some first-core matrix A of shape (I_1, R_2),
-    where X_(1) is the mode-1 unfolding in first-index-fastest order.
+    where X_(1) is the mode-1 unfolding in first-index-fastest order.  An
+    empty tail, that of order-1 data, gives the 1x1 identity.
     """
-    acc = tail[0]
+    acc = tail[0] if tail else np.ones((1, 1, 1))
     for core in tail[1:]:
         acc = np.tensordot(acc, core, axes=(acc.ndim - 1, 0))
     return acc[..., 0].reshape(acc.shape[0], -1, order="F")
@@ -305,14 +307,16 @@ def _prepare_samples(model: SvmModel, samples) -> TrainStack:
     keeps kernel values between new samples and support vectors on the
     same footing as the training Gram matrix; an independent decomposition
     is free to pick different core scales and bases, which the kernel
-    registers as a systematic shift.
+    registers as a systematic shift.  Training's own first cores are the
+    first split's leading singular vectors instead: the two rules agree to
+    roundoff only when no later split truncates.
 
-    The fits share their matrix, so the samples are projected in chunks of
-    about ``CHUNK_VALUES`` values: one ``lstsq`` per chunk, whose
-    right-hand sides are the mode-1 unfoldings of every sample in it.  The
-    first cores land in one ``(n, 1, I_1, R_2)`` array, the leading core
-    of the returned ``TrainStack``, whose tail is the support vectors' tail
-    arrays, as ``stack_and_decompose`` returns its stack.
+    The samples are normalised and stacked as training does it
+    (``_normalized``, ``stack_samples``), in chunks of about
+    ``CHUNK_VALUES`` values: one ``lstsq`` per chunk fits its first-split
+    unfolding, and the fit reshapes as ``stack_and_decompose``'s first
+    core does into rows of one ``(n, 1, I_1, R_2)`` array, the leading
+    core of the returned ``TrainStack`` over the support vectors' tail.
     """
     dims = tuple(model.dims)
     for sample in samples:
@@ -320,11 +324,6 @@ def _prepare_samples(model: SvmModel, samples) -> TrainStack:
             raise ValueError(
                 f"sample dims {sample.dims} do not match model dims {dims}"
             )
-    if len(dims) == 1:
-        # order-1 data has no interior ranks; the single core is the sample
-        first = np.empty((len(samples), 1, dims[0], 1))
-        _fill_reversed(first[:, 0, :, 0], samples, model.normalize)
-        return TrainStack((first,))
     tail = tuple(model.support[0].cores[1:])
     basis = _tail_basis(tail)  # (R_2, I_2*...*I_d)
     rank, cols = basis.shape
@@ -332,42 +331,27 @@ def _prepare_samples(model: SvmModel, samples) -> TrainStack:
     step = max(1, CHUNK_VALUES // (dims[0] * cols))
     for lo in range(0, len(samples), step):
         chunk = samples[lo:lo + step]
-        # with the modes reversed, the (I_d..I_2) rows of rhs run
-        # first-index-fastest, as the basis columns do: rhs holds the
-        # transposed mode-1 unfoldings of the chunk side by side
-        rhs = np.empty(dims[:0:-1] + (len(chunk), dims[0]))
-        _fill_reversed(rhs, chunk, model.normalize)
-        fit = np.linalg.lstsq(basis.T, rhs.reshape(cols, -1), rcond=None)[0]
-        first[lo:lo + len(chunk), 0] = fit.reshape(rank, len(chunk), dims[0]).transpose(1, 2, 0)
+        stack = stack_samples(_normalized(chunk) if model.normalize else chunk)
+        rhs = stack.values.reshape(len(chunk) * dims[0], cols, order="F")
+        fit = np.linalg.lstsq(basis.T, rhs.T, rcond=None)[0]
+        first[lo:lo + len(chunk)] = fit.T.reshape(len(chunk), 1, dims[0], rank, order="F")
     return TrainStack((first,), tail)
-
-
-def _fill_reversed(out: np.ndarray, samples, normalize: bool) -> None:
-    """``out[..., j, :]`` = sample j with its modes reversed, normalised as
-    training normalises it under ``normalize``."""
-    for j, s in enumerate(samples):
-        scale = _norm_scale(s) if normalize else None
-        if scale is None:
-            out[..., j, :] = s.values.T
-        else:
-            np.divide(s.values.T, scale, out=out[..., j, :])
 
 
 def decision_function(model: SvmModel, samples) -> np.ndarray:
     """Signed decision values, one per sample.
 
-    A value that is not finite, as a huge polynomial degree read from a
-    model file gives, raises ``CapacityError``: the kernel values exceed
-    float64.  The overflow itself raises no numpy warning.
+    A kernel or decision value that is not finite, as a huge polynomial
+    degree read from a model file gives, raises ``CapacityError``: it
+    exceeds float64.  The overflow itself raises no numpy warning.
     """
     samples = list(samples)
     if not samples:
         return np.zeros(0)
     if not model.support:
         return np.full(len(samples), model.bias)
-    tts = _prepare_samples(model, samples)
+    rows = cross_gram(model.support, _prepare_samples(model, samples), model.spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = cross_gram(model.support, tts, model.spec)
         values = decision_values(model.coef, model.bias, rows)
     bad = int(np.count_nonzero(~np.isfinite(values)))
     if bad:
@@ -393,18 +377,13 @@ def _signed_labels(labels, pos_class) -> np.ndarray:
     return np.where(labels == pos_class, 1.0, -1.0)
 
 
-def _norm_scale(sample: DenseTensor) -> float | None:
-    """What normalisation divides a sample by: its norm, or None for a zero
-    sample, which stays as it is.  Training and prediction both use it."""
-    nrm = sample.norm()
-    return nrm if nrm > 0 else None
-
-
 def _normalized(samples):
+    """Each sample divided by its norm; a zero sample stays as it is.
+    Training and prediction both normalise by this rule."""
     out = []
     for s in samples:
-        scale = _norm_scale(s)
-        out.append(s if scale is None else DenseTensor(s.values / scale))
+        nrm = s.norm()
+        out.append(DenseTensor(s.values / nrm) if nrm > 0 else s)
     return out
 
 

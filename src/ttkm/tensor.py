@@ -514,36 +514,43 @@ def tt_inner_product(a: TensorTrain, b: TensorTrain) -> float:
     return float(v[0, 0])
 
 
+def stack_samples(samples) -> DenseTensor:
+    """Same-shape samples merged into their first mode, the one layout of
+    every first-core fit: M samples of dims ``(I_1, ..., I_d)`` become the
+    order-d tensor of dims ``(M*I_1, I_2, ..., I_d)``, sample index
+    fastest (the Fortran-order view of their ``(M, I_1, ..., I_d)``
+    stack), so the first split's unfolding is a view of it."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError("need at least one sample")
+    dims = samples[0].dims
+    for i, s in enumerate(samples):
+        if s.dims != dims:
+            raise ValueError(f"sample {i} has dims {s.dims}, expected {dims}")
+    stacked = np.empty((len(samples),) + dims, order="F")
+    for i, s in enumerate(samples):
+        stacked[i] = s.values
+    merged = (len(samples) * dims[0],) + dims[1:]
+    # the samples are DenseTensors, so every value is already checked
+    return DenseTensor._trusted(stacked.reshape(merged, order="F"))
+
+
 class StackedSamples:
     """Same-shape samples stacked along their first mode, for decomposing
     them jointly at several rank settings.
 
-    M samples of dims ``(I_1, ..., I_d)`` are laid out as one order-d
-    tensor of dims ``(M*I_1, I_2, ..., I_d)``, sample index fastest: the
-    Fortran-order view of the ``(M, I_1, ..., I_d)`` stack, so nothing is
-    copied and the first split's unfolding is a view too.  The holder
-    keeps that stack and its norm, and the first split's factorization by
-    each route (the Gram's or the SVD), made read-only on first use: at
-    most two, shared by every ``stack_and_decompose`` of the holder.  Each
-    call factors the later splits itself.  All of it lives as long as the
-    holder: drop it to free the stack and the factorizations.
+    The holder keeps the stack ``stack_samples`` lays out, its norm, and
+    the first split's factorization by each route (the Gram's or the
+    SVD), made read-only on first use: at most two, shared by every
+    ``stack_and_decompose`` of the holder.  Each call factors the later
+    splits itself.  All of it lives as long as the holder: drop it to free
+    the stack and the factorizations.
     """
 
     def __init__(self, samples):
         samples = list(samples)
-        if not samples:
-            raise ValueError("need at least one sample")
-        dims = samples[0].dims
-        for i, s in enumerate(samples):
-            if s.dims != dims:
-                raise ValueError(f"sample {i} has dims {s.dims}, expected {dims}")
         self.count = len(samples)
-        stacked = np.empty((self.count,) + dims, order="F")
-        for i, s in enumerate(samples):
-            stacked[i] = s.values
-        merged = (self.count * dims[0],) + dims[1:]
-        # the samples are DenseTensors, so every value is already checked
-        self._stack = DenseTensor._trusted(stacked.reshape(merged, order="F"))
+        self._stack = stack_samples(samples)
         self._norm = self._stack.norm()
         self._firsts = {}
 

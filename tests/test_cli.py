@@ -193,6 +193,22 @@ class TestGramCommand:
                            "--kinds", kinds, "--ranks", "2")
         assert code == 2 and err.startswith("error:usage:")
 
+    @pytest.mark.parametrize("kinds,name", [("rbf:sigma=inf,linear,linear", "sigma"),
+                                            ("poly:c=nan,linear,linear", "c must be finite")])
+    def test_non_finite_kernel_parameter_is_named(self, data_dir, capsys, kinds, name):
+        # an infinite sigma made the RBF mode the constant 1, and exited 0
+        code, _, err = run(capsys, "gram", "--input", data_dir / "test.ttn",
+                           "--kinds", kinds, "--ranks", "2")
+        assert code == 2 and err.startswith("error:usage:") and name in err
+
+    def test_kernel_overflow_is_one_capacity_line(self, data_dir):
+        # in a fresh process, so numpy's warnings print as they would:
+        # "overflow encountered in power" used to precede error:usage
+        out = run_module("gram", "--input", data_dir / "test.ttn", "--ranks", "2",
+                         "--kinds", "poly:degree=1e300,linear,linear")
+        assert out.returncode == 6
+        assert out.stderr.startswith("error:capacity:") and len(out.stderr.splitlines()) == 1
+
     def test_parse_kinds_continues_parameters(self):
         kernels = _parse_kinds("rbf:sigma=3,linear,poly:c=2,degree=3,rbf", 1.0)
         assert [type(k).__name__ for k in kernels] == [

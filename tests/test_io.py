@@ -3,6 +3,7 @@
 import dataclasses
 import gzip
 import json
+import math
 import re
 import struct
 
@@ -680,11 +681,21 @@ class TestModelHeaderValidation:
         ("binary.ttkm", lambda h: h["model"]["spec"]["per_mode"].pop()),
         ("binary.ttkm", lambda h: h["model"]["spec"]["per_mode"].append({"kind": "linear"})),
         ("ovo.ttkm", lambda h: h.update(models=[])),
-    ], ids=["short-per-mode", "long-per-mode", "ovo-without-models"])
+        # json reads Infinity and NaN: an infinite sigma loaded and predict
+        # exited 0, a non-finite poly c loaded and predict exited 6
+        ("binary.ttkm", lambda h: h["model"]["spec"]["per_mode"][0].update(sigma=math.inf)),
+        ("binary.ttkm", lambda h: h["model"]["spec"]["per_mode"].__setitem__(
+            0, {"kind": "poly", "c": math.nan, "degree": 2})),
+        ("binary.ttkm", lambda h: h["model"]["spec"]["per_mode"].__setitem__(
+            0, {"kind": "poly", "c": math.inf, "degree": 2})),
+    ], ids=["short-per-mode", "long-per-mode", "ovo-without-models", "inf-sigma",
+            "nan-poly-c", "inf-poly-c"])
     def test_predict_exits_5(self, saved, tmp_path, capsys, name, edit):
         path = tmp_path / "m.ttkm"
         path.write_bytes((saved / name).read_bytes())
         edit_header(path, edit)
+        with pytest.raises(DataFormatError):
+            load_model(path)
         assert main(["predict", "--model", str(path), "--input",
                      str(saved / "samples.ttn")]) == 5
         assert capsys.readouterr().err.startswith("error:data-format:")

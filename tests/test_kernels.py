@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,19 @@ class TestBaseKernels:
             parse_kernel("sigmoid")
         with pytest.raises(ValueError):
             parse_kernel("rbf")
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_refuses_a_non_finite_parameter(self, value):
+        # an infinite sigma made every RBF value 1, and a non-finite c
+        # made every poly value NaN or inf
+        with pytest.raises(ValueError, match="sigma"):
+            RbfKernel(sigma=float(value))
+        with pytest.raises(ValueError, match="sigma"):
+            parse_kernel(f"rbf:sigma={value}")
+        with pytest.raises(ValueError, match="c must be finite"):
+            PolynomialKernel(c=float(value))
+        with pytest.raises(ValueError, match="c must be finite"):
+            kernel_from_dict({"kind": "poly", "c": float(value), "degree": 2})
 
     @pytest.mark.parametrize("degree", ["inf", "-inf", "nan", "2.5", "0"])
     def test_parse_refuses_a_degree_that_is_not_a_positive_integer(self, degree):
@@ -352,6 +366,21 @@ class TestGram:
         np.testing.assert_array_equal(g.values, g.values.T)
         assert g.sample_ids == (10, 11, 12, 13, 14)
         assert g.spec == mixed_spec(3)
+
+    @pytest.mark.parametrize("combine", ["prod", "sum"])
+    def test_overflow_is_a_capacity_error_without_a_warning(self, combine):
+        # a huge degree overflows float64; numpy's overflow warning used to
+        # come first, then GramMatrix's ValueError
+        rng = np.random.default_rng(26)
+        tts = self.make_samples(rng, m=4)
+        spec = KernelSpec(per_mode=(PolynomialKernel(degree=10**300), LinearKernel(),
+                                    LinearKernel()), combine=combine)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapacityError, match="NaN or inf"):
+                build_gram(tts, spec)
+            with pytest.raises(CapacityError, match="NaN or inf"):
+                cross_gram(tts, tts[:2], spec)
 
     def test_gram_matrix_type_validation(self):
         spec = KernelSpec.uniform(LinearKernel(), 1)

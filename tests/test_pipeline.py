@@ -638,7 +638,8 @@ class TestBatchedProjection:
 
     @pytest.mark.parametrize("dims", [(6,), (3, 4, 5), (3, 4, 2, 3)])
     def test_chunks_match_one_solve(self, monkeypatch, dims):
-        # a chunk of 3 samples: 20 samples take 7 solves
+        # a chunk of 3 samples: 20 samples take 7 solves, at every order:
+        # order-1 samples are fit against the 1x1 identity basis too
         model = projection_model(dims, normalize=True)
         rng = np.random.default_rng(52)
         samples = [DenseTensor(rng.standard_normal(dims)) for _ in range(20)]
@@ -648,9 +649,25 @@ class TestBatchedProjection:
         monkeypatch.setattr(pipeline, "CHUNK_VALUES", 3 * int(np.prod(dims)))
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
         got = pipeline._prepare_samples(model, samples)
-        assert len(calls) == (7 if len(dims) > 1 else 0)
+        assert len(calls) == 7
         assert_close_trains(got, reference_prepare_samples(model, samples))
         assert_close_trains(got, whole)
+
+    @pytest.mark.parametrize("dims,ranks", [((3, 4, 2), (2, 2)), ((4, 7, 4, 7), (4, 28, 7))])
+    def test_training_first_cores_when_no_later_split_truncates(self, dims, ranks):
+        # training keeps the first split's singular vectors, a request the
+        # least-squares fit against the tail: the two agree only when the
+        # tail holds the kept rows of the first split exactly, as it does
+        # when no later split truncates (at these ranks each later split
+        # keeps every singular value)
+        rng = np.random.default_rng(59)
+        samples = [DenseTensor(rng.standard_normal(dims)) for _ in range(12)]
+        trained = stack_and_decompose(samples, TtSvdConfig.fixed(ranks))
+        model = projection_model(dims)
+        model = replace(model, support=tuple(trained), interior_ranks=ranks,
+                        coef=np.ones(len(trained)))
+        assert_close_trains(pipeline._prepare_samples(model, samples), list(trained),
+                            rel=1e-13)
 
     def test_rank_deficient_tail_basis(self):
         model = projection_model((3, 4, 5), rank_deficient=True)
