@@ -449,6 +449,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     ranks = _parse_ints(args.ranks) if args.ranks else (4,)
+    if not ranks or min(ranks) < 1:
+        raise ValueError(f"--ranks must name ranks of at least 1, got {args.ranks!r}")
+    if args.pairs < 1:
+        raise ValueError(f"--pairs must be at least 1, got {args.pairs}")
     if args.sweep == "ranks":
         result = {
             "mode": "fast-prod-ranks",
@@ -458,10 +462,12 @@ def cmd_bench(args) -> int:
             ),
         }
     elif args.sweep == "orders":
+        if args.d < 2:
+            raise ValueError(f"--sweep orders sweeps orders 2..--d, got --d {args.d}")
         result = {
             "mode": "naive-orders",
             "rows": bench_naive_orders(
-                orders=tuple(range(2, args.d + 1)) if args.d > 2 else (2, 3, 4, 5, 6),
+                orders=tuple(range(2, args.d + 1)),
                 rank=ranks[0], dim_size=args.dims, pairs=args.pairs, seed=args.seed or 0,
             ),
         }
@@ -549,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reshape", default=None, help="per-sample dims")
 
     p = add("bench", cmd_bench, "time naive vs fast kernel evaluation")
-    p.add_argument("--d", type=int, default=3, help="tensor order")
+    p.add_argument("--d", type=int, default=3, help="tensor order (--sweep orders: the largest)")
     p.add_argument("--dims", type=int, default=8, help="size of every mode")
     p.add_argument("--ranks", default=None, help="TT rank(s)")
     p.add_argument("--pairs", type=int, default=100, help="random pairs per timing")

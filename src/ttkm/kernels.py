@@ -115,7 +115,8 @@ def kernel_from_dict(d: dict) -> BaseKernel:
 
 
 def parse_kernel(text: str) -> BaseKernel:
-    """Parse 'linear', 'poly[:c=..,degree=..]', or 'rbf[:sigma=..]'."""
+    """Parse 'linear', 'poly[:c=..,degree=..]', or 'rbf[:sigma=..]'; unlike
+    ``kernel_from_dict``, refuse a parameter the kind does not take."""
     name, _, argstr = text.strip().partition(":")
     name = name.strip().lower()
     args = {}
@@ -130,6 +131,9 @@ def parse_kernel(text: str) -> BaseKernel:
         name = "poly"
     if name not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel {text!r}")
+    unknown = set(args) - {f.name for f in fields(_KERNEL_TYPES[name])}
+    if unknown:
+        raise ValueError(f"{name} kernel takes no parameter {min(unknown)!r}, got {text!r}")
     if name == "rbf" and "sigma" not in args:
         raise ValueError(f"rbf kernel needs a sigma, got {text!r}")
     return kernel_from_dict({**args, "kind": name})

@@ -5,11 +5,11 @@ that samples are decomposed jointly: for every candidate rank setting, the
 train and validation samples are stacked and decomposed together so all
 trains share one rank chain (a requirement for a PSD Gram matrix), then a
 grid over (C, sigma) is scanned on the validation split, each C seeded
-from the previous one's solution, and the winning combination's final
-solve starts from its scan solution on the Gram the scan built for it.  The
-samples are stacked once per training, merged into the first mode, in one
-holder that keeps the stack's first split for every rank setting; each
-setting factors its later splits itself.  Cores are sign-fixed, so a
+from the previous one's solution, and the winning combination's scan
+solution is the model: no solve follows the scan.  The samples are
+stacked once per training, merged into the first mode, in one holder
+that keeps the stack's first split for every rank setting; each setting
+factors its later splits itself.  Cores are sign-fixed, so a
 model depends on the data and the grid, not on the signs LAPACK picks.
 Prediction decomposes each incoming sample at the model's rank chain by
 keeping the support vectors' shared trailing cores and fitting a fresh
@@ -22,7 +22,6 @@ decision values that are not finite raise ``CapacityError``.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,8 +52,6 @@ from .tensor import (
     stack_and_decompose,
     stack_samples,
 )
-
-logger = logging.getLogger(__name__)
 
 SPLIT_NAMES = ("train", "validation", "test")
 
@@ -416,17 +413,18 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
     toward smaller ranks, then smaller C, then smaller sigma.  Each C of a
     (ranks, sigma) starts from the previous C's solution when that C is
     smaller (``_seeded_start``), so an ascending C grid pays for one cold
-    solve per Gram; the report keeps the grid's order.  The winner's final
-    solve starts from its scan solution, on the Gram and validation
-    cross-Gram the scan built for it: it rebuilds the margins from those
-    alphas and checks the gap, so a converged scan solution keeps its
-    alphas (0 iterations) and takes its bias from the rebuilt margins.
-    That solve is reported under ``info["solver"]``, and the full scan
-    under ``info["grid"]``.  The model is an optimum of its grid
-    point to the solver's tolerance; which one, within that tolerance, can
-    depend on the C values scanned before it.  The grid's ``normalize``,
-    ``solver_tol`` and ``solver_max_iter`` hold for every solve, and an
-    unconverged winner raises ``ConvergenceError``.
+    solve per Gram; the report keeps the grid's order.  Each grid point is
+    solved once, and the winner's scan solution is the model: no solve
+    follows the scan, and only the winner's trains, spec and solution
+    outlive its grid point, so each Gram is freed as the scan moves on.
+    The full scan is reported under ``info["grid"]``; ``info["solver"]``
+    holds the solve's ``tol`` and the winner's ``converged`` and
+    ``objective``, with ``iterations`` 0, the iterations spent after the
+    scan.  The model is an optimum of its grid point to the solver's
+    tolerance; which one, within that tolerance, can depend on the C
+    values scanned before it.  The grid's ``normalize``, ``solver_tol``
+    and ``solver_max_iter`` hold for every solve, and an unconverged
+    winner raises ``ConvergenceError``.
 
     The train and validation samples are stacked once, in one
     ``StackedSamples``, and each rank setting decomposes that holder once.
@@ -470,18 +468,8 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
     # every rank setting reads the first split of this one stack
     stack = StackedSamples(train_s + val_s)
 
-    def solve_and_score(gram, rows, c_value, start=None):
-        sol = solve_dual(
-            DualProblem(gram=gram, labels=y_train, C=c_value),
-            tol=grid.solver_tol,
-            max_iter=grid.solver_max_iter,
-            start=start,
-        )
-        vals = decision_values(sol.alphas * y_train, sol.bias, rows)
-        return sol, float(np.mean(predict_labels(vals) == y_val))
-
     report = []
-    kept = None  # the best entry so far: its trains, spec, Gram, cross-Gram and alphas
+    kept = None  # the best entry so far: its trains, spec and solution
     for ranks in grid.rank_settings(d):
         tts = stack_and_decompose(stack, TtSvdConfig(max_ranks=ranks))
         tr_tts, va_tts = tts[:n_train], tts[n_train:]
@@ -491,34 +479,33 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
             rows = cross_gram(tr_tts, va_tts, spec)
             prev = None
             for c_value in grid.c_values:
-                sol, acc = solve_and_score(gram, rows, c_value, _seeded_start(prev, c_value))
+                sol = solve_dual(
+                    DualProblem(gram=gram, labels=y_train, C=c_value),
+                    tol=grid.solver_tol,
+                    max_iter=grid.solver_max_iter,
+                    start=_seeded_start(prev, c_value),
+                )
                 prev = (c_value, sol.alphas)
+                vals = decision_values(sol.alphas * y_train, sol.bias, rows)
                 entry = {
                     "ranks": list(ranks),
                     "sigma": sigma,
                     "C": c_value,
-                    "validation_accuracy": acc,
+                    "validation_accuracy": float(np.mean(predict_labels(vals) == y_val)),
                     "converged": sol.converged,
                     "iterations": sol.iterations,
                     "support_count": int(len(sol.support_indices)),
                 }
                 report.append(entry)
                 if kept is None or _grid_key(entry) < _grid_key(kept[0]):
-                    kept = (entry, tr_tts, spec, gram, rows, sol.alphas)
+                    kept = (entry, tr_tts, spec, sol)
 
-    best, tr_tts, spec, gram, rows, alphas = kept
-    ranks = tuple(best["ranks"])
-    sol, acc = solve_and_score(gram, rows, best["C"], alphas)
+    best, tr_tts, spec, sol = kept
     if not sol.converged:
         raise ConvergenceError(
             f"solver did not converge at the selected grid point "
-            f"(ranks={ranks}, C={best['C']}, sigma={best['sigma']}): "
+            f"(ranks={tuple(best['ranks'])}, C={best['C']}, sigma={best['sigma']}): "
             f"{sol.iterations} iterations, objective {sol.objective:.6g}"
-        )
-    if acc != best["validation_accuracy"]:
-        logger.warning(
-            "final-solve validation accuracy %.6f of the winner differs from scan %.6f",
-            acc, best["validation_accuracy"],
         )
 
     sv = sol.support_indices
@@ -532,15 +519,15 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
         neg_class=neg_class,
         pos_class=pos_class,
         normalize=grid.normalize,
-        grid_point={"ranks": list(ranks), "C": best["C"], "sigma": best["sigma"]},
-        validation_accuracy=acc,
+        grid_point={"ranks": list(best["ranks"]), "C": best["C"], "sigma": best["sigma"]},
+        validation_accuracy=best["validation_accuracy"],
         info={
             "grid": report,
             "train_count": n_train,
             "validation_count": len(val_s),
             "solver": {
                 "tol": grid.solver_tol,
-                "iterations": sol.iterations,
+                "iterations": 0,
                 "converged": sol.converged,
                 "objective": sol.objective,
             },

@@ -201,6 +201,13 @@ class TestGramCommand:
                            "--kinds", kinds, "--ranks", "2")
         assert code == 2 and err.startswith("error:usage:") and name in err
 
+    @pytest.mark.parametrize("kinds,key", [("poly:degre=3,rbf:1,rbf:1", "degre"),
+                                           ("linear:sigma=4,rbf:1,rbf:1", "sigma")])
+    def test_parameter_the_kind_does_not_take_is_named(self, data_dir, capsys, kinds, key):
+        code, _, err = run(capsys, "gram", "--input", data_dir / "test.ttn",
+                           "--kinds", kinds, "--ranks", "2")
+        assert code == 2 and err.startswith("error:usage:") and repr(key) in err
+
     def test_kernel_overflow_is_one_capacity_line(self, data_dir):
         # in a fresh process, so numpy's warnings print as they would:
         # "overflow encountered in power" used to precede error:usage
@@ -536,6 +543,26 @@ class TestBenchCommand:
         report = json.loads(out)
         assert report["mode"] == "fast-prod-ranks"
         assert [row["rank"] for row in report["rows"]] == [2, 4]
+
+    @pytest.mark.parametrize("d, orders", [("2", [2]), ("3", [2, 3])])
+    def test_order_sweep_runs_orders_two_to_d(self, capsys, d, orders):
+        code, out, _ = run(capsys, "bench", "--sweep", "orders", "--d", d,
+                           "--dims", "3", "--ranks", "2", "--pairs", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert report["mode"] == "naive-orders"
+        assert [row["order"] for row in report["rows"]] == orders
+
+    @pytest.mark.parametrize("flags", [
+        ("--ranks", ","),
+        ("--ranks", "0"),
+        ("--pairs", "0"),
+        ("--pairs", "-1"),
+        ("--sweep", "orders", "--d", "1"),
+    ])
+    def test_bad_flags_are_usage_errors(self, capsys, flags):
+        code, _, err = run(capsys, "bench", "--dims", "3", *flags)
+        assert code == 2 and err.startswith("error:usage:")
 
 
 class TestUnreadablePaths:

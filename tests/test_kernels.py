@@ -121,6 +121,20 @@ class TestBaseKernels:
         with pytest.raises(ValueError):
             parse_kernel("rbf")
 
+    @pytest.mark.parametrize("text, key", [
+        ("poly:degre=3", "degre"),
+        ("linear:sigma=4", "sigma"),
+        ("linear:4", "c"),  # a bare value is c for every kind but rbf
+        ("rbf:sigma=1,c=2", "c"),
+        ("rbf:sgma=2", "sgma"),  # named, not "needs a sigma"
+    ])
+    def test_parse_refuses_a_parameter_the_kind_does_not_take(self, text, key):
+        with pytest.raises(ValueError, match=f"no parameter '{key}'"):
+            parse_kernel(text)
+        # the dict form stays lenient: a grid passes every kind c, degree and sigma
+        kind = text.partition(":")[0]
+        kernel_from_dict({"kind": kind, "c": 2.0, "degree": 3, "sigma": 1.0, key: 1.0})
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_refuses_a_non_finite_parameter(self, value):
         # an infinite sigma made every RBF value 1, and a non-finite c

@@ -352,9 +352,9 @@ def scan_index(model) -> int:
 
 class TestSeededScan:
     """Each C of a (ranks, sigma) starts from the previous, smaller C's
-    solution, and the winner's final solve starts from its scan solution on
-    the Gram the scan built.  So the model is an optimum of its grid point
-    to the solver's tolerance, not the bits of one cold solve there."""
+    solution, and the winner's scan solution is the model: no solve follows
+    the scan.  So the model is an optimum of its grid point to the solver's
+    tolerance, not the bits of one cold solve there."""
 
     CS = (1.0, 10.0, 100.0, 1000.0)
 
@@ -372,14 +372,17 @@ class TestSeededScan:
         again = train_binary(ds, grid)
         np.testing.assert_array_equal(again.coef, model.coef)
         assert again.bias == model.bias
-        p, _, final = solves[-1]
-        assert solves[scan_index(model)][1]["start"] is not None  # seeded from C = 100
-        assert model.info["solver"]["iterations"] == final.iterations == 0
-        report = solver.kkt_report(p, final, grid.solver_tol)
+        p, kwargs, scan = solves[scan_index(model)]
+        assert kwargs["start"] is not None  # seeded from C = 100
+        assert model.info["solver"]["iterations"] == 0
+        sv = scan.support_indices
+        assert model.coef.tobytes() == (scan.alphas * p.labels)[sv].tobytes()
+        assert model.bias == scan.bias
+        report = solver.kkt_report(p, scan, grid.solver_tol)
         assert report.max_violation <= grid.solver_tol
         cold = solver.solve_dual(p, tol=grid.solver_tol)
         assert cold.converged and cold.iterations > 0
-        assert final.objective == pytest.approx(cold.objective, rel=grid.solver_tol)
+        assert scan.objective == pytest.approx(cold.objective, rel=grid.solver_tol)
 
     def test_unsorted_c_values_keep_the_report_order_and_the_model(self, case):
         ds, grid, model = case
@@ -413,27 +416,44 @@ class TestSeededScan:
         model = train_binary(ds, replace(grid, c_values=cs))
         assert len(calls["stack_and_decompose"]) == 2
         assert len(calls["build_gram"]) == len(calls["cross_gram"]) == 2 * 2
-        assert len(solves) == len(model.info["grid"]) + 1 == 2 * 2 * 4 + 1
-        assert [kw.get("start") is None for _, kw, _ in solves[:-1]] == cold * 4
-        (p, kwargs, _), scan = solves[-1], solves[scan_index(model)][2]
+        assert len(solves) == len(model.info["grid"]) == 2 * 2 * 4
+        assert [kw.get("start") is None for _, kw, _ in solves] == cold * 4
+        p, _, scan = solves[scan_index(model)]
         assert p.C == model.grid_point["C"]
-        assert kwargs["start"] is scan.alphas
+        assert model.bias == scan.bias
 
     def test_single_point_grid_pays_for_one_solve(self, case, monkeypatch):
-        # the final solve starts where the scan's cold solve stopped, so it
-        # checks the gap and returns that solution: no second SMO run
+        # the scan's one cold solve is the model: no solve follows the scan
         ds, _, _ = case
         solves = record_solves(monkeypatch)
         model = train_binary(ds, small_grid(ranks=(2,), cs=(100.0,), sigmas=(0.5,)))
-        assert len(solves) == 2
-        (_, scan_kwargs, scan), (_, final_kwargs, final) = solves
-        assert scan_kwargs["start"] is None and final_kwargs["start"] is scan.alphas
+        assert len(solves) == 1
+        (p, scan_kwargs, scan), = solves
+        assert scan_kwargs["start"] is None
         assert scan.iterations > 0
-        assert model.info["solver"]["iterations"] == final.iterations == 0
+        assert model.info["solver"]["iterations"] == 0
         sv = scan.support_indices
-        assert model.coef.tobytes() == (scan.alphas * solves[0][0].labels)[sv].tobytes()
+        assert model.coef.tobytes() == (scan.alphas * p.labels)[sv].tobytes()
         assert sum(sol.iterations for _, _, sol in solves) == sum(
             e["iterations"] for e in model.info["grid"])
+
+    def test_unconverged_winner_raises_from_its_scan_solution(self, case, monkeypatch):
+        # no second max_iter budget: the scan's own solves are all there is
+        ds, _, _ = case
+        grid = replace(small_grid(ranks=(1, 2), cs=(1.0, 1000.0), sigmas=(0.5, 2.0)),
+                       solver_max_iter=1)
+        solves = record_solves(monkeypatch)
+        entries = []  # the report's entries, as the winner's choice reads them
+        real_key = pipeline._grid_key
+        monkeypatch.setattr(pipeline, "_grid_key",
+                            lambda e: entries.append(e) or real_key(e))
+        with pytest.raises(ConvergenceError) as err:
+            train_binary(ds, grid)
+        assert len(solves) == 2 * 2 * 2
+        assert not any(sol.converged for _, _, sol in solves)
+        best = min({id(e): e for e in entries}.values(), key=real_key)
+        assert (f"(ranks={tuple(best['ranks'])}, C={best['C']}, sigma={best['sigma']}): "
+                f"1 iterations") in str(err.value)
 
     def test_seeded_start_scales_the_previous_solution(self):
         # 11 * (30 / 11) rounds below 30: a bound needs its own rule to stay one
@@ -931,7 +951,7 @@ class TestTraceIntegrity:
         assert len(seen["stack_and_decompose"]) == 2
         assert len(seen["build_gram"]) == len(seen["cross_gram"]) == 2 * 2
         assert [len(args[0]) for args, _ in seen["build_gram"]] == [n_train] * 4
-        assert len(seen["solve_dual"]) == 2 * 2 * 2 + 1
+        assert len(seen["solve_dual"]) == 2 * 2 * 2
         assert not seen["decision_function"]
 
         test_s, _ = ds.subset("test")
@@ -949,10 +969,10 @@ class TestTraceIntegrity:
 class TestSolverTablesPerTraining:
     """A training on the benchmark's pair-rbf-prod grid shape (2 ranks, 4
     sigmas, 4 Cs) builds one pair-curvature table per Gram, 8 in all, for
-    its 33 solves, and no label-product table; every solution has the bits
+    its 32 solves, and no label-product table; every solution has the bits
     of a solve on a fresh Gram that caches nothing."""
 
-    def test_eight_tables_for_thirty_three_solves(self, monkeypatch):
+    def test_eight_tables_for_thirty_two_solves(self, monkeypatch):
         tables, label_tables = [], []
         for name, log in (("_pair_curvatures", tables), ("_label_products", label_tables)):
             real = getattr(solver, name)
@@ -962,7 +982,7 @@ class TestSolverTablesPerTraining:
         ds = blob_dataset(np.random.default_rng(69), noise=0.6, n_train=8, n_val=6)
         train_binary(ds, small_grid(ranks=(2, 4), cs=(1.0, 10.0, 100.0, 1000.0),
                                     sigmas=(0.5, 1.0, 2.0, 4.0)))
-        assert len(solves) == 33
+        assert len(solves) == 32
         assert len(tables) == 8 and not label_tables
         assert len({id(p.gram) for p, _, _ in solves}) == 8
         for p, kwargs, got in solves:
@@ -976,4 +996,4 @@ class TestSolverTablesPerTraining:
             q = solver._label_products(p.gram.values, p.labels)
             assert np.asarray(got.objective).tobytes() == np.asarray(
                 solver._objective(got.alphas, q)).tobytes()
-        assert len(tables) == 8 + 33
+        assert len(tables) == 8 + 32
