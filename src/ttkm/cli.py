@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bench import bench_compare, bench_fast_prod_ranks, bench_naive_orders
-from .config import RunConfig, _kinds, _ranks, load_config, load_labels, load_samples
+from .config import _GRID_FIELDS, _KEYS, RunConfig, _ints, load_config, load_labels, load_samples
 from .errors import (
     CapacityError,
     ConfigError,
@@ -138,20 +138,41 @@ def emit_json(obj, path=None) -> None:
 # shared argument plumbing
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+# run-setting flag -> the INI (section, key) whose parser reads its value
+_RUN_FLAGS = {
+    "--train-per-class": ("split", "train_per_class"),
+    "--val-per-class": ("split", "val_per_class"),
+    "--seed": ("split", "seed"),
+    "--reshape": ("data", "reshape"),
+    "--combine": ("grid", "combine"),
+    "--ranks": ("grid", "rank_values"),
+    "--kinds": ("kernel", "mode_kinds"),
+}
+
+
+def _flag(args, flag: str, parse=None):
+    """``flag``'s value read by ``parse``, by default by its INI key's parser;
+    None when the flag is absent or empty, as an empty INI value keeps the
+    default.  A bad value is a usage error naming the flag."""
+    text = getattr(args, flag[2:].replace("-", "_"), None)
+    if text is None or not text.strip():
+        return None
+    if parse is None:
+        section, key = _RUN_FLAGS[flag]
+        parse = _KEYS[section][key][1]
     try:
-        return tuple(int(p) for p in text.replace(",", " ").split())
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+        return parse(text.strip(), flag)
+    except ConfigError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _svd_config(args, order: int) -> TtSvdConfig:
     """The truncation of ``--eps`` or ``--ranks``; exactly one must be given."""
-    if (args.eps is None) == (args.ranks is None):
+    ranks = _flag(args, "--ranks", _ints)
+    if (args.eps is None) == (ranks is None):
         raise ValueError("give exactly one of --eps or --ranks")
     if args.eps is not None:
         return TtSvdConfig(rel_tol=float(args.eps))
-    ranks = _parse_ints(args.ranks)
     entry = ranks[0] if len(ranks) == 1 else ranks
     return TtSvdConfig(
         max_ranks=interior_rank_chain(entry, order, f"rank chain {args.ranks!r}")
@@ -182,36 +203,18 @@ def _load_run_config(args) -> RunConfig:
     """Config file values with command-line flags layered on top."""
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides, grid_keys = {}, {}
-    for name in ("train_per_class", "val_per_class", "seed"):
-        if getattr(args, name, None) is not None:
-            overrides[name] = getattr(args, name)
-    if getattr(args, "reshape", None) is not None:
-        overrides["reshape"] = _parse_ints(args.reshape)
-    if getattr(args, "combine", None) is not None:
-        grid_keys["combine"] = args.combine
-    try:
-        if getattr(args, "ranks", None) is not None:
-            grid_keys["rank_values"] = _ranks(args.ranks, "--ranks")
-        if getattr(args, "kinds", None) is not None:
-            # bare kind names; the grid sets their parameters
-            grid_keys["mode_kinds"] = _kinds(args.kinds, "--kinds")
-    except ConfigError as exc:  # a bad flag is a usage error
-        raise ValueError(str(exc)) from None
+    for flag, (section, key) in _RUN_FLAGS.items():
+        value, name = _flag(args, flag), _KEYS[section][key][0]
+        if value is not None:
+            (grid_keys if name in _GRID_FIELDS else overrides)[name] = value
     return replace(cfg, **overrides, grid_keys={**cfg.grid_keys, **grid_keys})
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise ValueError(f"{flag} is required for this command")
-    return value
-
-
-def _load_pool(cfg: RunConfig, which: str):
-    images = getattr(cfg, f"{which}_images")
-    labels = getattr(cfg, f"{which}_labels")
+def _load_labeled(images, labels, reshape):
+    """Samples and their labels, or (None, None) when either path is unset."""
     if images is None or labels is None:
         return None, None
-    samples = load_samples(images, reshape=cfg.reshape)
+    samples = load_samples(images, reshape=reshape)
     y = load_labels(labels)
     if len(samples) != len(y):
         raise DataFormatError(
@@ -222,17 +225,16 @@ def _load_pool(cfg: RunConfig, which: str):
 
 def _build_dataset(args, cfg: RunConfig):
     """Dataset plus the class tuple for train/grid/rank-sweep commands."""
-    train_s, train_y = _load_pool(cfg, "train")
+    train_s, train_y = _load_labeled(cfg.train_images, cfg.train_labels, cfg.reshape)
     if train_s is None:
         raise ConfigError("train_images/train_labels are required (config [data])")
-    test_s, test_y = _load_pool(cfg, "test")
-    if args.pair is not None:
-        classes = _parse_ints(args.pair)
-        if len(classes) != 2:
-            raise ValueError(f"--pair needs exactly two class ids, got {args.pair!r}")
-    elif args.classes:
-        classes = _parse_ints(args.classes)
-    else:
+    test_s, test_y = _load_labeled(cfg.test_images, cfg.test_labels, cfg.reshape)
+    classes = _flag(args, "--pair", _ints)
+    if classes is None:
+        classes = _flag(args, "--classes", _ints)
+    elif len(classes) != 2:
+        raise ValueError(f"--pair needs exactly two class ids, got {args.pair!r}")
+    if classes is None:
         classes = tuple(int(c) for c in np.unique(train_y))
     if len(classes) < 2:
         raise ValueError(f"need at least two classes, got {classes}")
@@ -261,6 +263,7 @@ def _test_metrics(model, ds: Dataset):
 
 
 def cmd_tt_svd(args) -> int:
+    seed = _flag(args, "--seed")
     tensor = read_tensor(args.input)
     cfg = _svd_config(args, tensor.order)
     tt = tt_svd(tensor, cfg)
@@ -271,15 +274,16 @@ def cmd_tt_svd(args) -> int:
         "interior_ranks": list(tt.interior_ranks),
         "rel_error": err / nrm if nrm > 0 else 0.0,
         "eps": args.eps,
-        "requested_ranks": list(cfg.max_ranks) if args.ranks is not None else None,
-        "seed": args.seed,
+        "requested_ranks": list(cfg.max_ranks) if cfg.max_ranks is not None else None,
+        "seed": seed,
     }
     emit_json(out, args.output)
     return 0
 
 
 def cmd_gram(args) -> int:
-    samples = load_samples(args.input, reshape=_parse_ints(args.reshape) if args.reshape else None)
+    seed = _flag(args, "--seed")
+    samples = load_samples(args.input, reshape=_flag(args, "--reshape"))
     order = samples[0].order
     per_mode = _parse_kinds(args.kinds, args.sigma)
     if len(per_mode) != order:
@@ -298,7 +302,7 @@ def cmd_gram(args) -> int:
         "interior_ranks": list(tts[0].interior_ranks),
         "dims": list(samples[0].dims),
         "count": n,
-        "seed": args.seed,
+        "seed": seed,
     }
     if args.output:
         base = args.output[:-4] if args.output.endswith(".csv") else args.output
@@ -399,36 +403,33 @@ def cmd_rank_sweep(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    seed, reshape = _flag(args, "--seed"), _flag(args, "--reshape")
     model = load_model(args.model)
-    reshape = _parse_ints(args.reshape) if args.reshape else model.dims
-    samples = load_samples(args.input, reshape=reshape)
+    samples = load_samples(args.input, reshape=reshape or model.dims)
     if isinstance(model, OvoModel):
-        out = {"labels": [int(v) for v in model.predict(samples)], "seed": args.seed}
+        out = {"labels": [int(v) for v in model.predict(samples)], "seed": seed}
     else:
         # one projection and one cross-Gram give both the values and the labels
         values = decision_function(model, samples)
-        out = {"labels": [int(v) for v in class_labels(model, values)], "seed": args.seed,
+        out = {"labels": [int(v) for v in class_labels(model, values)], "seed": seed,
                "decision_values": list(values)}
     emit_json(out, args.output)
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    seed, reshape = _flag(args, "--seed"), _flag(args, "--reshape")
     model = load_model(args.model)
-    reshape = _parse_ints(args.reshape) if args.reshape else model.dims
     if args.input:
-        samples = load_samples(args.input, reshape=reshape)
-        labels = load_labels(_require(args.labels, "--labels"))
+        if args.labels is None:
+            raise ValueError("--labels is required with --input")
+        paths = args.input, args.labels
     else:
         cfg = _load_run_config(args)
-        if cfg.test_images is None or cfg.test_labels is None:
-            raise ConfigError("need --input/--labels or test paths in the config")
-        samples = load_samples(cfg.test_images, reshape=reshape)
-        labels = load_labels(cfg.test_labels)
-    if len(samples) != len(labels):
-        raise DataFormatError(
-            f"{len(samples)} samples but {len(labels)} labels"
-        )
+        paths = cfg.test_images, cfg.test_labels
+    samples, labels = _load_labeled(*paths, reshape or model.dims)
+    if samples is None:
+        raise ConfigError("need --input/--labels or test paths in the config")
     keep = np.isin(labels, list(model.classes))
     if not keep.any():
         raise ValueError(f"none of the {len(labels)} labels is one of the model's "
@@ -440,7 +441,7 @@ def cmd_evaluate(args) -> int:
     )
     metrics = evaluate(model, ds, split="test")
     out = dict(metrics.to_dict())
-    out["seed"] = args.seed
+    out["seed"] = seed
     out["evaluated"] = int(np.sum(keep))
     out["skipped_other_classes"] = int(np.sum(~keep))
     emit_json(out, args.output)
@@ -448,7 +449,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    ranks = _parse_ints(args.ranks) if args.ranks else (4,)
+    seed = _flag(args, "--seed")
+    default = (2, 4, 8, 16) if args.sweep == "ranks" else (4,)
+    ranks = _flag(args, "--ranks", _ints) if args.ranks else default
     if not ranks or min(ranks) < 1:
         raise ValueError(f"--ranks must name ranks of at least 1, got {args.ranks!r}")
     if args.pairs < 1:
@@ -457,8 +460,7 @@ def cmd_bench(args) -> int:
         result = {
             "mode": "fast-prod-ranks",
             "rows": bench_fast_prod_ranks(
-                ranks=ranks if len(ranks) > 1 else (2, 4, 8, 16),
-                order=args.d, dim_size=args.dims, pairs=args.pairs, seed=args.seed or 0,
+                ranks=ranks, order=args.d, dim_size=args.dims, pairs=args.pairs, seed=seed or 0,
             ),
         }
     elif args.sweep == "orders":
@@ -468,7 +470,7 @@ def cmd_bench(args) -> int:
             "mode": "naive-orders",
             "rows": bench_naive_orders(
                 orders=tuple(range(2, args.d + 1)),
-                rank=ranks[0], dim_size=args.dims, pairs=args.pairs, seed=args.seed or 0,
+                rank=ranks[0], dim_size=args.dims, pairs=args.pairs, seed=seed or 0,
             ),
         }
     else:
@@ -476,10 +478,10 @@ def cmd_bench(args) -> int:
             "mode": "compare",
             **bench_compare(
                 order=args.d, dim_size=args.dims, rank=ranks[0],
-                pairs=args.pairs, seed=args.seed or 0, combine=args.combine,
+                pairs=args.pairs, seed=seed or 0, combine=args.combine,
             ),
         }
-    result["seed"] = args.seed
+    result["seed"] = seed
     emit_json(result, args.output)
     return 0
 
@@ -499,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", default=None,
                        help="seed recorded in outputs and used for sampling")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         return p
@@ -524,9 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="INI run configuration")
         p.add_argument("--pair", default=None, help="two class ids, e.g. 1,2")
         p.add_argument("--classes", default=None, help="class ids for one-vs-one")
-        p.add_argument("--train-per-class", type=int, default=None, dest="train_per_class")
-        p.add_argument("--val-per-class", type=int, default=None, dest="val_per_class")
-        p.add_argument("--combine", choices=COMBINE_RULES, default=None)
+        p.add_argument("--train-per-class", default=None, dest="train_per_class")
+        p.add_argument("--val-per-class", default=None, dest="val_per_class")
+        p.add_argument("--combine", default=None, help="prod or sum")
         p.add_argument("--ranks", default=None, help="rank settings, e.g. 2,3,4")
         p.add_argument("--kinds", default=None, help="per-mode kernel kinds")
         p.add_argument("--reshape", default=None, help="per-sample dims")

@@ -3,11 +3,11 @@
 Sections and keys (all optional unless a command needs them)::
 
     [data]    train_images, train_labels, test_images, test_labels,
-              reshape (comma ints), normalize (bool)
-    [split]   train_per_class, val_per_class, seed
+              reshape (comma ints of at least 1), normalize (bool)
+    [split]   train_per_class, val_per_class (at least 1), seed (at least 0)
     [grid]    c_values, sigma_values (comma floats),
-              rank_values (comma ints, or AxBxC for per-position chains),
-              combine (prod|sum)
+              rank_values (comma ints of at least 1, or AxBxC for
+              per-position chains), combine (prod|sum)
     [kernel]  mode_kinds (comma of linear|poly|rbf), poly_c, poly_degree
     [solver]  tol, max_iter
 
@@ -36,6 +36,7 @@ import configparser
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -100,11 +101,13 @@ def _floats(text: str, key: str) -> tuple[float, ...]:
     return values
 
 
-def _ints(text: str, key: str) -> tuple[int, ...]:
+def _ints(text: str, key: str, low: int | None = None) -> tuple[int, ...]:
     vals = _floats(text, key)
     out = tuple(int(v) for v in vals)
     if any(o != v for o, v in zip(out, vals)):
         raise ConfigError(f"{key}: expected integers, got {text!r}")
+    if low is not None and any(o < low for o in out):
+        raise ConfigError(f"{key}: expected integers of at least {low}, got {text!r}")
     return out
 
 
@@ -112,9 +115,9 @@ def _ranks(text: str, key: str) -> tuple:
     out = []
     for part in text.replace(",", " ").split():
         if "x" in part:
-            out.append(tuple(_ints(part.replace("x", " "), key)))
+            out.append(tuple(_ints(part.replace("x", " "), key, low=1)))
         else:
-            out.append(_ints(part, key)[0])
+            out.append(_ints(part, key, low=1)[0])
     if not out:
         raise ConfigError(f"{key}: no rank settings in {text!r}")
     return tuple(out)
@@ -163,13 +166,13 @@ _KEYS = {
         "train_labels": ("train_labels", _text),
         "test_images": ("test_images", _text),
         "test_labels": ("test_labels", _text),
-        "reshape": ("reshape", _ints),
+        "reshape": ("reshape", partial(_ints, low=1)),
         "normalize": ("normalize", _bool),
     },
     "split": {
-        "train_per_class": ("train_per_class", _one(_ints)),
-        "val_per_class": ("val_per_class", _one(_ints)),
-        "seed": ("seed", _one(_ints)),
+        "train_per_class": ("train_per_class", _one(partial(_ints, low=1))),
+        "val_per_class": ("val_per_class", _one(partial(_ints, low=1))),
+        "seed": ("seed", _one(partial(_ints, low=0))),
     },
     "grid": {
         "c_values": ("c_values", _floats),
@@ -230,14 +233,7 @@ def load_samples(path, reshape=None):
     if str(path).endswith(".ttn"):
         samples = read_dataset(path)
         if reshape is not None and tuple(reshape) != samples[0].dims:
-            reshape = tuple(int(n) for n in reshape)
-            if int(np.prod(reshape)) != samples[0].size:
-                raise ValueError(
-                    f"reshape {reshape} does not match sample size {samples[0].size}"
-                )
-            samples = [
-                DenseTensor(s.to_flat().reshape(reshape, order="F")) for s in samples
-            ]
+            samples = [DenseTensor.from_flat(reshape, s.to_flat()) for s in samples]
         return samples
     return load_idx_images(path, reshape=reshape)
 

@@ -21,7 +21,7 @@ import struct
 import numpy as np
 
 from .errors import DataFormatError
-from .tensor import DenseTensor
+from .tensor import DenseTensor, check_reshape
 from .ttn import read_bytes
 
 UBYTE_TYPE = 0x08
@@ -63,21 +63,14 @@ def load_idx_images(path, reshape=None) -> list[DenseTensor]:
     """Load an IDX image file into [0,1]-scaled tensors, one per image.
 
     ``reshape`` gives the per-image dims (default: the file's rows x
-    columns); its product must equal the image size in bytes.
+    columns), positive with product the image size in bytes.
     """
     dims, payload = _parse_header(_read_file(path), path, IMAGE_NDIM)
     if 0 in dims:
         raise DataFormatError(f"{path}: zero-length dimension in image dims {dims}")
     count, rows, cols = dims
     pixels = rows * cols
-    if reshape is None:
-        reshape = (rows, cols)
-    reshape = tuple(int(n) for n in reshape)
-    if math.prod(reshape) != pixels:
-        raise ValueError(
-            f"reshape {reshape} has {math.prod(reshape)} entries, "
-            f"images have {pixels}"
-        )
+    reshape = check_reshape((rows, cols) if reshape is None else reshape, pixels)
     flat = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
     per_image = flat.reshape(count, pixels)
     return [DenseTensor(per_image[i].reshape(reshape, order="F")) for i in range(count)]

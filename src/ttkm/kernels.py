@@ -116,7 +116,7 @@ def kernel_from_dict(d: dict) -> BaseKernel:
 
 def parse_kernel(text: str) -> BaseKernel:
     """Parse 'linear', 'poly[:c=..,degree=..]', or 'rbf[:sigma=..]'; unlike
-    ``kernel_from_dict``, refuse a parameter the kind does not take."""
+    ``kernel_from_dict``, refuse a parameter the kind does not take or one given twice."""
     name, _, argstr = text.strip().partition(":")
     name = name.strip().lower()
     args = {}
@@ -126,7 +126,10 @@ def parse_kernel(text: str) -> BaseKernel:
             if not val:
                 # bare value shorthand, e.g. "rbf:2.5"
                 key, val = ("sigma" if name == "rbf" else "c"), key
-            args[key.strip()] = float(val)
+            key = key.strip()
+            if key in args:
+                raise ValueError(f"{name} kernel parameter {key!r} is given twice, got {text!r}")
+            args[key] = float(val)
     if name == "polynomial":
         name = "poly"
     if name not in KERNEL_KINDS:

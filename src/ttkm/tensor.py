@@ -93,13 +93,18 @@ class DenseTensor:
     @classmethod
     def from_flat(cls, dims, flat) -> "DenseTensor":
         """Build a tensor from a first-index-fastest flat array."""
-        dims = tuple(int(n) for n in dims)
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.ndim != 1 or flat.size != math.prod(dims):
-            raise ValueError(
-                f"flat data of length {flat.size} does not match dims {dims}"
-            )
-        return cls(flat.reshape(dims, order="F"))
+        if flat.ndim != 1:
+            raise ValueError(f"flat data must be one-dimensional, got shape {flat.shape}")
+        return cls(flat.reshape(check_reshape(dims, flat.size), order="F"))
+
+
+def check_reshape(reshape, size: int) -> tuple[int, ...]:
+    """``reshape`` as positive dims whose product is ``size``, or ValueError."""
+    dims = tuple(int(n) for n in reshape)
+    if not dims or min(dims) < 1 or math.prod(dims) != size:
+        raise ValueError(f"reshape {dims} needs positive dims with product {size}")
+    return dims
 
 
 def _check_chain(shapes) -> None:
@@ -261,8 +266,8 @@ class TtSvdConfig:
                 raise ValueError(f"max_ranks must be >= 1, got {ranks}")
             object.__setattr__(self, "max_ranks", ranks)
         if self.rel_tol is not None:
-            if not self.rel_tol > 0:
-                raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+            if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
+                raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
 
     @classmethod
     def fixed(cls, ranks) -> "TtSvdConfig":

@@ -130,6 +130,12 @@ class TestTtSvdCommand:
         code, _, err = run(capsys, "tt-svd", "--input", raw, *flag)
         assert code == 5 and err.startswith("error:data-format:")
 
+    @pytest.mark.parametrize("eps", ["inf", "nan", "0"])
+    def test_eps_must_be_positive_and_finite(self, data_dir, capsys, eps):
+        # an infinite --eps used to exit 0
+        code, _, err = run(capsys, "tt-svd", "--input", data_dir / "one.ttn", "--eps", eps)
+        assert code == 2 and err.startswith("error:usage:") and "rel_tol" in err
+
     def test_eps_and_ranks_together_is_usage_error(self, data_dir, capsys):
         code, _, err = run(capsys, "tt-svd", "--input", data_dir / "one.ttn",
                            "--eps", "1e-6", "--ranks", "2")
@@ -207,6 +213,14 @@ class TestGramCommand:
         code, _, err = run(capsys, "gram", "--input", data_dir / "test.ttn",
                            "--kinds", kinds, "--ranks", "2")
         assert code == 2 and err.startswith("error:usage:") and repr(key) in err
+
+    @pytest.mark.parametrize("kinds", ["rbf:sigma=1,sigma=2,rbf:1,rbf:1",
+                                       "rbf:1,sigma=2,rbf:1,rbf:1"])
+    def test_parameter_given_twice_is_named(self, data_dir, capsys, kinds):
+        # the last value used to win silently
+        code, _, err = run(capsys, "gram", "--input", data_dir / "test.ttn",
+                           "--kinds", kinds, "--ranks", "2")
+        assert code == 2 and err.startswith("error:usage:") and "'sigma'" in err
 
     def test_kernel_overflow_is_one_capacity_line(self, data_dir):
         # in a fresh process, so numpy's warnings print as they would:
@@ -543,6 +557,12 @@ class TestBenchCommand:
         report = json.loads(out)
         assert report["mode"] == "fast-prod-ranks"
         assert [row["rank"] for row in report["rows"]] == [2, 4]
+        # one --ranks value sweeps that rank alone; none sweeps 2, 4, 8, 16
+        for ranks, want in ((("--ranks", "8"), [8]), ((), [2, 4, 8, 16])):
+            code, out, _ = run(capsys, "bench", "--sweep", "ranks", "--d", "2",
+                               "--dims", "3", "--pairs", "1", *ranks)
+            assert code == 0
+            assert [row["rank"] for row in json.loads(out)["rows"]] == want
 
     @pytest.mark.parametrize("d, orders", [("2", [2]), ("3", [2, 3])])
     def test_order_sweep_runs_orders_two_to_d(self, capsys, d, orders):
@@ -559,10 +579,13 @@ class TestBenchCommand:
         ("--pairs", "0"),
         ("--pairs", "-1"),
         ("--sweep", "orders", "--d", "1"),
+        ("--seed", "-1"),
+        ("--seed", "1.5"),
     ])
     def test_bad_flags_are_usage_errors(self, capsys, flags):
         code, _, err = run(capsys, "bench", "--dims", "3", *flags)
-        assert code == 2 and err.startswith("error:usage:")
+        assert code == 2 and err.startswith("error:usage:") and flags[0] in err
+        assert err.count("\n") == 1
 
 
 class TestUnreadablePaths:

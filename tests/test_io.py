@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ttkm import config
-from ttkm.cli import _load_run_config, build_parser, main
+from ttkm.cli import _RUN_FLAGS, _load_run_config, build_parser, main
 from ttkm.config import PAPER_GRID, RunConfig, load_config, load_labels, load_samples
 from ttkm.errors import ConfigError, DataFormatError
 from ttkm.idx import load_idx_images, load_idx_labels, load_idx_pair
@@ -958,6 +958,59 @@ poly_c = 3
         assert np.array_equal(
             back[0].values, samples[0].values.ravel(order="F")
         )
+
+    @pytest.mark.parametrize("reshape", [(-2, -3), (0, 6), (-1, -6), (4,), ()])
+    @pytest.mark.parametrize("suffix", [".ttn", ".idx"])
+    def test_load_samples_refuses_a_bad_reshape(self, tmp_path, suffix, reshape):
+        # (-2, -3) and (-1, -6) have the sample size as product, and used to
+        # get past the size check to numpy's "only one unknown dimension"
+        path = tmp_path / f"d{suffix}"
+        if suffix == ".ttn":
+            write_dataset(path, [DenseTensor(np.ones((2, 3)))])
+        else:
+            path.write_bytes(idx_images_bytes(1, 2, 3, range(6)))
+        loaders = [load_samples] + ([load_idx_images] if suffix == ".idx" else [])
+        for load in loaders:
+            with pytest.raises(ValueError, match=re.escape(f"reshape {reshape}")):
+                load(path, reshape=reshape)
+
+    # a run-setting flag and its INI key read the same text: the same value,
+    # or a refusal naming the flag (exit 2) and the key (exit 3)
+    @pytest.mark.parametrize("flag,text,value", [
+        ("--train-per-class", "5.0", 5),
+        ("--val-per-class", "5.0", 5),
+        ("--seed", "5.0", 5),
+        ("--seed", "0", 0),
+        ("--reshape", "3.0, 2", (3, 2)),
+        ("--reshape", "-2, -3", None),
+        ("--reshape", "0, 6", None),
+        ("--train-per-class", "0", None),
+        ("--val-per-class", "0", None),
+        ("--seed", "-1", None),
+        ("--ranks", "2, 0", None),
+        ("--ranks", "2x0", None),
+    ])
+    def test_flag_reads_its_ini_key_grammar(self, tmp_path, capsys, flag, text, value):
+        section, key = _RUN_FLAGS[flag]
+        path = self.write(tmp_path, f"[{section}]\n{key} = {text}\n")
+        argv = ["train", "--pair", "0,1", f"{flag}={text}"]
+        if value is not None:
+            name = config._KEYS[section][key][0]
+            assert getattr(_load_run_config(build_parser().parse_args(argv)), name) == value
+            assert getattr(load_config(path), name) == value
+            return
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:usage: {flag}:") and err.count("\n") == 1
+        assert main(["train", "--pair", "0,1", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:config: {key}:") and err.count("\n") == 1
+
+    def test_run_flags_table_names_ini_keys(self):
+        for flag, (section, key) in _RUN_FLAGS.items():
+            assert key in config._KEYS[section], flag
+        train = vars(build_parser().parse_args(["train"]))
+        assert {flag[2:].replace("-", "_") for flag in _RUN_FLAGS} <= set(train)
 
     def test_load_samples_idx(self, tmp_path):
         path = tmp_path / "im.idx"

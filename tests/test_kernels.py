@@ -135,6 +135,16 @@ class TestBaseKernels:
         kind = text.partition(":")[0]
         kernel_from_dict({"kind": kind, "c": 2.0, "degree": 3, "sigma": 1.0, key: 1.0})
 
+    @pytest.mark.parametrize("text, key", [
+        ("rbf:sigma=1,sigma=2", "sigma"),
+        ("rbf:1, sigma=2", "sigma"),  # the bare value is sigma too
+        ("poly:c=1,degree=2,c=1", "c"),
+        ("poly:degree=2, degree=3", "degree"),
+    ])
+    def test_parse_refuses_a_parameter_given_twice(self, text, key):
+        with pytest.raises(ValueError, match=f"'{key}' is given twice"):
+            parse_kernel(text)
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_refuses_a_non_finite_parameter(self, value):
         # an infinite sigma made every RBF value 1, and a non-finite c

@@ -146,6 +146,9 @@ class TestTtSvdConfig:
             TtSvdConfig(max_ranks=(0, 2))
         with pytest.raises(ValueError):
             TtSvdConfig(rel_tol=0.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                TtSvdConfig(rel_tol=bad)
 
     def test_rank_count_checked_against_order(self):
         t = DenseTensor(np.ones((2, 2, 2)))
