@@ -123,6 +123,13 @@ def _ranks(text: str, key: str) -> tuple:
     return tuple(out)
 
 
+def _dims(text: str, key: str) -> tuple[int, ...]:
+    dims = _ints(text, key, low=1)
+    if not dims:
+        raise ConfigError(f"{key}: no dims in {text!r}")
+    return dims
+
+
 def _bool(text: str, key: str) -> bool:
     try:
         return _BOOL[text.strip().lower()]
@@ -166,7 +173,7 @@ _KEYS = {
         "train_labels": ("train_labels", _text),
         "test_images": ("test_images", _text),
         "test_labels": ("test_labels", _text),
-        "reshape": ("reshape", partial(_ints, low=1)),
+        "reshape": ("reshape", _dims),
         "normalize": ("normalize", _bool),
     },
     "split": {

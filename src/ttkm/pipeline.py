@@ -22,7 +22,8 @@ decision values that are not finite raise ``CapacityError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -404,27 +405,32 @@ def _seeded_start(prev, c_value):
     return start
 
 
-def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
-    """Grid-searched binary training of the run ``grid`` describes.
+class _Scan(NamedTuple):
+    """One grid scan, as ``_scan`` returns it."""
+
+    report: list  # every grid point's entry, in grid order
+    winners: list  # per entry of rank_values: its best (entry, trains, spec, solution)
+    y_train: np.ndarray  # the training labels as +-1
+    classes: tuple[int, int]  # (negative, positive) class id
+    val_count: int
+
+
+def _scan(ds: Dataset, grid: GridConfig) -> _Scan:
+    """The grid scan of the run ``grid`` describes, once for every caller.
 
     For every rank setting the train and validation samples are decomposed
     jointly; for every (sigma, C) the dual is solved on the training Gram
-    matrix and scored on the validation split.  Accuracy ties are broken
-    toward smaller ranks, then smaller C, then smaller sigma.  Each C of a
-    (ranks, sigma) starts from the previous C's solution when that C is
-    smaller (``_seeded_start``), so an ascending C grid pays for one cold
-    solve per Gram; the report keeps the grid's order.  Each grid point is
-    solved once, and the winner's scan solution is the model: no solve
-    follows the scan, and only the winner's trains, spec and solution
-    outlive its grid point, so each Gram is freed as the scan moves on.
-    The full scan is reported under ``info["grid"]``; ``info["solver"]``
-    holds the solve's ``tol`` and the winner's ``converged`` and
-    ``objective``, with ``iterations`` 0, the iterations spent after the
-    scan.  The model is an optimum of its grid point to the solver's
-    tolerance; which one, within that tolerance, can depend on the C
-    values scanned before it.  The grid's ``normalize``, ``solver_tol``
-    and ``solver_max_iter`` hold for every solve, and an unconverged
-    winner raises ``ConvergenceError``.
+    matrix and scored on the validation split.  Each C of a (ranks, sigma)
+    starts from the previous C's solution when that C is smaller
+    (``_seeded_start``), so an ascending C grid pays for one cold solve per
+    Gram; the report keeps the grid's order.  Each grid point is solved
+    once.  For each entry of ``grid.rank_values``, in order, the scan keeps
+    that setting's best grid point under ``_grid_key`` (on a tie, the first
+    scanned) with its trains, spec and solution; every other Gram and
+    solution is freed as the scan moves on.  Winners are kept by position,
+    so a repeated setting gives one winner per entry.  The grid's
+    ``normalize``, ``solver_tol`` and ``solver_max_iter`` hold for every
+    solve.
 
     The train and validation samples are stacked once, in one
     ``StackedSamples``, and each rank setting decomposes that holder once.
@@ -433,13 +439,14 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
     Gram's eigenproblem when it is tall, at least 32 columns wide and has
     as many well-conditioned terms as the first rank keeps, as
     ``stack_and_decompose`` says; by the SVD otherwise); each setting
-    factors its later splits itself.  Each setting's ``TrainStack`` is
-    sliced into train and validation views, which every Gram, cross-Gram
-    and solve of that setting reads; the layers are reached through this
-    module's globals, which the benchmark's trace wraps.  The model's
-    first cores are copies, so it does not keep the holder's arrays
-    alive.  The holder, and with it the stack and its first split, is
-    freed when training returns.
+    factors its later splits itself.  A setting's decomposition does not
+    depend on the settings decomposed before it, so each winner is bitwise
+    what a scan of its setting alone keeps.  Each setting's ``TrainStack``
+    is sliced into train and validation views, which every Gram,
+    cross-Gram and solve of that setting reads; the layers are reached
+    through this module's globals, which the benchmark's trace wraps.  The
+    holder, and with it the stack and its first split, is freed when the
+    scan returns.
     """
     train_s, train_y = ds.subset("train")
     val_s, val_y = ds.subset("validation")
@@ -452,7 +459,6 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
         raise ValueError(f"binary training needs exactly 2 classes, got {classes}")
     if not set(int(c) for c in np.unique(val_y)) <= set(classes):
         raise ValueError("validation labels outside the training classes")
-    neg_class, pos_class = classes
     d = len(ds.dims)
     if len(grid.mode_kinds) != d:
         raise ValueError(
@@ -462,17 +468,17 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
     if grid.normalize:
         train_s = _normalized(train_s)
         val_s = _normalized(val_s)
-    y_train = _signed_labels(train_y, pos_class)
-    y_val = _signed_labels(val_y, pos_class)
+    y_train = _signed_labels(train_y, classes[1])
+    y_val = _signed_labels(val_y, classes[1])
     n_train = len(train_s)
     # every rank setting reads the first split of this one stack
     stack = StackedSamples(train_s + val_s)
 
-    report = []
-    kept = None  # the best entry so far: its trains, spec and solution
+    report, winners = [], []
     for ranks in grid.rank_settings(d):
         tts = stack_and_decompose(stack, TtSvdConfig(max_ranks=ranks))
         tr_tts, va_tts = tts[:n_train], tts[n_train:]
+        kept = None  # this setting's best entry so far: its trains, spec and solution
         for sigma in grid.sigmas():
             spec = grid.make_spec(sigma)
             gram = build_gram(tr_tts, spec)
@@ -499,32 +505,38 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
                 report.append(entry)
                 if kept is None or _grid_key(entry) < _grid_key(kept[0]):
                     kept = (entry, tr_tts, spec, sol)
+        winners.append(kept)
+    return _Scan(report, winners, y_train, classes, len(val_s))
 
-    best, tr_tts, spec, sol = kept
+
+def _model(ds: Dataset, grid: GridConfig, scan: _Scan, winner) -> SvmModel:
+    """The model of one of ``scan``'s winners: its scan solution, over
+    copies of its support samples' first cores.  An unconverged winner
+    raises ``ConvergenceError``."""
+    best, tr_tts, spec, sol = winner
     if not sol.converged:
         raise ConvergenceError(
             f"solver did not converge at the selected grid point "
             f"(ranks={tuple(best['ranks'])}, C={best['C']}, sigma={best['sigma']}): "
             f"{sol.iterations} iterations, objective {sol.objective:.6g}"
         )
-
     sv = sol.support_indices
     return SvmModel(
         support=tuple(tr_tts[i] for i in sv),
-        coef=(sol.alphas * y_train)[sv],
+        coef=(sol.alphas * scan.y_train)[sv],
         bias=sol.bias,
         spec=spec,
         dims=ds.dims,
         interior_ranks=tr_tts.interior_ranks,
-        neg_class=neg_class,
-        pos_class=pos_class,
+        neg_class=scan.classes[0],
+        pos_class=scan.classes[1],
         normalize=grid.normalize,
         grid_point={"ranks": list(best["ranks"]), "C": best["C"], "sigma": best["sigma"]},
         validation_accuracy=best["validation_accuracy"],
         info={
-            "grid": report,
-            "train_count": n_train,
-            "validation_count": len(val_s),
+            "grid": scan.report,
+            "train_count": len(tr_tts),
+            "validation_count": scan.val_count,
             "solver": {
                 "tol": grid.solver_tol,
                 "iterations": 0,
@@ -533,6 +545,26 @@ def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
             },
         },
     )
+
+
+def train_binary(ds: Dataset, grid: GridConfig) -> SvmModel:
+    """Grid-searched binary training of the run ``grid`` describes.
+
+    The model is the best of ``_scan``'s per-rank winners under
+    ``_grid_key``: accuracy ties are broken toward smaller ranks, then
+    smaller C, then smaller sigma, and on a full tie the first scanned
+    wins.  The winner's scan solution is the model: no solve follows the
+    scan.  The full scan is reported under ``info["grid"]``;
+    ``info["solver"]`` holds the solve's ``tol`` and the winner's
+    ``converged`` and ``objective``, with ``iterations`` 0, the iterations
+    spent after the scan.  The model is an optimum of its grid point to
+    the solver's tolerance; which one, within that tolerance, can depend
+    on the C values scanned before it.  An unconverged winner raises
+    ``ConvergenceError``.  The model's first cores are copies, so it does
+    not keep the scan's arrays alive.
+    """
+    scan = _scan(ds, grid)
+    return _model(ds, grid, scan, min(scan.winners, key=lambda w: _grid_key(w[0])))
 
 
 @dataclass
@@ -641,17 +673,21 @@ def evaluate(model, ds: Dataset, split: str = "test") -> Metrics:
 
 
 def rank_sweep(ds: Dataset, grid: GridConfig) -> list[dict]:
-    """Train at each rank setting separately and report test accuracy.
+    """Accuracy against rank: each rank setting's winner, on the test split.
 
-    Each entry of ``grid.rank_values`` gives one row: the winner of
-    ``train_binary`` on ``grid`` restricted to that one rank setting (the
-    full (sigma, C) search, with every other option of ``grid``), scored
-    on the test split.  To sweep other ranks, ``replace`` the grid's
-    ``rank_values``.
+    One scan (``_scan``) serves every row: the samples are stacked and
+    their first split factored once, each grid point is solved once, as in
+    ``train_binary`` on ``grid``, and each rank setting's model is then
+    evaluated once on the test split.  Each entry of ``grid.rank_values``
+    gives one row, a repeated entry too: the winner of that setting's
+    (sigma, C) search, bitwise the model ``train_binary`` gives on
+    ``grid`` with that one rank setting.  To sweep other ranks,
+    ``replace`` the grid's ``rank_values``.
     """
+    scan = _scan(ds, grid)
     rows = []
-    for entry in grid.rank_values:
-        model = train_binary(ds, replace(grid, rank_values=(entry,)))
+    for winner in scan.winners:
+        model = _model(ds, grid, scan, winner)
         metrics = evaluate(model, ds, split="test")
         rows.append(
             {

@@ -15,7 +15,8 @@ cannot be read (a directory, or no permission); a missing file stays a
 ``FileNotFoundError``.
 The two layouts are distinguished by the operation used to read them —
 ``read_tensor`` and ``read_dataset`` each validate the exact payload
-length and reject files of the other layout.
+length and reject files of the other layout; when a read fails and the
+file fits the other layout exactly, the error says what the file holds.
 """
 
 from __future__ import annotations
@@ -134,13 +135,38 @@ def write_tensor(path, t: DenseTensor) -> None:
         fh.write(_payload_bytes(t))
 
 
+def _other_layout(data: bytes, path, dataset: bool) -> None:
+    """Raise DataFormatError saying what ``data`` holds when its header and
+    size fit the multi-sample layout (``dataset``) or the single-tensor one
+    exactly.  Only a read that has failed calls this, so a valid file's
+    read does no extra work."""
+    at = 8 if dataset else 4  # offset of the order d
+    if len(data) < at + 4:
+        return
+    d = struct.unpack_from("<I", data, at)[0]
+    end = at + 4 + 4 * d
+    if d == 0 or len(data) < end:
+        return
+    dims = struct.unpack_from(f"<{d}I", data, at + 4)
+    m = struct.unpack_from("<I", data, 4)[0] if dataset else 1
+    if m and 0 not in dims and end + 8 * m * math.prod(dims) == len(data):
+        held = f"a dataset of {m} samples" if dataset else "a single tensor"
+        wanted = "a single tensor" if dataset else "a dataset"
+        raise DataFormatError(f"{path}: the file holds {held} of dims {dims}, not {wanted}")
+
+
 def read_tensor(path) -> DenseTensor:
     """Read a single-tensor file; rejects multi-sample files."""
-    r = _Reader(read_bytes(path), path)
+    data = read_bytes(path)
+    r = _Reader(data, path)
     _check_magic(r)
-    dims = _read_dims(r)
-    (tensor,) = _read_tensors(r, dims, 1)
-    r.expect_end()
+    try:
+        dims = _read_dims(r)
+        (tensor,) = _read_tensors(r, dims, 1)
+        r.expect_end()
+    except DataFormatError:
+        _other_layout(data, path, dataset=True)
+        raise
     return tensor
 
 
@@ -167,12 +193,17 @@ def read_dataset(path) -> list[DenseTensor]:
     The file is read once; every sample's values are a read-only view into
     that one buffer, so no sample is copied.
     """
-    r = _Reader(read_bytes(path), path)
+    data = read_bytes(path)
+    r = _Reader(data, path)
     _check_magic(r)
-    m = r.u32()
-    if m == 0:
-        raise DataFormatError(f"{path}: multi-sample file with sample count 0")
-    dims = _read_dims(r)
-    samples = _read_tensors(r, dims, m)
-    r.expect_end()
+    try:
+        m = r.u32()
+        if m == 0:
+            raise DataFormatError(f"{path}: multi-sample file with sample count 0")
+        dims = _read_dims(r)
+        samples = _read_tensors(r, dims, m)
+        r.expect_end()
+    except DataFormatError:
+        _other_layout(data, path, dataset=False)
+        raise
     return samples

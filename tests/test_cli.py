@@ -130,6 +130,14 @@ class TestTtSvdCommand:
         code, _, err = run(capsys, "tt-svd", "--input", raw, *flag)
         assert code == 5 and err.startswith("error:data-format:")
 
+    def test_dataset_file_is_named_as_one(self, data_dir, capsys):
+        # it used to report a truncated file that needed ~1e159 bytes
+        path = data_dir / "train.ttn"
+        code, out, err = run(capsys, "tt-svd", "--input", path, "--eps", "0.1")
+        assert code == 5 and not out
+        assert err == (f"error:data-format: {path}: the file holds a dataset of 72 "
+                       "samples of dims (4, 3, 3), not a single tensor\n")
+
     @pytest.mark.parametrize("eps", ["inf", "nan", "0"])
     def test_eps_must_be_positive_and_finite(self, data_dir, capsys, eps):
         # an infinite --eps used to exit 0
@@ -495,6 +503,80 @@ class TestRankSweepCommand:
         assert len(lines) == 5  # two comments, header, two rank rows
         assert lines[3].startswith("1x1,")
         assert lines[4].startswith("2x2,")
+
+
+def write_idx(path, array):
+    """``array`` of unsigned bytes as an IDX file (magic 0x0000 08 nn)."""
+    array = np.asarray(array, dtype=np.uint8)
+    header = bytes([0, 0, 0x08, array.ndim]) + struct.pack(f">{array.ndim}I", *array.shape)
+    path.write_bytes(header + array.tobytes())
+
+
+class TestOrderTwoProfile:
+    """The acceptance file's order-2 profile (criteria 6 and 7, which skip
+    without MNIST) end to end on small synthetic 28x28 IDX files: all-RBF
+    prod kernels over the paper's sigma and C grid at ranks 5 and 15.  No
+    accuracy is bounded: each rank-sweep row is checked against the winner
+    of a single-rank grid run."""
+
+    @pytest.fixture
+    def ini(self, tmp_path):
+        # two bars a pixel apart under heavy noise: the classes overlap, so
+        # the winners differ across the grid and between the two ranks
+        rng = np.random.default_rng(28)
+        strokes = {1: np.zeros((28, 28)), 2: np.zeros((28, 28))}
+        strokes[1][4:24, 12:16] = 1.0
+        strokes[2][4:24, 13:17] = 1.0
+
+        def images(labels):
+            noisy = np.stack([strokes[c] for c in labels]) + rng.random((len(labels), 28, 28))
+            return 255 * noisy / 2
+
+        for name, labels in (("train", [1, 2] * 10), ("test", [2, 1] * 6)):
+            write_idx(tmp_path / f"{name}-images", images(labels))
+            write_idx(tmp_path / f"{name}-labels", labels)
+        path = tmp_path / "mnist.ini"
+        path.write_text(f"""
+[data]
+train_images = {tmp_path / 'train-images'}
+train_labels = {tmp_path / 'train-labels'}
+test_images = {tmp_path / 'test-images'}
+test_labels = {tmp_path / 'test-labels'}
+
+[split]
+train_per_class = 5
+val_per_class = 5
+seed = 7
+
+[kernel]
+mode_kinds = rbf, rbf
+""")
+        return path
+
+    def test_rank_sweep_rows_are_single_rank_grid_winners(self, ini, capsys):
+        code, out, err = run(capsys, "rank-sweep", "--config", ini, "--pair", "1,2",
+                             "--ranks", "5,15", "--combine", "prod")
+        assert code == 0, err
+        lines = out.strip().splitlines()
+        assert lines[:3] == ["# seed=7", "# classes=1,2",
+                             "ranks,C,sigma,validation_accuracy,test_accuracy,support_count"]
+        assert len(lines) == 5
+        for rank, line in zip((5, 15), lines[3:]):
+            code, out, err = run(capsys, "grid", "--config", ini, "--pair", "1,2",
+                                 "--ranks", str(rank), "--combine", "prod")
+            assert code == 0, err
+            report = json.loads(out)
+            winner = report["winner"]
+            assert len(report["grid"]) == 4 * 4
+            ranks, c, sigma, val_acc, test_acc, support = line.split(",")
+            assert ranks == str(rank)
+            point = {"ranks": [rank], "C": float(c), "sigma": float(sigma)}
+            assert winner["grid_point"] == point
+            assert winner["validation_accuracy"] == float(val_acc)
+            assert report["test"]["accuracy"] == float(test_acc)
+            entry, = (e for e in report["grid"]
+                      if {k: e[k] for k in ("ranks", "C", "sigma")} == point)
+            assert entry["support_count"] == int(support)
 
 
 class TestSolverOptions:

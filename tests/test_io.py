@@ -175,6 +175,23 @@ class TestTtnDataset:
         with pytest.raises(DataFormatError):
             read_tensor(multi)
 
+    @pytest.mark.parametrize("count", [1, 3, 20])
+    def test_wrong_layout_says_what_the_file_holds(self, tmp_path, count):
+        # each read once reported a nonsense payload size, as the other
+        # layout's header fields were taken for its own
+        single = tmp_path / "one.ttn"
+        multi = tmp_path / "many.ttn"
+        write_tensor(single, DenseTensor(np.ones((4, 7, 4))))
+        write_dataset(multi, [DenseTensor(np.ones((2, 3))) for _ in range(count)])
+        with pytest.raises(DataFormatError) as err:
+            read_tensor(multi)
+        assert str(err.value) == (f"{multi}: the file holds a dataset of {count} samples "
+                                  "of dims (2, 3), not a single tensor")
+        with pytest.raises(DataFormatError) as err:
+            read_dataset(single)
+        assert str(err.value) == (f"{single}: the file holds a single tensor of dims "
+                                  "(4, 7, 4), not a dataset")
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_value_is_format_error(self, tmp_path, bad):
         path = tmp_path / "d.ttn"
@@ -227,6 +244,9 @@ class TestTtnDataset:
         path.write_bytes(data[:-8])
         with pytest.raises(DataFormatError, match="truncated"):
             read_dataset(path)
+        # it fits neither layout, so neither read says what it holds
+        with pytest.raises(DataFormatError, match="^(?!.*holds)"):
+            read_tensor(path)
         path.write_bytes(data + b"\x00")
         with pytest.raises(DataFormatError, match="trailing"):
             read_dataset(path)
@@ -984,6 +1004,7 @@ poly_c = 3
         ("--reshape", "3.0, 2", (3, 2)),
         ("--reshape", "-2, -3", None),
         ("--reshape", "0, 6", None),
+        ("--reshape", ",", None),  # once refused later, as "reshape ()", exit 2
         ("--train-per-class", "0", None),
         ("--val-per-class", "0", None),
         ("--seed", "-1", None),

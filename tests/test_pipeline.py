@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ttkm import pipeline, solver
+from ttkm import pipeline, solver, tensor
 from ttkm.errors import ConvergenceError
 from ttkm.kernels import (
     GramMatrix,
@@ -861,6 +861,36 @@ class TestRankSweep:
         rows = rank_sweep(ds, replace(small_grid(ranks=(1,)), rank_values=(2, (1, 2))))
         assert [r["ranks"] for r in rows] == [[2, 2], [1, 2]]
 
+    def test_one_scan_serves_every_rank_setting(self, monkeypatch):
+        # a training per setting would stack the samples and factor their
+        # first split (12 columns wide: the SVD route) once per setting
+        ds = blob_dataset(np.random.default_rng(54), noise=0.3)
+        grid = small_grid(ranks=(1, 2, 3), cs=(1.0, 10.0), sigmas=(0.5, 2.0))
+        holders, routes = [], []
+
+        class Recorded(pipeline.StackedSamples):
+            def __init__(self, samples):
+                super().__init__(samples)
+                holders.append(1)
+
+        real_factor = tensor._factor_first
+        monkeypatch.setattr(pipeline, "StackedSamples", Recorded)
+        monkeypatch.setattr(tensor, "_factor_first",
+                            lambda t, route: routes.append(route) or real_factor(t, route))
+        solves = record_solves(monkeypatch)
+        rows = rank_sweep(ds, grid)
+        assert len(rows) == 3
+        assert len(holders) == 1
+        assert routes == ["svd"]
+        sweep_solves = len(solves)
+        train_binary(ds, grid)
+        assert sweep_solves == len(solves) - sweep_solves == 3 * 2 * 2
+
+    def test_repeated_setting_gives_one_row_per_entry(self):
+        ds = blob_dataset(np.random.default_rng(55), noise=0.3)
+        rows = rank_sweep(ds, small_grid(ranks=(1, (1, 1)), cs=(1.0, 10.0)))
+        assert len(rows) == 2 and rows[0] == rows[1]
+
     def test_max_iter_binds(self):
         rng = np.random.default_rng(52)
         ds = blob_dataset(rng, noise=0.3)
@@ -902,21 +932,36 @@ class TestOneRunPerGrid:
         self.assert_same_model(ovo.models[(0, 1)], train_binary(ds, grid))
 
     def test_rank_sweep_winners_are_the_binary_models(self, case, monkeypatch):
+        # each row's model, caught on its way to the test evaluation, is
+        # bitwise the model of a training on its rank setting alone
         ds, grid = case
         winners = []
+        real_evaluate = pipeline.evaluate
 
-        def recording(ds, grid):
-            winners.append(train_binary(ds, grid))
-            return winners[-1]
+        def recording(model, *args, **kwargs):
+            winners.append(model)
+            return real_evaluate(model, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "train_binary", recording)
+        monkeypatch.setattr(pipeline, "evaluate", recording)
         rows = rank_sweep(ds, grid)
         monkeypatch.undo()
         assert len(winners) == len(rows) == 2
         for entry, row, winner in zip(grid.rank_values, rows, winners):
             model = train_binary(ds, replace(grid, rank_values=(entry,)))
-            self.assert_same_model(winner, model)
-            assert row["support_count"] == len(model.support)
+            assert winner.coef.tobytes() == model.coef.tobytes()
+            assert np.asarray(winner.bias).tobytes() == np.asarray(model.bias).tobytes()
+            assert winner.grid_point == model.grid_point
+            assert len(winner.support) == len(model.support)
+            for sa, sb in zip(winner.support, model.support):
+                assert [c.tobytes() for c in sa.cores] == [c.tobytes() for c in sb.cores]
+            assert row == {
+                "ranks": model.grid_point["ranks"],
+                "C": model.grid_point["C"],
+                "sigma": model.grid_point["sigma"],
+                "validation_accuracy": model.validation_accuracy,
+                "test_accuracy": evaluate(model, ds, split="test").accuracy,
+                "support_count": len(model.support),
+            }
 
 
 PIPELINE_LAYERS = ("stack_and_decompose", "build_gram", "cross_gram", "solve_dual",
