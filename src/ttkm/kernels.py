@@ -359,8 +359,8 @@ def _stack(samples, what: str) -> TrainStack:
     every train joins the shared tail (samples from ``stack_and_decompose``
     share all cores but the first); the cores of the modes before it are
     stacked, one array per mode.  The first mode is always stacked.
-    ``model_store`` writes and reads a model's support set as one such
-    stack, and refuses to save one with more than one stacked mode.
+    A model's support set is one such stack (``SvmModel``), which
+    ``model_store`` refuses to save with more than one stacked mode.
     """
     if not isinstance(samples, TrainStack):
         trains = list(samples)

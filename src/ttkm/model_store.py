@@ -6,8 +6,8 @@ Layout::
 
 The header is human-readable JSON carrying the kernel settings, dims,
 rank chain, class ids, grid metadata, and a CRC-32 of the blob; the blob
-carries the exact float64 payload (little-endian): the support set as one
-``kernels._stack`` stack (its shared trailing cores once, then all first
+carries the exact float64 payload (little-endian): the support set, the
+model's ``TrainStack`` (its shared trailing cores once, then all first
 cores as one Fortran-order block), coef (alpha_i * y_i), and the bias.
 Keeping floats out of the header preserves bit-identical predictions
 across a round trip; keeping structure out of the blob keeps diffs
@@ -20,12 +20,14 @@ concatenated and indexed by offsets in the header.
 The checksum covers only the blob, so every header field is validated on
 load: a missing or ill-typed key is a DataFormatError, never a crash.  So
 is a NaN or inf in the blob, a one-vs-one file whose pair blobs do not lie
-end to end, and a path that cannot be read; a missing file is a
-FileNotFoundError.
+end to end or whose entries are not each ascending pair of its classes
+once, each over its own model, and a path that cannot be read; a missing
+file is a FileNotFoundError.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -71,12 +73,8 @@ def _model_blob(model: SvmModel) -> bytes:
     arrays = []
     if model.support:
         stack = _stack(model.support, "support")
-        k = len(stack.lead) - 1  # the last core the trains do not share
-        if k:
-            j = next(j for j, tt in enumerate(model.support)
-                     if tt.cores[k] is not model.support[0].cores[k])
-            raise ValueError(f"support vector {j} does not share trailing core {k}; "
-                             "only models with a common trailing chain can be saved")
+        if len(stack.lead) > 1:
+            raise ValueError("support vectors without shared trailing cores cannot be saved")
         # the first cores, one after another, are one (1, I1, R2, n) block
         arrays = [*stack.tail, stack.lead[0].transpose(1, 2, 3, 0)]
     arrays.append(model.coef)
@@ -244,17 +242,26 @@ def load_model(path):
     if kind == "binary":
         return _model_from_parts(_get(header, "model", _is_dict, path), blob, path)
     if kind == "ovo":
-        classes = _get(header, "classes", lambda v: _int_list(v) and len(v) >= 2, path)
-        models = {}
+        classes = _get(header, "classes", lambda v: _int_list(v) and len(v) >= 2
+                       and len(set(v)) == len(v), path)
+        models = []
         end = 0  # the pair blobs lie end to end in order, as save_model writes them
         for entry in _get(header, "models", lambda v: isinstance(v, list) and v, path):
-            a, b = _get(entry, "pair", lambda v: _int_list(v) and len(v) == 2
-                        and set(v) <= set(classes), path)
+            pair = _get(entry, "pair", lambda v: _int_list(v) and len(v) == 2, path)
             start = _get(entry, "blob_offset", lambda v: _is_int(v) and v == end, path)
             length = _get(entry, "blob_len", lambda v: _is_int(v) and v >= 0, path)
             end += length
-            models[(a, b)] = _model_from_parts(
+            model = _model_from_parts(
                 _get(entry, "model", _is_dict, path), blob[start:start + length], path
             )
-        return OvoModel(classes=tuple(classes), models=models)
+            # the checksum does not cover the header: a pair must be its model's
+            if tuple(pair) != model.classes:
+                raise DataFormatError(f"{path}: one-vs-one pair {pair} holds the model "
+                                      f"of classes {list(model.classes)}")
+            models.append(model)
+        pairs = sorted(m.classes for m in models)
+        if pairs != list(itertools.combinations(sorted(classes), 2)):
+            raise DataFormatError(f"{path}: one-vs-one pairs {pairs} are not each "
+                                  f"ascending pair of classes {classes} once")
+        return OvoModel(classes=tuple(classes), models={m.classes: m for m in models})
     raise DataFormatError(f"{path}: unknown model kind {kind!r}")

@@ -6,11 +6,12 @@ train and validation samples are stacked and decomposed together so all
 trains share one rank chain (a requirement for a PSD Gram matrix), then a
 grid over (C, sigma) is scanned on the validation split, each C seeded
 from the previous one's solution, and the winning combination's scan
-solution is the model: no solve follows the scan.  The samples are
-stacked once per training, merged into the first mode, in one holder
-that keeps the stack's first split for every rank setting; each setting
-factors its later splits itself.  Cores are sign-fixed, so a
-model depends on the data and the grid, not on the signs LAPACK picks.
+solution is the model: no solve follows the scan; its support set is
+one ``TrainStack``, which files and the kernel engine take as it is.  The
+samples are stacked once per training, merged into the first mode, in one
+holder that keeps the stack's first split for every rank setting; each
+setting factors its later splits itself.  Cores are sign-fixed, so a model
+depends on the data and the grid, not on the signs LAPACK picks.
 Prediction decomposes each incoming sample at the model's rank chain by
 keeping the support vectors' shared trailing cores and fitting a fresh
 first core by least squares, which keeps new samples in the same core
@@ -32,6 +33,7 @@ from .kernels import (
     CHUNK_VALUES,
     KERNEL_KINDS,
     KernelSpec,
+    _stack,
     build_gram,
     cross_gram,
     kernel_from_dict,
@@ -46,7 +48,6 @@ from .solver import (
 from .tensor import (
     DenseTensor,
     StackedSamples,
-    TensorTrain,
     TrainStack,
     TtSvdConfig,
     interior_rank_chain,
@@ -259,7 +260,7 @@ class GridConfig:
 class SvmModel:
     """A trained binary TT kernel machine."""
 
-    support: tuple[TensorTrain, ...]
+    support: TrainStack | tuple  # () with no support vectors; trains are stacked
     coef: np.ndarray  # alpha_i * y_i per support sample
     bias: float
     spec: KernelSpec
@@ -271,6 +272,9 @@ class SvmModel:
     grid_point: dict = field(default_factory=dict)
     validation_accuracy: float = float("nan")
     info: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.support = _stack(self.support, "support") if len(self.support) else ()
 
     @property
     def classes(self) -> tuple[int, ...]:
@@ -322,7 +326,7 @@ def _prepare_samples(model: SvmModel, samples) -> TrainStack:
             raise ValueError(
                 f"sample dims {sample.dims} do not match model dims {dims}"
             )
-    tail = tuple(model.support[0].cores[1:])
+    tail = tuple(c[0] for c in model.support.lead[1:]) + model.support.tail
     basis = _tail_basis(tail)  # (R_2, I_2*...*I_d)
     rank, cols = basis.shape
     first = np.empty((len(samples), 1, dims[0], rank))
@@ -511,8 +515,8 @@ def _scan(ds: Dataset, grid: GridConfig) -> _Scan:
 
 def _model(ds: Dataset, grid: GridConfig, scan: _Scan, winner) -> SvmModel:
     """The model of one of ``scan``'s winners: its scan solution, over
-    copies of its support samples' first cores.  An unconverged winner
-    raises ``ConvergenceError``."""
+    copies of its support samples' rows of the scan's stack.  An
+    unconverged winner raises ``ConvergenceError``."""
     best, tr_tts, spec, sol = winner
     if not sol.converged:
         raise ConvergenceError(
@@ -522,7 +526,7 @@ def _model(ds: Dataset, grid: GridConfig, scan: _Scan, winner) -> SvmModel:
         )
     sv = sol.support_indices
     return SvmModel(
-        support=tuple(tr_tts[i] for i in sv),
+        support=TrainStack(tuple(c[sv] for c in tr_tts.lead), tr_tts.tail),
         coef=(sol.alphas * scan.y_train)[sv],
         bias=sol.bias,
         spec=spec,

@@ -24,7 +24,7 @@ from ttkm.pipeline import (
     train_binary,
     train_multiclass_ovo,
 )
-from ttkm.tensor import DenseTensor, TensorTrain
+from ttkm.tensor import DenseTensor, TensorTrain, TrainStack
 from ttkm.ttn import read_dataset, read_tensor, write_dataset, write_tensor
 
 
@@ -515,13 +515,34 @@ class TestModelStore:
         if kind == "bias-only":
             assert loaded.support == () and loaded.bias == model.bias
 
+    @pytest.mark.parametrize("kind", ["binary", "ovo"])
+    def test_loaded_support_is_one_stack(self, tmp_path, kind):
+        # every loaded binary model holds its support set as one stack over
+        # one shared tail, as training leaves it
+        if kind == "ovo":
+            ds = blob_dataset(np.random.default_rng(6), classes=(0, 1, 2))
+            model = train_multiclass_ovo(ds, tiny_grid())
+        else:
+            ds, model = self.train_small()
+        path = tmp_path / "m.ttkm"
+        save_model(path, model)
+        loaded = load_model(path)
+        binaries = (zip(loaded.models.values(), model.models.values()) if kind == "ovo"
+                    else [(loaded, model)])
+        test_s, _ = ds.subset("test")
+        for got, trained in binaries:
+            assert isinstance(got.support, TrainStack) and len(got.support.lead) == 1
+            assert len(got.support) == len(got.coef) > 0
+            assert np.array_equal(decision_function(got, test_s),
+                                  decision_function(trained, test_s))
+
     def test_support_without_shared_tail_objects_refused(self, tmp_path):
         # equal tail values are not enough: the trains must hold the same
         # tail arrays, as training, loading and copying leave them
         _, model = self.train_small()
         copied = TensorTrain(tuple(c.copy() for c in model.support[1].cores))
-        support = (model.support[0], copied) + model.support[2:]
-        with pytest.raises(ValueError, match="support vector 1 does not share trailing core"):
+        support = (model.support[0], copied, *model.support[2:])
+        with pytest.raises(ValueError, match="without shared trailing cores cannot be saved"):
             save_model(tmp_path / "m.ttkm", dataclasses.replace(model, support=support))
         assert not (tmp_path / "m.ttkm").exists()
 
@@ -689,6 +710,28 @@ class TestModelHeaderValidation:
         edit_header(path, edit)
         with pytest.raises(DataFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["models"][0].update(pair=[1, 0]),
+        lambda h: h["models"][1].update(pair=h["models"][0]["pair"]),
+        lambda h: h["models"][0].update(pair=[0, 0]),
+        lambda h: h["models"][0]["model"].update(pos_class=7),
+        lambda h: h.update(classes=[0, 1, 2, 3]),
+        lambda h: h.update(classes=[0, 1, 2, 2]),
+    ], ids=["swapped-pair", "repeated-pair", "self-pair", "foreign-pos-class",
+            "missing-pair", "repeated-class"])
+    def test_ovo_pairs_match_their_models(self, saved, tmp_path, capsys, edit):
+        # the checksum covers only the blob: each of these headers loaded,
+        # and predict voted with a pair's classes swapped, missing or
+        # counted twice, and exited 0
+        path = tmp_path / "m.ttkm"
+        path.write_bytes((saved / "ovo.ttkm").read_bytes())
+        edit_header(path, edit)
+        with pytest.raises(DataFormatError):
+            load_model(path)
+        assert main(["predict", "--model", str(path), "--input",
+                     str(saved / "samples.ttn")]) == 5
+        assert capsys.readouterr().err.startswith("error:data-format:")
 
     def test_unedited_header_loads(self, saved, tmp_path):
         for name in ("binary.ttkm", "ovo.ttkm"):

@@ -274,6 +274,30 @@ class TestTrainBinary:
         assert len(holders) == 1 and holders[0]() is None
         assert model.support
 
+    @pytest.mark.parametrize("train", ["binary", "ovo", "rank_sweep"])
+    def test_support_is_a_copy_of_the_support_rows(self, monkeypatch, train):
+        # a model's first cores are the support samples' rows, copied out
+        # of the scan's stacks, so the model does not keep them alive
+        scanned, models = [], []
+        real_decompose, real_model = pipeline.stack_and_decompose, pipeline._model
+        monkeypatch.setattr(pipeline, "stack_and_decompose",
+                            lambda *a: scanned.append(real_decompose(*a)) or scanned[-1])
+        monkeypatch.setattr(pipeline, "_model",
+                            lambda *a: models.append(real_model(*a)) or models[-1])
+        rng = np.random.default_rng(17)
+        grid = small_grid(ranks=(1, 2))
+        if train == "ovo":
+            train_multiclass_ovo(blob_dataset(rng, classes=(0, 1, 2)), grid)
+        else:
+            (train_binary if train == "binary" else rank_sweep)(blob_dataset(rng), grid)
+        assert len(models) == {"binary": 1, "ovo": 3, "rank_sweep": 2}[train]
+        assert scanned
+        for model in models:
+            assert isinstance(model.support, TrainStack)
+            (first,) = model.support.lead
+            assert first.shape[0] == len(model.coef) > 0
+            assert not any(np.shares_memory(first, c) for s in scanned for c in s.lead)
+
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(13)
         ds = blob_dataset(rng, noise=0.3)
