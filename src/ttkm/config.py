@@ -27,13 +27,14 @@ Sample/label files are dispatched on extension: ``.ttn`` for the binary
 tensor container, ``.json`` for a plain list of labels, anything else is
 parsed as IDX (with transparent ``.gz``).  A sample or label path that
 exists but cannot be read is a DataFormatError, and so is a ``.json``
-label file that is not a list of integers.
+label file that is not UTF-8 JSON holding a list of integral numbers
+within int64 (``2.0`` is label 2; ``1.5``, ``true`` and ``1e400`` are
+refused).
 """
 
 from __future__ import annotations
 
 import configparser
-import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -45,7 +46,7 @@ from .idx import load_idx_images, load_idx_labels
 from .kernels import COMBINE_RULES, KERNEL_KINDS
 from .pipeline import GridConfig
 from .tensor import DenseTensor
-from .ttn import read_bytes, read_dataset
+from .ttn import read_bytes, read_dataset, read_json
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -245,14 +246,17 @@ def load_samples(path, reshape=None):
     return load_idx_images(path, reshape=reshape)
 
 
+def _is_label(v) -> bool:
+    """An integral JSON number within int64; ``true`` and ``false`` are not."""
+    return (type(v) is int or type(v) is float and v.is_integer()) and -2**63 <= v < 2**63
+
+
 def load_labels(path) -> np.ndarray:
     """Load labels from an IDX label file or a JSON list."""
     if str(path).endswith(".json"):
-        try:
-            labels = np.asarray(json.loads(read_bytes(path)), dtype=np.int64)
-        except (ValueError, TypeError) as exc:  # not JSON, or not integers
-            raise DataFormatError(f"{path}: not a JSON list of integer labels ({exc})") from exc
-        if labels.ndim != 1:
-            raise DataFormatError(f"{path}: not a JSON list of integer labels")
-        return labels
+        what = "not a JSON list of integer labels"
+        labels = read_json(read_bytes(path), path, what)
+        if not isinstance(labels, list) or not all(map(_is_label, labels)):
+            raise DataFormatError(f"{path}: {what}")
+        return np.array(labels, dtype=np.int64)
     return load_idx_labels(path)

@@ -4,7 +4,9 @@ An IDX file starts with a four-byte magic — two zero bytes, a type code
 (0x08 for unsigned bytes), and the number of dimensions — followed by
 that many big-endian u32 dimension sizes and the raw payload.  Image
 files carry magic 0x00000803 (60000 x rows x cols), label files
-0x00000801.  Files ending in ``.gz`` are decompressed transparently.
+0x00000801.  Files ending in ``.gz`` are decompressed transparently.  The
+header is read through ``ttn``'s one byte cursor, big-endian, so a short
+file is its truncation error; the payload must be exactly the dims' size.
 
 Pixel bytes are scaled to [0, 1] by dividing by 255.  The ``reshape``
 argument reinterprets each image's byte sequence over new dims in
@@ -16,13 +18,12 @@ from __future__ import annotations
 
 import gzip
 import math
-import struct
 
 import numpy as np
 
 from .errors import DataFormatError
 from .tensor import DenseTensor, check_reshape
-from .ttn import read_bytes
+from .ttn import _Reader, read_bytes
 
 UBYTE_TYPE = 0x08
 IMAGE_NDIM = 3
@@ -34,22 +35,15 @@ def _read_file(path) -> bytes:
 
 
 def _parse_header(data: bytes, path, expected_ndim: int):
-    if len(data) < 4:
-        raise DataFormatError(f"{path}: too short for an IDX header")
-    zero_a, zero_b, type_code, ndim = struct.unpack(">BBBB", data[:4])
-    if zero_a != 0 or zero_b != 0 or type_code != UBYTE_TYPE:
-        raise DataFormatError(
-            f"{path}: bad magic {data[:4].hex()} (expected 0000 08 nn for unsigned bytes)"
-        )
+    r = _Reader(data, path, ">")
+    r.magic(bytes((0, 0, UBYTE_TYPE)))
+    ndim = r.take(1)[0]
     if ndim != expected_ndim:
         raise DataFormatError(
             f"{path}: {ndim} dimensions in header, expected {expected_ndim}"
         )
-    header_len = 4 + 4 * ndim
-    if len(data) < header_len:
-        raise DataFormatError(f"{path}: truncated dimension list")
-    dims = struct.unpack(f">{ndim}I", data[4:header_len])
-    payload = data[header_len:]
+    dims = r.u32s(ndim)
+    payload = r.rest()
     expected = math.prod(dims)
     if len(payload) != expected:
         raise DataFormatError(

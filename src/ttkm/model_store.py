@@ -17,12 +17,16 @@ A file holds either one binary model (``kind: "binary"``) or a
 one-vs-one ensemble (``kind: "ovo"``) whose per-pair blobs are
 concatenated and indexed by offsets in the header.
 
-The checksum covers only the blob, so every header field is validated on
-load: a missing or ill-typed key is a DataFormatError, never a crash.  So
-is a NaN or inf in the blob, a one-vs-one file whose pair blobs do not lie
-end to end or whose entries are not each ascending pair of its classes
-once, each over its own model, and a path that cannot be read; a missing
-file is a FileNotFoundError.
+The file and its blob are read through ``ttn``'s one byte cursor, and the
+header through its one JSON decode.  The checksum covers only the blob,
+so every header field is validated on load: a missing or ill-typed key is
+a DataFormatError, never a crash.  So is a class id outside int64, a
+binary model whose ``neg_class`` is not below its ``pos_class``, a NaN or
+inf in the blob, a blob longer or shorter than its models, a one-vs-one
+file whose pair blobs do not lie end to end and cover the blob or whose
+entries are not each ascending pair of its classes once, each over its
+own model, a header that is not UTF-8 JSON (or nests too deep to decode),
+and a path that cannot be read; a missing file is a FileNotFoundError.
 """
 
 from __future__ import annotations
@@ -39,19 +43,10 @@ from .errors import DataFormatError
 from .kernels import KernelSpec, _stack
 from .pipeline import OvoModel, SvmModel
 from .tensor import TrainStack
-from .ttn import read_bytes
+from .ttn import _f64_bytes, _Reader, read_bytes, read_json
 
 MAGIC = b"TTKM"
 VERSION = 1
-
-
-def _core_shapes(dims, interior_ranks):
-    chain = (1,) + tuple(interior_ranks) + (1,)
-    return [(chain[k], dims[k], chain[k + 1]) for k in range(len(dims))]
-
-
-def _f64_bytes(arr: np.ndarray) -> bytes:
-    return np.asarray(arr, dtype=np.float64).ravel(order="F").astype("<f8").tobytes()
 
 
 def _model_header(model: SvmModel, meta) -> dict:
@@ -77,12 +72,16 @@ def _model_blob(model: SvmModel) -> bytes:
             raise ValueError("support vectors without shared trailing cores cannot be saved")
         # the first cores, one after another, are one (1, I1, R2, n) block
         arrays = [*stack.tail, stack.lead[0].transpose(1, 2, 3, 0)]
-    arrays.append(model.coef)
-    return b"".join(map(_f64_bytes, arrays)) + struct.pack("<d", float(model.bias))
+    return b"".join(map(_f64_bytes, [*arrays, model.coef, model.bias]))
 
 
 def _is_int(v) -> bool:
     return type(v) is int
+
+
+def _is_class(v) -> bool:
+    """A class id: an integer within int64, as labels are held."""
+    return _is_int(v) and -2**63 <= v < 2**63
 
 
 def _is_dict(v) -> bool:
@@ -101,41 +100,26 @@ def _get(header, key: str, ok, path):
     return value
 
 
-def _model_from_parts(header: dict, blob: bytes, path) -> SvmModel:
+def _model_from_parts(header: dict, r: _Reader) -> SvmModel:
+    """The model that ``header`` describes, read from the whole of ``r``."""
+    path = r.path
     dims = tuple(_get(header, "dims", lambda v: _int_list(v, 1) and len(v) > 0, path))
     ranks = tuple(_get(
         header, "interior_ranks", lambda v: _int_list(v, 1) and len(v) == len(dims) - 1, path
     ))
-    shapes = _core_shapes(dims, ranks)
+    chain = (1,) + ranks + (1,)
+    shapes = [(chain[k], n, chain[k + 1]) for k, n in enumerate(dims)]
     count = _get(header, "support_count", lambda v: _is_int(v) and v >= 0, path)
-    need = 8 * (sum(math.prod(s) for s in shapes[1:]) if count else 0)
-    need += 8 * count * math.prod(shapes[0])
-    need += 8 * count + 8
-    if len(blob) != need:
-        raise DataFormatError(
-            f"{path}: blob of {len(blob)} bytes does not match header "
-            f"(expected {need})"
-        )
-    # the checksum only shows the blob is as written; a NaN written into it
-    # would reach lstsq at predict time
-    if not np.all(np.isfinite(np.frombuffer(blob, dtype="<f8"))):
-        raise DataFormatError(f"{path}: model holds a NaN or inf value")
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        n = math.prod(shape)
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=pos)
-        pos += 8 * n
-        return arr.reshape(shape, order="F")
-
     support = ()
     if count:
-        tail = tuple(take(s) for s in shapes[1:])
-        first = take(shapes[0] + (count,)).transpose(3, 0, 1, 2)
+        tail = tuple(r.f64(math.prod(s)).reshape(s, order="F") for s in shapes[1:])
+        # every first core, one after another: one (1, I1, R2, count) block
+        block = shapes[0] + (count,)
+        first = r.f64(math.prod(block)).reshape(block, order="F").transpose(3, 0, 1, 2)
         support = tuple(TrainStack((first,), tail))
-    coef = take((count,)).astype(np.float64)
-    bias = struct.unpack_from("<d", blob, pos)[0]
+    coef = r.f64(count).astype(np.float64)
+    bias = float(r.f64(1)[0])
+    r.expect_end()
     try:
         spec = KernelSpec.from_dict(header["spec"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -145,15 +129,22 @@ def _model_from_parts(header: dict, blob: bytes, path) -> SvmModel:
             f"{path}: kernel spec has {spec.order} per-mode kernels but dims has "
             f"{len(dims)} modes"
         )
+    neg_class = _get(header, "neg_class", _is_class, path)
+    pos_class = _get(header, "pos_class", _is_class, path)
+    # training orders a pair's classes; swapped ones would invert every label
+    if neg_class >= pos_class:
+        raise DataFormatError(
+            f"{path}: neg_class {neg_class} is not below pos_class {pos_class}"
+        )
     return SvmModel(
         support=support,
         coef=coef,
-        bias=float(bias),
+        bias=bias,
         spec=spec,
         dims=dims,
         interior_ranks=ranks,
-        neg_class=_get(header, "neg_class", _is_int, path),
-        pos_class=_get(header, "pos_class", _is_int, path),
+        neg_class=neg_class,
+        pos_class=pos_class,
         normalize=_get(header, "normalize", lambda v: isinstance(v, bool), path),
         grid_point=_get(header, "grid_point", _is_dict, path),
         validation_accuracy=_get(
@@ -208,30 +199,22 @@ def save_model(path, model, meta=None) -> None:
 
 def load_model(path):
     """Read a .ttkm file back into an SvmModel or OvoModel."""
-    data = read_bytes(path)
-    if len(data) < 12:
-        raise DataFormatError(f"{path}: too short for a model file")
-    if data[:4] != MAGIC:
-        raise DataFormatError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    version, header_len = struct.unpack("<II", data[4:12])
+    r = _Reader(read_bytes(path), path)
+    r.magic(MAGIC)
+    version = r.u32()
     if version != VERSION:
         raise DataFormatError(
             f"{path}: file version {version} is not supported (this build reads "
             f"version {VERSION})"
         )
-    if len(data) < 12 + header_len:
-        raise DataFormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(data[12:12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{path}: unreadable header ({exc})") from exc
+    header = read_json(r.take(r.u32()), path, "unreadable header")
     if not isinstance(header, dict):
         raise DataFormatError(f"{path}: header is not a JSON object")
-    blob = data[12 + header_len:]
+    blob = _Reader(r.rest(), path)
     blob_len = _get(header, "blob_len", _is_int, path)
-    if len(blob) != blob_len:
-        raise DataFormatError(f"{path}: blob of {len(blob)} bytes, header says {blob_len}")
-    checksum = zlib.crc32(blob) & 0xFFFFFFFF
+    if len(blob.data) != blob_len:
+        raise DataFormatError(f"{path}: blob of {len(blob.data)} bytes, header says {blob_len}")
+    checksum = zlib.crc32(blob.data) & 0xFFFFFFFF
     expected = _get(header, "checksum", _is_int, path)
     if checksum != expected:
         raise DataFormatError(
@@ -240,25 +223,25 @@ def load_model(path):
         )
     kind = header.get("kind")
     if kind == "binary":
-        return _model_from_parts(_get(header, "model", _is_dict, path), blob, path)
+        return _model_from_parts(_get(header, "model", _is_dict, path), blob)
     if kind == "ovo":
         classes = _get(header, "classes", lambda v: _int_list(v) and len(v) >= 2
                        and len(set(v)) == len(v), path)
         models = []
-        end = 0  # the pair blobs lie end to end in order, as save_model writes them
+        # the pair blobs lie end to end in order, as save_model writes them,
+        # and cover the whole blob
         for entry in _get(header, "models", lambda v: isinstance(v, list) and v, path):
             pair = _get(entry, "pair", lambda v: _int_list(v) and len(v) == 2, path)
-            start = _get(entry, "blob_offset", lambda v: _is_int(v) and v == end, path)
+            _get(entry, "blob_offset", lambda v: _is_int(v) and v == blob.pos, path)
             length = _get(entry, "blob_len", lambda v: _is_int(v) and v >= 0, path)
-            end += length
-            model = _model_from_parts(
-                _get(entry, "model", _is_dict, path), blob[start:start + length], path
-            )
+            model = _model_from_parts(_get(entry, "model", _is_dict, path),
+                                      _Reader(blob.take(length), path))
             # the checksum does not cover the header: a pair must be its model's
             if tuple(pair) != model.classes:
                 raise DataFormatError(f"{path}: one-vs-one pair {pair} holds the model "
                                       f"of classes {list(model.classes)}")
             models.append(model)
+        blob.expect_end()
         pairs = sorted(m.classes for m in models)
         if pairs != list(itertools.combinations(sorted(classes), 2)):
             raise DataFormatError(f"{path}: one-vs-one pairs {pairs} are not each "

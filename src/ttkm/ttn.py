@@ -17,10 +17,17 @@ The two layouts are distinguished by the operation used to read them —
 ``read_tensor`` and ``read_dataset`` each validate the exact payload
 length and reject files of the other layout; when a read fails and the
 file fits the other layout exactly, the error says what the file holds.
+
+Every binary input the package reads (``.ttn``, ``.ttkm`` and IDX) is
+read through one cursor, ``_Reader``: a short input, bytes left over and
+a NaN or inf float are each a DataFormatError naming the path.  Every
+JSON input (the ``.ttkm`` header, ``.json`` labels) goes through one
+decode, ``read_json``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 import zlib
@@ -49,13 +56,25 @@ def read_bytes(path, opener=open) -> bytes:
         raise DataFormatError(f"{path}: cannot read ({exc})") from exc
 
 
-class _Reader:
-    """Cursor over a byte string with format-error reporting."""
+def read_json(data: bytes, path, what: str):
+    """The JSON value of the UTF-8 ``data`` read from ``path``.  Bytes that
+    are not UTF-8, text that is not JSON and nesting too deep to decode are
+    a DataFormatError, ``"<path>: <what> (<reason>)"``."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise DataFormatError(f"{path}: {what} ({exc})") from exc
 
-    def __init__(self, data: bytes, path):
+
+class _Reader:
+    """Cursor over the bytes of ``path``, whose numbers have byte order
+    ``order``: ``"<"``, or ``">"`` for IDX."""
+
+    def __init__(self, data: bytes, path, order: str = "<"):
         self.data = data
         self.pos = 0
         self.path = path
+        self.order = order
 
     def _need(self, n: int) -> None:
         if self.pos + n > len(self.data):
@@ -70,15 +89,31 @@ class _Reader:
         self.pos += n
         return out
 
-    def f64(self, count: int) -> np.ndarray:
-        """The next ``count`` float64 values, as a view into the buffer."""
-        self._need(8 * count)
-        out = np.frombuffer(self.data, dtype="<f8", count=count, offset=self.pos)
-        self.pos += 8 * count
-        return out
+    def rest(self) -> bytes:
+        """Every byte not read yet."""
+        return self.take(len(self.data) - self.pos)
+
+    def magic(self, expected: bytes) -> None:
+        """Read ``expected``'s bytes; a DataFormatError if they differ."""
+        got = self.take(len(expected))
+        if got != expected:
+            raise DataFormatError(f"{self.path}: bad magic {got!r}, expected {expected!r}")
+
+    def u32s(self, count: int) -> tuple[int, ...]:
+        return struct.unpack(f"{self.order}{count}I", self.take(4 * count))
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return self.u32s(1)[0]
+
+    def f64(self, count: int) -> np.ndarray:
+        """The next ``count`` float64 values, as a view into the buffer; a
+        NaN or inf among them is a DataFormatError."""
+        self._need(8 * count)
+        out = np.frombuffer(self.data, dtype=f"{self.order}f8", count=count, offset=self.pos)
+        if not np.isfinite(out).all():
+            raise DataFormatError(f"{self.path}: values must be finite, found NaN or inf")
+        self.pos += 8 * count
+        return out
 
     def expect_end(self):
         if self.pos != len(self.data):
@@ -87,17 +122,11 @@ class _Reader:
             )
 
 
-def _check_magic(r: _Reader):
-    magic = r.take(4)
-    if magic != MAGIC:
-        raise DataFormatError(f"{r.path}: bad magic {magic!r}, expected {MAGIC!r}")
-
-
 def _read_dims(r: _Reader) -> tuple[int, ...]:
     d = r.u32()
     if d == 0:
         raise DataFormatError(f"{r.path}: order 0 is not a valid tensor")
-    dims = tuple(r.u32() for _ in range(d))
+    dims = r.u32s(d)
     if any(n == 0 for n in dims):
         raise DataFormatError(f"{r.path}: zero-length mode in dims {dims}")
     return dims
@@ -106,13 +135,11 @@ def _read_dims(r: _Reader) -> tuple[int, ...]:
 def _read_tensors(r: _Reader, dims: tuple[int, ...], count: int) -> list[DenseTensor]:
     """``count`` tensors, each a view into one array over the payload.
 
-    The payload is converted to native float64 once, as ``DenseTensor``
-    converts, and checked for NaN and inf in one pass, so the samples are
-    built without checking each again.
+    The payload, which the cursor has checked for NaN and inf in one pass,
+    is converted to native float64 once, as ``DenseTensor`` converts, so
+    the samples are built without checking each again.
     """
     flat = np.asarray(r.f64(count * math.prod(dims)), dtype=np.float64)
-    if not np.isfinite(flat).all():
-        raise DataFormatError(f"{r.path}: tensor values must be finite, found NaN or inf")
     # row i of the C-ordered (count, I_d, ..., I_1) view, transposed, is
     # sample i's first-index-fastest block as a (I_1, ..., I_d) view
     rows = flat.reshape((count,) + dims[::-1])
@@ -120,19 +147,19 @@ def _read_tensors(r: _Reader, dims: tuple[int, ...], count: int) -> list[DenseTe
 
 
 def _header_bytes(dims: tuple[int, ...]) -> bytes:
-    return struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+    return struct.pack(f"<{len(dims) + 1}I", len(dims), *dims)
 
 
-def _payload_bytes(t: DenseTensor) -> bytes:
-    return t.values.ravel(order="F").astype("<f8").tobytes()
+def _f64_bytes(arr) -> bytes:
+    """``arr`` as little-endian float64 in first-index-fastest order: the one
+    float encoder of ``.ttn`` and ``.ttkm``."""
+    return np.asarray(arr, dtype=np.float64).ravel(order="F").astype("<f8").tobytes()
 
 
 def write_tensor(path, t: DenseTensor) -> None:
     """Write one tensor in the single-tensor layout."""
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_header_bytes(t.dims))
-        fh.write(_payload_bytes(t))
+        fh.write(MAGIC + _header_bytes(t.dims) + _f64_bytes(t.values))
 
 
 def _other_layout(data: bytes, path, dataset: bool) -> None:
@@ -140,16 +167,14 @@ def _other_layout(data: bytes, path, dataset: bool) -> None:
     size fit the multi-sample layout (``dataset``) or the single-tensor one
     exactly.  Only a read that has failed calls this, so a valid file's
     read does no extra work."""
-    at = 8 if dataset else 4  # offset of the order d
-    if len(data) < at + 4:
+    r = _Reader(data, path)
+    try:
+        r.magic(MAGIC)
+        m = r.u32() if dataset else 1
+        dims = _read_dims(r)
+    except DataFormatError:
         return
-    d = struct.unpack_from("<I", data, at)[0]
-    end = at + 4 + 4 * d
-    if d == 0 or len(data) < end:
-        return
-    dims = struct.unpack_from(f"<{d}I", data, at + 4)
-    m = struct.unpack_from("<I", data, 4)[0] if dataset else 1
-    if m and 0 not in dims and end + 8 * m * math.prod(dims) == len(data):
+    if m and len(data) - r.pos == 8 * m * math.prod(dims):
         held = f"a dataset of {m} samples" if dataset else "a single tensor"
         wanted = "a single tensor" if dataset else "a dataset"
         raise DataFormatError(f"{path}: the file holds {held} of dims {dims}, not {wanted}")
@@ -159,7 +184,7 @@ def read_tensor(path) -> DenseTensor:
     """Read a single-tensor file; rejects multi-sample files."""
     data = read_bytes(path)
     r = _Reader(data, path)
-    _check_magic(r)
+    r.magic(MAGIC)
     try:
         dims = _read_dims(r)
         (tensor,) = _read_tensors(r, dims, 1)
@@ -184,7 +209,7 @@ def write_dataset(path, samples) -> None:
         fh.write(struct.pack("<I", len(samples)))
         fh.write(_header_bytes(dims))
         for s in samples:
-            fh.write(_payload_bytes(s))
+            fh.write(_f64_bytes(s.values))
 
 
 def read_dataset(path) -> list[DenseTensor]:
@@ -195,7 +220,7 @@ def read_dataset(path) -> list[DenseTensor]:
     """
     data = read_bytes(path)
     r = _Reader(data, path)
-    _check_magic(r)
+    r.magic(MAGIC)
     try:
         m = r.u32()
         if m == 0:

@@ -749,6 +749,24 @@ class TestUnreadablePaths:
                 "--output-model", d), d)
 
 
+class TestJsonLabels:
+    @pytest.mark.parametrize("last", ["1.5", "true", "100000000000000000000000000000",
+                                      "1e400", None],
+                             ids=["fraction", "boolean", "huge", "infinite", "deep-nesting"])
+    def test_train_refuses_labels_that_are_not_int64(self, data_dir, capsys, last):
+        # the last label replaced: a fraction or a boolean trained on a
+        # truncated label (exit 0), a huge or infinite one exited 1, and so
+        # did nesting too deep for the decoder
+        path = data_dir / "train_y.json"
+        labels = json.loads(path.read_text())[:-1]
+        path.write_text("[" * 200_000 if last is None else
+                        f"[{', '.join(map(str, labels))}, {last}]")
+        code, _, err = run(capsys, "train", "--config", data_dir / "run.ini", "--pair", "0,1")
+        assert code == 5 and err.startswith("error:data-format:")
+        assert f"{path}: not a JSON list of integer labels" in err
+        assert err.count("\n") == 1
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["not-a-command"]) == 2

@@ -1,11 +1,12 @@
 """Fuzzed readers: a truncated, bit-flipped or integer-spliced copy of a
-valid ``.ttn``, IDX or ``.ttkm`` file gives a value or DataFormatError,
+valid ``.ttn``, IDX or ``.ttkm`` file gives a value or DataFormatError, a
+generated ``.json`` labels text gives an int64 array or DataFormatError,
 and a mutated run INI gives a RunConfig or ConfigError, within a
 per-example deadline; nothing else escapes.  The mutated ``.ttkm`` and
 ``.ttn`` files also run through ``ttkm predict``, the mutated IDX files
 through ``ttkm gram``, ``predict`` and ``evaluate``, and a handful of
-mutated INIs through ``ttkm train``: none may exit 1 ("unexpected"), and a
-failure prints one ``error:`` line."""
+mutated INIs and label files through ``ttkm train``: none may exit 1
+("unexpected"), and a failure prints one ``error:`` line."""
 
 import contextlib
 import functools
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttkm.cli import main
-from ttkm.config import RunConfig, load_config
+from ttkm.config import RunConfig, load_config, load_labels
 from ttkm.errors import ConfigError, DataFormatError
 from ttkm.idx import load_idx_images, load_idx_labels
 from ttkm.model_store import load_model, save_model
@@ -490,3 +491,62 @@ class TestFuzzedConfig:
         assert code == 0 or err.startswith("error:")
         if case == "unmutated":
             assert code == 0
+
+
+# JSON label texts: values nested to any depth, integers in and far outside
+# int64, fractions and integral floats, NaN and infinities, booleans, null
+# and strings; lists of raw tokens (1e400 is inf to the decoder); and
+# nesting deeper than the decoder goes
+LABEL_TOKENS = ("0", "1", "2.0", "-0.0", "1.5", "1e400", "-1e400", "true", "false", "null",
+                '"1"', "[1]", "100000000000000000000000000000", "9223372036854775807",
+                "-9223372036854775808", "9223372036854775808", "-9223372036854775809")
+LABEL_TEXTS = st.one_of(
+    st.recursive(st.one_of(st.integers(), st.integers(-2**70, 2**70), st.floats(),
+                           st.booleans(), st.none(), st.text(max_size=2)),
+                 lambda inner: st.lists(inner, max_size=4), max_leaves=12).map(json.dumps),
+    st.lists(st.sampled_from(LABEL_TOKENS), max_size=6).map(lambda t: f"[{', '.join(t)}]"),
+    st.tuples(st.integers(1, 200_000), st.booleans()).map(
+        lambda n: "[" * n[0] + "]" * (n[0] if n[1] else 0)),
+)
+
+# label files run through ``ttkm train --config``: 20 labels, as the INI's
+# data has 20 samples, with the last one replaced
+CLI_LABEL_CASES = {
+    "valid": "1",
+    "integral float": "1.0",
+    "fraction": "1.5",
+    "boolean": "true",
+    "null": "null",
+    "infinite": "1e400",
+    "huge": "100000000000000000000000000000",
+    "nested": "[1]",
+    "deep nesting": None,
+}
+
+
+class TestFuzzedJsonLabels:
+    @FUZZ
+    @given(LABEL_TEXTS)
+    def test_load_labels(self, text):
+        labels = read_or_format_error(load_labels, text.encode(), ".json")
+        if labels is not None:
+            values = json.loads(text)
+            assert labels.dtype == np.int64 and labels.ndim == 1
+            # each value an integral JSON number equal to its label, not a
+            # boolean, a fraction or a value that wrapped
+            assert all(type(v) in (int, float) for v in values)
+            assert labels.tolist() == values
+
+    @pytest.mark.parametrize("case", sorted(CLI_LABEL_CASES))
+    def test_train_never_exits_unexpected(self, tmp_path, capsys, case):
+        write_ini_data(tmp_path)
+        last = CLI_LABEL_CASES[case]
+        (tmp_path / "train_y.json").write_text(
+            "[" * 200_000 if last is None else f"[{'0, ' * 10}{'1, ' * 9}{last}]")
+        path = tmp_path / "run.ini"
+        path.write_bytes(valid_ini(tmp_path))
+        code = main(["train", "--config", str(path), "--pair", "0,1"])
+        err = capsys.readouterr().err
+        assert code != 1, err
+        assert code == 0 or (err.startswith("error:") and err.count("\n") == 1), err
+        assert code == (0 if case in ("valid", "integral float") else 5), err

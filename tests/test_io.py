@@ -6,6 +6,7 @@ import json
 import math
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from ttkm import config
 from ttkm.cli import _RUN_FLAGS, _load_run_config, build_parser, main
 from ttkm.config import PAPER_GRID, RunConfig, load_config, load_labels, load_samples
-from ttkm.errors import ConfigError, DataFormatError
+from ttkm.errors import CapacityError, ConfigError, DataFormatError
 from ttkm.idx import load_idx_images, load_idx_labels, load_idx_pair
 from ttkm.kernels import RbfKernel
 from ttkm.model_store import load_model, save_model
@@ -384,13 +385,38 @@ class TestUnreadablePaths:
         with pytest.raises(DataFormatError, match="cannot read"):
             read(tmp_path / name)
 
-    @pytest.mark.parametrize("text", ["[1, 2", '{"a": 1}', '["a"]', "[[1], [2]]", "7"])
+    @pytest.mark.parametrize("text", [
+        "[1, 2", '{"a": 1}', '["a"]', "[[1], [2]]", "7",
+        # nesting too deep for the decoder raised RecursionError; a label
+        # outside int64 raised OverflowError; a fraction and booleans loaded
+        # as integers
+        pytest.param("[" * 200_000, id="deep-nesting"), "[0, 1, 100000000000000000000000000000]", "[0, 1, 1e400]",
+        "[0, 1, 9223372036854775808]", "[-9223372036854775809]", "[0, 1.5, 1]",
+        "[true, false]", "[0, NaN]", "[0, -Infinity]",
+    ])
     def test_json_labels_not_a_list_of_integers(self, tmp_path, text):
         # through the CLI, invalid JSON exited 2 "usage" and an object 1
         path = tmp_path / "y.json"
         path.write_text(text)
         with pytest.raises(DataFormatError, match="JSON list of integer labels"):
             load_labels(path)
+
+    def test_json_labels_not_utf8(self, tmp_path):
+        path = tmp_path / "y.json"
+        path.write_bytes(b"[0, 1, \xff]")
+        with pytest.raises(DataFormatError, match="JSON list of integer labels"):
+            load_labels(path)
+
+    @pytest.mark.parametrize("text, want", [
+        ("[0, 2.0, 1]", [0, 2, 1]),
+        ("[-9223372036854775808, 9223372036854775807]", [-2**63, 2**63 - 1]),
+        ("[]", []),
+    ])
+    def test_json_labels_integral_numbers_load(self, tmp_path, text, want):
+        path = tmp_path / "y.json"
+        path.write_text(text)
+        labels = load_labels(path)
+        assert labels.dtype == np.int64 and labels.tolist() == want
 
     @pytest.mark.parametrize("reader", READERS)
     def test_missing_file_stays_missing(self, tmp_path, reader):
@@ -588,6 +614,21 @@ class TestModelStore:
         with pytest.raises(DataFormatError, match="NaN or inf"):
             load_model(path)
 
+    def test_overflowing_decision_values_are_a_capacity_error(self, tmp_path, capsys):
+        # every kernel value is finite, but coef of 1e308 sums past float64:
+        # decision_function's own check, not the kernel engine's, refuses it
+        ds, model = self.train_small()
+        model.coef = np.full_like(model.coef, 1e308)
+        test_s, _ = ds.subset("test")
+        with pytest.raises(CapacityError, match="decision values are NaN or inf"):
+            decision_function(model, test_s)
+        path = tmp_path / "m.ttkm"
+        save_model(path, model)
+        write_dataset(tmp_path / "s.ttn", test_s)
+        assert main(["predict", "--model", str(path), "--input", str(tmp_path / "s.ttn")]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error:capacity:") and "decision values" in err
+
     def test_unsupported_version(self, tmp_path):
         _, model = self.train_small()
         path = tmp_path / "m.ttkm"
@@ -625,7 +666,8 @@ def edit_header(path, edit):
 
 DELETE = object()
 HEADER_MUTATIONS = (("delete", DELETE), ("null", None), ("string", "x"),
-                    ("list", [1]), ("minus-one", -1))
+                    ("list", [1]), ("minus-one", -1), ("huge", 2**63),
+                    ("huge-negative", -2**63 - 1))
 
 
 def set_header_key(header, key_path, value):
@@ -677,15 +719,51 @@ class TestModelHeaderValidation:
         lambda h: h.pop("checksum"),
         lambda h: h["model"]["spec"]["per_mode"].pop(),
         lambda h: h["model"]["spec"]["per_mode"].append({"kind": "linear"}),
+        # the checksum covers only the blob: swapped classes loaded and
+        # inverted every label, equal ones gave one label for every sample,
+        # and a class id outside int64 made predict exit 1
+        lambda h: h["model"].update(neg_class=1, pos_class=0),
+        lambda h: h["model"].update(neg_class=1),
+        lambda h: h["model"].update(neg_class=-10**30),
+        lambda h: h["model"].update(pos_class=10**30),
     ], ids=["no-dims", "str-dims", "short-ranks", "str-count", "no-neg-class",
             "int-normalize", "bad-spec", "list-model", "no-checksum",
-            "short-per-mode", "long-per-mode"])
+            "short-per-mode", "long-per-mode", "swapped-classes", "equal-classes",
+            "huge-negative-neg-class", "huge-pos-class"])
     def test_binary(self, saved, tmp_path, edit):
         path = tmp_path / "m.ttkm"
         path.write_bytes((saved / "binary.ttkm").read_bytes())
         edit_header(path, edit)
         with pytest.raises(DataFormatError):
             load_model(path)
+
+    def test_ovo_blob_with_trailing_bytes(self, saved, tmp_path, capsys):
+        # 16 bytes after the last pair blob, with the CRC and blob_len fixed,
+        # loaded: the pair blobs must cover the whole blob
+        path = tmp_path / "m.ttkm"
+        data = (saved / "ovo.ttkm").read_bytes()
+        n = struct.unpack("<I", data[8:12])[0]
+        header = json.loads(data[12:12 + n])
+        blob = data[12 + n:] + bytes(16)
+        header.update(blob_len=len(blob), checksum=zlib.crc32(blob))
+        raw = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<I", len(raw)) + raw + blob)
+        with pytest.raises(DataFormatError, match="16 trailing bytes"):
+            load_model(path)
+        assert main(["predict", "--model", str(path), "--input",
+                     str(saved / "samples.ttn")]) == 5
+        assert capsys.readouterr().err.startswith("error:data-format:")
+
+    def test_nested_header_is_a_format_error(self, saved, tmp_path, capsys):
+        # a header of 200,000 '[' raised RecursionError, and predict exited 1
+        path = tmp_path / "m.ttkm"
+        raw = b"[" * 200_000
+        path.write_bytes(b"TTKM" + struct.pack("<II", 1, len(raw)) + raw)
+        with pytest.raises(DataFormatError, match="unreadable header"):
+            load_model(path)
+        assert main(["predict", "--model", str(path), "--input",
+                     str(saved / "samples.ttn")]) == 5
+        assert capsys.readouterr().err.startswith("error:data-format:")
 
     @pytest.mark.parametrize("edit", [
         lambda h: h.pop("classes"),
@@ -765,7 +843,9 @@ class TestModelHeaderValidation:
 
     def test_every_header_key_mutation(self, saved, tmp_path, capsys):
         """Delete each header key at every nesting level, or set it to null,
-        a string, a list or -1; also drop every one-vs-one model and make a
+        a string, a list, -1 or an integer just outside int64 (2**63 wraps
+        silently in a label, -2**63 - 1 made predict exit 1); also drop
+        every one-vs-one model and make a
         per-mode kernel list one short or one long.  Each file loads or is a
         DataFormatError, and ``ttkm predict`` on any that loads exits 0 or 5."""
         path = tmp_path / "m.ttkm"
