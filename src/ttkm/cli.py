@@ -37,6 +37,7 @@ from .pipeline import (
     Dataset,
     OvoModel,
     class_labels,
+    compute_metrics,
     decision_function,
     draw_dataset,
     evaluate,
@@ -89,13 +90,8 @@ def dump_json(obj) -> str:
 
 
 def format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    return str(value)
+    """A CSV cell: a string as it is, any other value as ``dump_json`` writes it."""
+    return value if isinstance(value, str) else dump_json(value)
 
 
 def dump_csv(header, rows, comments=()) -> str:
@@ -223,8 +219,9 @@ def _load_labeled(images, labels, reshape):
     return samples, y
 
 
-def _build_dataset(args, cfg: RunConfig):
-    """Dataset plus the class tuple for train/grid/rank-sweep commands."""
+def _build_dataset(args, cfg: RunConfig, binary: bool = False):
+    """Dataset plus the class tuple for train/grid/rank-sweep commands;
+    with ``binary``, the command takes exactly two classes."""
     train_s, train_y = _load_labeled(cfg.train_images, cfg.train_labels, cfg.reshape)
     if train_s is None:
         raise ConfigError("train_images/train_labels are required (config [data])")
@@ -238,6 +235,8 @@ def _build_dataset(args, cfg: RunConfig):
         classes = tuple(int(c) for c in np.unique(train_y))
     if len(classes) < 2:
         raise ValueError(f"need at least two classes, got {classes}")
+    if binary and len(classes) != 2:
+        raise ValueError(f"{args.command} is binary; give --pair a,b")
     ds = draw_dataset(
         train_s, train_y, test_s, test_y, classes,
         cfg.train_per_class, cfg.val_per_class, cfg.seed,
@@ -253,7 +252,7 @@ def _train_model(ds: Dataset, classes, cfg: RunConfig):
 
 
 def _test_metrics(model, ds: Dataset):
-    if int(np.sum(ds.split == "test")) == 0:
+    if not ds.counts()["test"]:
         return None
     return evaluate(model, ds, split="test").to_dict()
 
@@ -357,9 +356,7 @@ def cmd_train(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg = _load_run_config(args)
-    ds, classes = _build_dataset(args, cfg)
-    if len(classes) != 2:
-        raise ValueError("grid reports are binary; give --pair a,b")
+    ds, classes = _build_dataset(args, cfg, binary=True)
     model = _train_model(ds, classes, cfg)
     if args.output_model:
         _save_model(args.output_model, model, {"seed": cfg.seed})
@@ -379,9 +376,7 @@ def cmd_grid(args) -> int:
 
 def cmd_rank_sweep(args) -> int:
     cfg = _load_run_config(args)
-    ds, classes = _build_dataset(args, cfg)
-    if len(classes) != 2:
-        raise ValueError("rank-sweep is binary; give --pair a,b")
+    ds, classes = _build_dataset(args, cfg, binary=True)
     rows = rank_sweep(ds, cfg.grid(len(ds.dims)))
     csv_text = dump_csv(
         ["ranks", "C", "sigma", "validation_accuracy", "test_accuracy", "support_count"],
@@ -434,13 +429,8 @@ def cmd_evaluate(args) -> int:
     if not keep.any():
         raise ValueError(f"none of the {len(labels)} labels is one of the model's "
                          f"classes {list(model.classes)}")
-    ds = Dataset(
-        samples=[samples[i] for i in np.nonzero(keep)[0]],
-        labels=np.asarray(labels)[keep],
-        split=np.array(["test"] * int(np.sum(keep)), dtype=object),
-    )
-    metrics = evaluate(model, ds, split="test")
-    out = dict(metrics.to_dict())
+    predicted = model.predict([samples[i] for i in np.nonzero(keep)[0]])
+    out = compute_metrics(labels[keep], predicted, model.classes).to_dict()
     out["seed"] = seed
     out["evaluated"] = int(np.sum(keep))
     out["skipped_other_classes"] = int(np.sum(~keep))
@@ -526,12 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="INI run configuration")
         p.add_argument("--pair", default=None, help="two class ids, e.g. 1,2")
         p.add_argument("--classes", default=None, help="class ids for one-vs-one")
-        p.add_argument("--train-per-class", default=None, dest="train_per_class")
-        p.add_argument("--val-per-class", default=None, dest="val_per_class")
-        p.add_argument("--combine", default=None, help="prod or sum")
-        p.add_argument("--ranks", default=None, help="rank settings, e.g. 2,3,4")
-        p.add_argument("--kinds", default=None, help="per-mode kernel kinds")
-        p.add_argument("--reshape", default=None, help="per-sample dims")
+        for flag, (section, key) in _RUN_FLAGS.items():
+            if flag != "--seed":  # every command takes --seed
+                p.add_argument(flag, default=None, help=f"overrides [{section}] {key}")
         return p
 
     p = add_training("train", cmd_train, "grid-search training; saves a model")

@@ -67,7 +67,9 @@ def load_idx_images(path, reshape=None) -> list[DenseTensor]:
     reshape = check_reshape((rows, cols) if reshape is None else reshape, pixels)
     flat = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
     per_image = flat.reshape(count, pixels)
-    return [DenseTensor(per_image[i].reshape(reshape, order="F")) for i in range(count)]
+    # bytes / 255 are finite, so the images are built as .ttn samples are
+    return [DenseTensor._trusted(per_image[i].reshape(reshape, order="F"))
+            for i in range(count)]
 
 
 def load_idx_labels(path) -> np.ndarray:

@@ -35,11 +35,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import CapacityError
-from .tensor import TensorTrain, TrainStack
+from .tensor import TensorTrain, TrainStack, common_dims
 
 NAIVE_TERM_CAP = 10_000_000
 
@@ -48,9 +49,7 @@ NAIVE_TERM_CAP = 10_000_000
 # every temporary is O(chunk * M * S) for M columns of rank S.
 CHUNK_VALUES = 1 << 16
 
-# The base-kernel kinds, one per class below, and the rules that combine
-# per-mode values across modes.  Every other module reads these two.
-KERNEL_KINDS = ("linear", "poly", "rbf")
+# The rules that combine per-mode values across modes
 COMBINE_RULES = ("prod", "sum")
 
 
@@ -58,11 +57,14 @@ COMBINE_RULES = ("prod", "sum")
 class LinearKernel:
     """k(x, y) = <x, y>"""
 
+    kind: ClassVar[str] = "linear"
+
 
 @dataclass(frozen=True)
 class PolynomialKernel:
     """k(x, y) = (<x, y> + c) ** degree"""
 
+    kind: ClassVar[str] = "poly"
     c: float = 1.0
     degree: int = 2
 
@@ -82,6 +84,7 @@ class PolynomialKernel:
 class RbfKernel:
     """k(x, y) = exp(-||x - y||^2 / (2 sigma^2))"""
 
+    kind: ClassVar[str] = "rbf"
     sigma: float
 
     def __post_init__(self):
@@ -91,14 +94,15 @@ class RbfKernel:
 
 
 BaseKernel = LinearKernel | PolynomialKernel | RbfKernel
-_KERNEL_TYPES = dict(zip(KERNEL_KINDS, (LinearKernel, PolynomialKernel, RbfKernel)))
+# each class's kind names it; every other module reads the kinds from here
+_KERNEL_TYPES = {cls.kind: cls for cls in (LinearKernel, PolynomialKernel, RbfKernel)}
+KERNEL_KINDS = tuple(_KERNEL_TYPES)
 
 
 def kernel_to_dict(k: BaseKernel) -> dict:
-    for kind, cls in _KERNEL_TYPES.items():
-        if isinstance(k, cls):
-            return {"kind": kind, **asdict(k)}
-    raise TypeError(f"not a base kernel: {k!r}")
+    if not isinstance(k, BaseKernel):
+        raise TypeError(f"not a base kernel: {k!r}")
+    return {"kind": k.kind, **asdict(k)}
 
 
 def kernel_from_dict(d: dict) -> BaseKernel:
@@ -359,17 +363,14 @@ def _stack(samples, what: str) -> TrainStack:
     every train joins the shared tail (samples from ``stack_and_decompose``
     share all cores but the first); the cores of the modes before it are
     stacked, one array per mode.  The first mode is always stacked.
-    A model's support set is one such stack (``SvmModel``), which
-    ``model_store`` refuses to save with more than one stacked mode.
+    A model's support set is one such stack, which ``SvmModel`` refuses
+    with more than one stacked mode.
     """
     if not isinstance(samples, TrainStack):
         trains = list(samples)
         if not trains:
             raise ValueError(f"need at least one {what} sample")
-        dims = trains[0].dims
-        for i, t in enumerate(trains):
-            if t.dims != dims:
-                raise ValueError(f"{what} sample {i} has dims {t.dims}, expected {dims}")
+        common_dims(trains)
         chains = {t.ranks for t in trains}
         if len(chains) > 1:
             raise ValueError(

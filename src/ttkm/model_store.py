@@ -40,7 +40,7 @@ import zlib
 import numpy as np
 
 from .errors import DataFormatError
-from .kernels import KernelSpec, _stack
+from .kernels import KernelSpec
 from .pipeline import OvoModel, SvmModel
 from .tensor import TrainStack
 from .ttn import _f64_bytes, _Reader, read_bytes, read_json
@@ -67,11 +67,8 @@ def _model_header(model: SvmModel, meta) -> dict:
 def _model_blob(model: SvmModel) -> bytes:
     arrays = []
     if model.support:
-        stack = _stack(model.support, "support")
-        if len(stack.lead) > 1:
-            raise ValueError("support vectors without shared trailing cores cannot be saved")
         # the first cores, one after another, are one (1, I1, R2, n) block
-        arrays = [*stack.tail, stack.lead[0].transpose(1, 2, 3, 0)]
+        arrays = [*model.support.tail, model.support.lead[0].transpose(1, 2, 3, 0)]
     return b"".join(map(_f64_bytes, [*arrays, model.coef, model.bias]))
 
 

@@ -23,6 +23,7 @@ decision values that are not finite raise ``CapacityError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -50,6 +51,7 @@ from .tensor import (
     StackedSamples,
     TrainStack,
     TtSvdConfig,
+    common_dims,
     interior_rank_chain,
     stack_and_decompose,
     stack_samples,
@@ -82,11 +84,7 @@ class Dataset:
         bad = set(self.split) - set(SPLIT_NAMES)
         if bad:
             raise ValueError(f"unknown split names: {sorted(bad)}")
-        if n:
-            dims = self.samples[0].dims
-            for i, s in enumerate(self.samples):
-                if s.dims != dims:
-                    raise ValueError(f"sample {i} has dims {s.dims}, expected {dims}")
+        common_dims(self.samples)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -183,6 +181,11 @@ def make_pair_dataset(train_samples, train_labels, test_samples, test_labels, cl
                         classes, train_per_class, val_per_class, seed)
 
 
+def _is_count(v) -> bool:
+    """An int (not a bool) of at least 1."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """One training run: the search space and the options of every solve.
@@ -195,11 +198,17 @@ class GridConfig:
 
     ``normalize`` scales every nonzero sample to unit Frobenius norm, in
     training and in prediction; ``solver_tol`` and ``solver_max_iter`` are
-    ``solve_dual``'s ``tol`` and ``max_iter`` for every grid point.  They
-    are not checked here: a bad value fails where the solver reads it.
+    ``solve_dual``'s ``tol`` and ``max_iter`` for every grid point.
     ``train_binary``, ``train_multiclass_ovo`` and ``rank_sweep`` all read
     the run from one grid, so a variant of a run is ``dataclasses.replace``
     of its grid.
+
+    Every field is checked when the grid is built, and a bad one is a
+    ValueError: C and sigma must be positive and finite, ``normalize`` a
+    bool, ``solver_tol`` positive and finite, ``solver_max_iter`` None or
+    an int of at least 1, and each rank entry an int of at least 1 or a
+    sequence of them.  Each sigma's spec is built here, once, so bad
+    kernel parameters are refused here too.
     """
 
     c_values: tuple[float, ...]
@@ -218,30 +227,40 @@ class GridConfig:
         object.__setattr__(self, "sigma_values", tuple(float(s) for s in self.sigma_values))
         object.__setattr__(self, "rank_values", tuple(self.rank_values))
         object.__setattr__(self, "mode_kinds", tuple(str(k) for k in self.mode_kinds))
-        if not self.c_values or any(c <= 0 for c in self.c_values):
-            raise ValueError(f"c_values must be positive, got {self.c_values}")
-        if any(s <= 0 for s in self.sigma_values):
-            raise ValueError(f"sigma_values must be positive, got {self.sigma_values}")
+        if not self.c_values or not all(0 < c < math.inf for c in self.c_values):
+            raise ValueError(f"c_values must be positive and finite, got {self.c_values}")
+        if not all(0 < s < math.inf for s in self.sigma_values):
+            raise ValueError(f"sigma_values must be positive and finite, got {self.sigma_values}")
         if not self.rank_values:
             raise ValueError("rank_values must not be empty")
+        for entry in self.rank_values:
+            if not (_is_count(entry) or isinstance(entry, (tuple, list))
+                    and all(map(_is_count, entry))):
+                raise ValueError(f"a rank entry must be an int >= 1 or a sequence of them, "
+                                 f"got {entry!r}")
+        if not isinstance(self.normalize, bool):
+            raise ValueError(f"normalize must be a bool, got {self.normalize!r}")
+        if not 0 < self.solver_tol < math.inf:
+            raise ValueError(f"solver_tol must be positive and finite, got {self.solver_tol}")
+        if not (self.solver_max_iter is None or _is_count(self.solver_max_iter)):
+            raise ValueError(f"solver_max_iter must be None or an int >= 1, "
+                             f"got {self.solver_max_iter!r}")
         for kind in self.mode_kinds:
             if kind not in KERNEL_KINDS:
                 raise ValueError(f"mode kind must be one of {KERNEL_KINDS}, got {kind!r}")
         if self.has_rbf and not self.sigma_values:
             raise ValueError("sigma_values must not be empty when an rbf mode is used")
+        # each sigma's spec, built once: the scan reads them, and building
+        # them checks the kernel fields
+        object.__setattr__(self, "_specs", tuple((s, self.make_spec(s)) for s in self.sigmas()))
 
     @property
     def has_rbf(self) -> bool:
         return "rbf" in self.mode_kinds
 
     def rank_settings(self, d: int) -> list[tuple[int, ...]]:
-        out = []
-        for entry in self.rank_values:
-            setting = interior_rank_chain(entry, d, f"rank setting {entry}")
-            if any(r < 1 for r in setting):
-                raise ValueError(f"ranks must be >= 1, got {entry}")
-            out.append(setting)
-        return out
+        return [interior_rank_chain(entry, d, f"rank setting {entry}")
+                for entry in self.rank_values]
 
     def sigmas(self) -> tuple:
         return self.sigma_values if self.has_rbf else (None,)
@@ -256,11 +275,18 @@ class GridConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SvmModel:
-    """A trained binary TT kernel machine."""
+    """A trained binary TT kernel machine, checked once, when it is built.
 
-    support: TrainStack | tuple  # () with no support vectors; trains are stacked
+    ``support`` is one ``TrainStack`` of one leading core over one shared
+    tail, or ``()`` with no support vectors; a sequence of trains is
+    stacked through the kernel engine's door, and one whose trains hold
+    more than one distinct tail is refused.  A variant of a model is
+    ``dataclasses.replace`` of it.
+    """
+
+    support: TrainStack | tuple
     coef: np.ndarray  # alpha_i * y_i per support sample
     bias: float
     spec: KernelSpec
@@ -274,7 +300,10 @@ class SvmModel:
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.support = _stack(self.support, "support") if len(self.support) else ()
+        support = _stack(self.support, "support") if len(self.support) else ()
+        if support and len(support.lead) > 1:
+            raise ValueError("support vectors must share one tail of trailing cores")
+        object.__setattr__(self, "support", support)
 
     @property
     def classes(self) -> tuple[int, ...]:
@@ -320,13 +349,8 @@ def _prepare_samples(model: SvmModel, samples) -> TrainStack:
     core does into rows of one ``(n, 1, I_1, R_2)`` array, the leading
     core of the returned ``TrainStack`` over the support vectors' tail.
     """
-    dims = tuple(model.dims)
-    for sample in samples:
-        if sample.dims != dims:
-            raise ValueError(
-                f"sample dims {sample.dims} do not match model dims {dims}"
-            )
-    tail = tuple(c[0] for c in model.support.lead[1:]) + model.support.tail
+    dims = common_dims(samples, tuple(model.dims))
+    tail = model.support.tail
     basis = _tail_basis(tail)  # (R_2, I_2*...*I_d)
     rank, cols = basis.shape
     first = np.empty((len(samples), 1, dims[0], rank))
@@ -483,8 +507,7 @@ def _scan(ds: Dataset, grid: GridConfig) -> _Scan:
         tts = stack_and_decompose(stack, TtSvdConfig(max_ranks=ranks))
         tr_tts, va_tts = tts[:n_train], tts[n_train:]
         kept = None  # this setting's best entry so far: its trains, spec and solution
-        for sigma in grid.sigmas():
-            spec = grid.make_spec(sigma)
+        for sigma, spec in grid._specs:
             gram = build_gram(tr_tts, spec)
             rows = cross_gram(tr_tts, va_tts, spec)
             prev = None

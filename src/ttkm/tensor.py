@@ -519,6 +519,19 @@ def tt_inner_product(a: TensorTrain, b: TensorTrain) -> float:
     return float(v[0, 0])
 
 
+def common_dims(samples, dims=None):
+    """The dims that every one of ``samples`` (tensors or trains) has:
+    ``dims``, or the first sample's when None; None for no samples and no
+    ``dims``.  The first sample that differs is a ValueError, "sample i
+    has dims ..., expected ...", the one check of every sample list."""
+    for i, s in enumerate(samples):
+        if dims is None:
+            dims = s.dims
+        elif s.dims != dims:
+            raise ValueError(f"sample {i} has dims {s.dims}, expected {dims}")
+    return dims
+
+
 def stack_samples(samples) -> DenseTensor:
     """Same-shape samples merged into their first mode, the one layout of
     every first-core fit: M samples of dims ``(I_1, ..., I_d)`` become the
@@ -528,10 +541,7 @@ def stack_samples(samples) -> DenseTensor:
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample")
-    dims = samples[0].dims
-    for i, s in enumerate(samples):
-        if s.dims != dims:
-            raise ValueError(f"sample {i} has dims {s.dims}, expected {dims}")
+    dims = common_dims(samples)
     stacked = np.empty((len(samples),) + dims, order="F")
     for i, s in enumerate(samples):
         stacked[i] = s.values

@@ -35,7 +35,7 @@ import zlib
 import numpy as np
 
 from .errors import DataFormatError
-from .tensor import DenseTensor
+from .tensor import DenseTensor, common_dims
 
 MAGIC = b"TTN1"
 
@@ -200,10 +200,7 @@ def write_dataset(path, samples) -> None:
     samples = list(samples)
     if not samples:
         raise ValueError("cannot write an empty dataset")
-    dims = samples[0].dims
-    for i, s in enumerate(samples):
-        if s.dims != dims:
-            raise ValueError(f"sample {i} has dims {s.dims}, expected {dims}")
+    dims = common_dims(samples)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(samples)))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ttkm import pipeline
-from ttkm.cli import _CATEGORIES, _parse_kinds, dump_json, format_float, main
+from ttkm.cli import _CATEGORIES, _parse_kinds, dump_json, format_cell, format_float, main
 from ttkm.model_store import load_model
 from ttkm.tensor import DenseTensor
 from ttkm.ttn import read_dataset, write_dataset, write_tensor
@@ -91,6 +91,14 @@ class TestSerialization:
 
     def test_json_numpy_arrays(self):
         assert dump_json(np.arange(3)) == "[0, 1, 2]"
+
+    @pytest.mark.parametrize("value", [True, False, 7, np.int64(-3), 0.1, np.float64(2.5),
+                                       float("nan")])
+    def test_csv_cell_is_its_json(self, value):
+        assert format_cell(value) == dump_json(value)
+
+    def test_csv_cell_string_passes_through(self):
+        assert format_cell("2x3") == "2x3" and format_cell("") == ""
 
 
 class TestTtSvdCommand:
@@ -613,10 +621,26 @@ class TestSolverOptions:
         assert "WARNING:ttkm.solver:SMO stopped" in done.stderr
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_zero_tol_is_usage_error(self, data_dir, capsys, command):
+    def test_zero_tol_is_config_error(self, data_dir, capsys, command):
+        # GridConfig refuses it when the grid is built: it once reached the
+        # solver and exited 2 "usage"
         code, _, err = run(capsys, command, "--config", self.ini(data_dir, "tol = 0"),
                            "--pair", "0,1")
-        assert code == 2 and err.splitlines()[-1].startswith("error:usage:")
+        assert code == 3 and err.splitlines()[-1].startswith("error:config: solver_tol")
+
+    # an INI value that its key's parser takes but the grid refuses: once
+    # exit 7 "convergence" (max_iter) or exit 2 "usage" (tol, poly_degree)
+    @pytest.mark.parametrize("solver,kernel", [
+        ("max_iter = 0", ""),
+        ("max_iter = -1", ""),
+        ("tol = -1e-3", ""),
+        ("", "mode_kinds = rbf, poly, rbf\npoly_degree = 0"),
+    ], ids=["max_iter-0", "max_iter-negative", "tol-negative", "poly_degree-0"])
+    def test_bad_grid_value_is_config_error(self, data_dir, capsys, solver, kernel):
+        path = self.ini(data_dir, solver)
+        path.write_text(path.read_text() + "\n[kernel]\n" + kernel + "\n")
+        code, _, err = run(capsys, "train", "--config", path, "--pair", "0,1")
+        assert code == 3 and err.startswith("error:config:") and err.count("\n") == 1
 
 
 class TestBenchCommand:

@@ -562,15 +562,22 @@ class TestModelStore:
             assert np.array_equal(decision_function(got, test_s),
                                   decision_function(trained, test_s))
 
-    def test_support_without_shared_tail_objects_refused(self, tmp_path):
+    def test_support_without_shared_tail_objects_refused(self):
         # equal tail values are not enough: the trains must hold the same
-        # tail arrays, as training, loading and copying leave them
+        # tail arrays, as training, loading and copying leave them.  The
+        # model refuses them when it is built, so save_model never sees one
         _, model = self.train_small()
         copied = TensorTrain(tuple(c.copy() for c in model.support[1].cores))
         support = (model.support[0], copied, *model.support[2:])
-        with pytest.raises(ValueError, match="without shared trailing cores cannot be saved"):
-            save_model(tmp_path / "m.ttkm", dataclasses.replace(model, support=support))
-        assert not (tmp_path / "m.ttkm").exists()
+        with pytest.raises(ValueError, match="must share one tail"):
+            dataclasses.replace(model, support=support)
+
+    def test_model_fields_cannot_be_reassigned(self):
+        # the support set is checked once, when the model is built
+        _, model = self.train_small()
+        for name, value in (("support", ()), ("coef", model.coef), ("bias", 0.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, value)
 
     def test_ovo_round_trip_predictions(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -604,11 +611,13 @@ class TestModelStore:
         if where == "tail":
             core = np.array(model.support[0].cores[-1])
             core.flat[0] = value
-            model.support = tuple(TensorTrain(tt.cores[:-1] + (core,)) for tt in model.support)
+            change = {"support": tuple(TensorTrain(tt.cores[:-1] + (core,))
+                                       for tt in model.support)}
         elif where == "coef":
-            model.coef = np.where(np.arange(model.coef.size) == 0, value, model.coef)
+            change = {"coef": np.where(np.arange(model.coef.size) == 0, value, model.coef)}
         else:
-            model.bias = value
+            change = {"bias": value}
+        model = dataclasses.replace(model, **change)
         path = tmp_path / "m.ttkm"
         save_model(path, model)
         with pytest.raises(DataFormatError, match="NaN or inf"):
@@ -618,7 +627,7 @@ class TestModelStore:
         # every kernel value is finite, but coef of 1e308 sums past float64:
         # decision_function's own check, not the kernel engine's, refuses it
         ds, model = self.train_small()
-        model.coef = np.full_like(model.coef, 1e308)
+        model = dataclasses.replace(model, coef=np.full_like(model.coef, 1e308))
         test_s, _ = ds.subset("test")
         with pytest.raises(CapacityError, match="decision values are NaN or inf"):
             decision_function(model, test_s)

@@ -11,6 +11,7 @@ import pytest
 from ttkm import kernels
 from ttkm.errors import CapacityError
 from ttkm.kernels import (
+    KERNEL_KINDS,
     GramMatrix,
     KernelSpec,
     LinearKernel,
@@ -188,6 +189,14 @@ class TestKernelSpec:
     def test_dict_round_trip(self):
         spec = mixed_spec(4, sigma=2.5, combine="sum")
         assert KernelSpec.from_dict(spec.to_dict()) == spec
+
+    def test_kinds_come_from_the_classes(self):
+        assert KERNEL_KINDS == ("linear", "poly", "rbf")
+        for k in (LinearKernel(), PolynomialKernel(c=0.5, degree=3), RbfKernel(2.0)):
+            assert kernel_to_dict(k)["kind"] == k.kind
+            assert kernel_from_dict(kernel_to_dict(k)) == k
+        with pytest.raises(TypeError, match="not a base kernel"):
+            kernel_to_dict(object())
 
 
 class TestNaive:

@@ -1,6 +1,8 @@
 """Training pipeline: datasets, grid search, multiclass, metrics, sweeps."""
 
 import gc
+import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -8,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ttkm import pipeline, solver, tensor
+from ttkm import pipeline, solver, tensor, ttn
 from ttkm.errors import ConvergenceError
 from ttkm.kernels import (
     GramMatrix,
@@ -119,6 +121,26 @@ class TestDataset:
                 split=np.array(["train", "train"], dtype=object),
             )
 
+    # every door that takes a list of samples refuses mixed dims with one text
+    DOORS = {
+        "Dataset": lambda xs, _: Dataset(samples=xs, labels=[0] * len(xs),
+                                         split=["train"] * len(xs)),
+        "stack_samples": lambda xs, _: tensor.stack_samples(xs),
+        "write_dataset": lambda xs, tmp: ttn.write_dataset(tmp / "x.ttn", xs),
+        "build_gram": lambda xs, _: build_gram(
+            [TensorTrain(tuple(np.ones((1, n, 1)) for n in x.dims)) for x in xs],
+            KernelSpec.uniform(LinearKernel(), 3)),
+        "predict": lambda xs, _: predict(
+            train_binary(blob_dataset(np.random.default_rng(2)), small_grid()), xs),
+    }
+
+    @pytest.mark.parametrize("door", sorted(DOORS))
+    def test_mixed_dims_refused_with_one_text(self, tmp_path, door):
+        xs = [DenseTensor(np.ones((3, 3, 4))), DenseTensor(np.ones((3, 4, 3)))]
+        with pytest.raises(ValueError, match=re.escape(
+                "sample 1 has dims (3, 4, 3), expected (3, 3, 4)")):
+            self.DOORS[door](xs, tmp_path)
+
     def test_restrict_classes(self):
         rng = np.random.default_rng(2)
         ds = blob_dataset(rng, classes=(0, 1, 2))
@@ -172,6 +194,44 @@ class TestGridConfig:
         with pytest.raises(ValueError):
             GridConfig(c_values=(1.0,), sigma_values=(1.0,), rank_values=(2,),
                        mode_kinds=("rbf", "sigmoid"))
+
+    # every field is checked when the grid is built; each of these once
+    # got through to the scan or the solver
+    @pytest.mark.parametrize("change", [
+        {"c_values": (1.0, math.inf)},
+        {"c_values": (math.nan,)},
+        {"sigma_values": (math.inf,)},
+        {"sigma_values": (1.0, -2.0)},
+        {"normalize": "no"},
+        {"normalize": 1},
+        {"solver_tol": 0.0},
+        {"solver_tol": -1e-3},
+        {"solver_tol": math.inf},
+        {"solver_tol": math.nan},
+        {"solver_max_iter": 0},
+        {"solver_max_iter": -1},
+        {"solver_max_iter": 2.5},
+        {"solver_max_iter": True},
+        {"rank_values": (2.5,)},
+        {"rank_values": (0,)},
+        {"rank_values": ((2, 0),)},
+        {"rank_values": ((2, 2.5),)},
+        {"rank_values": ("2",)},
+        {"mode_kinds": ("rbf", "poly", "rbf"), "poly_degree": 0},
+        {"mode_kinds": ("rbf", "poly", "rbf"), "poly_degree": 1.5},
+        {"mode_kinds": ("rbf", "poly", "rbf"), "poly_c": math.inf},
+        {"combine": "avg"},
+    ])
+    def test_bad_field_refused_when_built(self, change):
+        with pytest.raises(ValueError):
+            replace(small_grid(), **change)
+
+    def test_good_fields_accepted(self):
+        g = replace(small_grid(), rank_values=(np.int64(2), (3, 4), [2, 2]),
+                    solver_max_iter=np.int64(5), normalize=True, solver_tol=1e-6)
+        assert g.rank_settings(3) == [(2, 2), (3, 4), (2, 2)]
+        # kernel fields a mode does not use are not checked
+        assert replace(small_grid(), poly_degree=0).poly_degree == 0
 
     def test_rank_settings_expand_ints(self):
         g = small_grid(ranks=(2, (3, 4)))
